@@ -152,3 +152,125 @@ func checkDeclDocumented(t *testing.T, fset *token.FileSet, fname string, decl a
 		}
 	}
 }
+
+// referenceDocs are the top-level documents that describe the code as
+// it is. History and planning documents (CHANGES.md, ROADMAP.md) are
+// left out: they name identifiers that are gone or still to come.
+var referenceDocs = []string{
+	"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md", "RECOVERY.md", "SERVING.md",
+}
+
+// docRef matches a backticked `pkg.Ident`, `pkg.Type.Member` or either
+// with a trailing "()".
+var docRef = regexp.MustCompile("`([a-z]+)\\.([A-Z]\\w*)(?:\\.([A-Z]\\w*))?(?:\\(\\))?`")
+
+// TestDocReferencesResolve fails when a reference document names an
+// internal package identifier that does not exist: every backticked
+// `pkg.Ident` must be an exported top-level declaration of
+// internal/pkg (a test function counts), and every `pkg.Type.Member` a
+// method, field or interface method of that type. A rename or deletion that leaves the
+// prose behind is caught here.
+func TestDocReferencesResolve(t *testing.T) {
+	idents := map[string]map[string]bool{} // package → declared names, "Type.Member" included
+	exported := func(pkg string) map[string]bool {
+		if names, ok := idents[pkg]; ok {
+			return names
+		}
+		dir := filepath.Join("internal", pkg)
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			idents[pkg] = nil
+			return nil
+		}
+		names := map[string]bool{}
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, p := range pkgs { // test files too: docs cite tests by name
+			for _, f := range p.Files {
+				for _, decl := range f.Decls {
+					collectDeclNames(decl, names)
+				}
+			}
+		}
+		idents[pkg] = names
+		return names
+	}
+
+	resolved := 0
+	for _, doc := range referenceDocs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docRef.FindAllStringSubmatch(string(b), -1) {
+			names := exported(m[1])
+			if names == nil {
+				continue // not an internal package (e.g. `time.Sleep`)
+			}
+			name := m[2]
+			if m[3] != "" {
+				name += "." + m[3]
+			}
+			if !names[name] {
+				t.Errorf("%s: %s names no exported identifier of internal/%s", doc, m[0], m[1])
+				continue
+			}
+			resolved++
+		}
+	}
+	if resolved == 0 {
+		t.Fatal("no internal package references found — run from the repo root")
+	}
+}
+
+// collectDeclNames adds the exported names one top-level declaration
+// introduces: functions, types, constants and variables by name, and
+// methods, struct fields and interface methods as "Type.Member".
+func collectDeclNames(decl ast.Decl, names map[string]bool) {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if !d.Name.IsExported() {
+			return
+		}
+		if d.Recv == nil {
+			names[d.Name.Name] = true
+			return
+		}
+		recv := d.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if id, ok := recv.(*ast.Ident); ok {
+			names[id.Name+"."+d.Name.Name] = true
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				names[s.Name.Name] = s.Name.IsExported()
+				var members []*ast.Field
+				switch ty := s.Type.(type) {
+				case *ast.StructType:
+					members = ty.Fields.List
+				case *ast.InterfaceType:
+					members = ty.Methods.List
+				}
+				for _, f := range members {
+					for _, n := range f.Names {
+						if n.IsExported() {
+							names[s.Name.Name+"."+n.Name] = true
+						}
+					}
+				}
+			case *ast.ValueSpec:
+				for _, n := range s.Names {
+					if n.IsExported() {
+						names[n.Name] = true
+					}
+				}
+			}
+		}
+	}
+}

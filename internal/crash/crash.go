@@ -23,16 +23,22 @@
 //     is fully discarded; no redo record ever references DRAM.
 //
 // Injection points are named <package>.<protocol>.<step> (e.g.
-// core.commit.mark, wal.redo.append.record, mem.persist.line). A sweep
-// first runs the workload once with a counting injector to discover
-// every point and its visit count, then replays the workload once per
-// (point, visit) pair — exhaustively for small workloads, seeded-random
-// sampling for large ones. Each replay is a self-contained sim.Engine
-// world, so sweeps fan out across the internal/harness worker pool with
-// deterministic results at any parallelism.
+// core.commit.mark, wal.redo.append.record, mem.persist.line). One
+// driver sweeps any Target — the single-machine Workload here, the
+// sharded cluster in internal/shard: Enumerate runs the target once
+// with a counting injector to discover every point and its visit
+// count, and RunInjection replays it once per (point, visit) pair —
+// exhaustively for small targets, seeded-random sampling for large
+// ones — then crashes, recovers and verifies it. Each replay is a
+// self-contained world, so sweeps fan out across the internal/harness
+// worker pool with deterministic results at any parallelism.
 package crash
 
-import "sort"
+import (
+	"sort"
+
+	"uhtm/internal/sim"
+)
 
 // Injection identifies one crash to inject: the simulation is killed at
 // the Visit-th time (1-based) the named point is reached.
@@ -43,11 +49,10 @@ type Injection struct {
 
 // Injector is the hook installed at every instrumented protocol step
 // (via Machine.SetCrashpoint). In counting mode it only tallies visits;
-// armed, it halts the engine at the configured (point, visit).
+// armed, it tells the caller to halt at the configured (point, visit).
 type Injector struct {
 	point    string // armed point ("" = counting only)
 	visit    int    // 1-based visit to crash at
-	halt     func() // kills the simulation (sim.Engine.HaltNow)
 	fired    bool
 	disarmed bool
 	hits     map[string]int
@@ -59,34 +64,38 @@ func NewCounter() *Injector {
 	return &Injector{hits: make(map[string]int)}
 }
 
-// Arm returns an injector that halts at the given injection. The halt
-// function is bound later, when the engine exists (see Workload runs).
+// Arm returns an injector that fires at the given injection.
 func Arm(inj Injection) *Injector {
 	return &Injector{point: inj.Point, visit: inj.Visit, hits: make(map[string]int)}
 }
 
-// Hit records one visit of the named point and, when armed for exactly
-// this visit, halts the simulation. It is the func(string) installed as
-// the crashpoint hook.
-func (in *Injector) Hit(point string) {
+// Hit records one visit of the named point and reports whether this is
+// the armed (point, visit): the caller's crashpoint hook then halts its
+// own engine (sim.Engine.HaltNow), so one injector can serve every
+// engine of a multi-engine target.
+func (in *Injector) Hit(point string) bool {
 	if in.disarmed {
-		return
+		return false
 	}
 	in.hits[point]++
 	if !in.fired && in.point == point && in.hits[point] == in.visit {
 		in.fired = true
 		in.disarmed = true
-		if in.halt != nil {
-			in.halt()
+		return true
+	}
+	return false
+}
+
+// HaltHook returns a crashpoint hook that records each visit under
+// prefix+point and halts eng when the injection fires. A multi-engine
+// target installs one hook per engine, each with its own prefix.
+func (in *Injector) HaltHook(prefix string, eng *sim.Engine) func(string) {
+	return func(point string) {
+		if in.Hit(prefix + point) {
+			eng.HaltNow()
 		}
 	}
 }
-
-// SetHalt binds the function Hit fires when the armed (point, visit) is
-// reached — normally the owning engine's HaltNow, bound once the engine
-// exists. Multi-engine sweeps (internal/shard) bind a different halt per
-// shard while sharing one injector.
-func (in *Injector) SetHalt(f func()) { in.halt = f }
 
 // Fired reports whether the armed crash was injected.
 func (in *Injector) Fired() bool { return in.fired }
@@ -108,13 +117,7 @@ func (in *Injector) Points() []string {
 	return out
 }
 
-// EnumerateHits expands a visit-count map into the exhaustive injection
-// list: one entry per (point, visit) pair, points sorted, visits
-// ascending. It is the enumeration step of a sweep, exported for sweeps
-// that assemble their own counts (internal/shard merges per-shard maps).
-func EnumerateHits(hits map[string]int) []Injection { return enumerate(hits) }
-
-// Enumerate expands visit counts into the exhaustive injection list:
+// enumerate expands visit counts into the exhaustive injection list:
 // one entry per (point, visit) pair, points sorted, visits ascending.
 func enumerate(hits map[string]int) []Injection {
 	points := make([]string, 0, len(hits))

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"uhtm/internal/core"
@@ -60,19 +61,19 @@ func TestInjectorCounting(t *testing.T) {
 
 func TestInjectorArming(t *testing.T) {
 	in := Arm(Injection{Point: "p", Visit: 2})
-	halted := false
-	in.halt = func() { halted = true }
-	in.Hit("p")
-	if in.Fired() || halted {
+	if in.Hit("p") || in.Fired() {
 		t.Fatal("fired on visit 1, armed for visit 2")
 	}
-	in.Hit("q")
-	in.Hit("p")
-	if !in.Fired() || !halted {
+	if in.Hit("q") {
+		t.Fatal("fired on an unarmed point")
+	}
+	if !in.Hit("p") || !in.Fired() {
 		t.Fatal("did not fire on visit 2")
 	}
 	// Disarmed after firing: further hits are ignored.
-	in.Hit("p")
+	if in.Hit("p") {
+		t.Fatal("fired again after firing")
+	}
 	if in.Hits()["p"] != 2 {
 		t.Errorf("hits[p] = %d after disarm, want 2", in.Hits()["p"])
 	}
@@ -164,5 +165,46 @@ func TestInjectionDeterministic(t *testing.T) {
 	}
 	if !a.OK() {
 		t.Errorf("verdict: %s", a.Verdict)
+	}
+}
+
+// corruptLine flips one byte of a durable NVM data line in place — a
+// recovery that restored the wrong image.
+func corruptLine(m *core.Machine, la mem.Addr) {
+	st := m.Store()
+	ln := st.PeekLine(la)
+	ln[0] ^= 0xFF
+	st.WriteLine(la, &ln)
+	st.PersistLine(la, &ln)
+}
+
+// TestVerifyCatchesCorruptedLine is the oracle's negative test: the same
+// recovered instance that verifies clean must fail once one recovered
+// durable data line is corrupted.
+func TestVerifyCatchesCorruptedLine(t *testing.T) {
+	for _, w := range []Workload{SmallWorkload(), LargeWorkload()} {
+		in := Arm(Injection{Point: core.PointCommitFlush, Visit: 3})
+		run := w.Start(in)
+		if !in.Fired() {
+			t.Fatalf("%s: injection never fired", w.Name)
+		}
+		run.Recover()
+		if d := run.Verify(); d != "" {
+			t.Fatalf("%s: clean recovery failed verification: %s", w.Name, d)
+		}
+		st := run.(*runState)
+		corruptLine(st.m, st.nvmPool[0])
+		if d := run.Verify(); !strings.HasPrefix(d, "line ") {
+			t.Errorf("%s: corrupted line verified as %q, want a line mismatch", w.Name, d)
+		}
+	}
+}
+
+// TestUnknownPointNeverReached: an injection naming a point the
+// workload never visits is reported, not panicked on.
+func TestUnknownPointNeverReached(t *testing.T) {
+	o := RunInjection(SmallWorkload(), Injection{Point: "no.such.point", Visit: 1})
+	if !strings.HasPrefix(o.Verdict, "fail: point no.such.point visit 1 never reached") {
+		t.Errorf("verdict = %q", o.Verdict)
 	}
 }

@@ -9,13 +9,11 @@ import (
 	"uhtm/internal/wal"
 )
 
-// The committed-prefix oracle, factored out of the sweep so other
-// crash consumers (the server's kill-and-restart tests, ad-hoc
-// recovery drills) can verify a machine they crashed themselves. The
-// sweep's verify() keeps its own copy of the logic because it also
-// checks sweep-internal bookkeeping (acked sets, per-run intents); this
-// exported form reconstructs mid-commit write images from the durable
-// redo records instead, so it needs nothing beyond the machine.
+// The committed-prefix oracle. It reads nothing but the machine, so
+// any crash consumer — the sweep targets, the server's kill-and-restart
+// tests, ad-hoc recovery drills — can verify a machine it crashed
+// itself. Mid-commit write images are reconstructed from the durable
+// redo records.
 
 // Baseline deep-copies the durable NVM data image (log areas excluded).
 // Capture it before running the workload whose recovery will be
@@ -40,9 +38,26 @@ func Baseline(m *core.Machine) map[mem.Addr]mem.Line {
 // (one per core). Requires Options.TrackCommits on the machine.
 //
 // It returns "" when every invariant holds, else a description of the
-// violation. Unlike the sweep's internal verify, it does not check that
-// DRAM is empty — callers may already have rebuilt volatile indexes.
+// violation. It does not check that DRAM is empty — callers may already
+// have rebuilt volatile indexes.
 func VerifyRecovered(m *core.Machine, cores int, baseline map[mem.Addr]mem.Line) string {
+	_, detail := verifyRecovered(m, cores, baseline)
+	return detail
+}
+
+// midCommit is a transaction whose commit mark went durable before it
+// registered in the commit log, with its write image as recovered from
+// its durable redo records.
+type midCommit struct {
+	id     uint64
+	writes map[mem.Addr]mem.Line
+}
+
+// verifyRecovered is VerifyRecovered that also returns the mid-commit
+// transactions (in commit-mark LSN order) whose durable images the
+// oracle trusted, so a caller holding the writes it intended can check
+// those images too.
+func verifyRecovered(m *core.Machine, cores int, baseline map[mem.Addr]mem.Line) ([]midCommit, string) {
 	committed := make(map[uint64]bool)
 	for _, c := range m.CommitLog() {
 		committed[c.ID] = true
@@ -66,7 +81,7 @@ func VerifyRecovered(m *core.Machine, cores int, baseline map[mem.Addr]mem.Line)
 			abortedD[r.TxID] = true
 		case wal.RecWrite:
 			if !dataNVM(r.Addr) {
-				return fmt.Sprintf("redo record for tx %d addresses non-NVM-data line %#x", r.TxID, uint64(r.Addr))
+				return nil, fmt.Sprintf("redo record for tx %d addresses non-NVM-data line %#x", r.TxID, uint64(r.Addr))
 			}
 			w := intents[r.TxID]
 			if w == nil {
@@ -78,7 +93,7 @@ func VerifyRecovered(m *core.Machine, cores int, baseline map[mem.Addr]mem.Line)
 	}
 	for id := range abortedD {
 		if _, ok := durable[id]; ok || committed[id] {
-			return fmt.Sprintf("tx %d has both abort and commit marks", id)
+			return nil, fmt.Sprintf("tx %d has both abort and commit marks", id)
 		}
 	}
 
@@ -91,7 +106,7 @@ func VerifyRecovered(m *core.Machine, cores int, baseline map[mem.Addr]mem.Line)
 		}
 	}
 	if len(mid) > cores {
-		return fmt.Sprintf("%d mid-commit txs have durable commit marks (at most %d cores)", len(mid), cores)
+		return nil, fmt.Sprintf("%d mid-commit txs have durable commit marks (at most %d cores)", len(mid), cores)
 	}
 	sort.Slice(mid, func(i, j int) bool { return durable[mid[i]] < durable[mid[j]] })
 
@@ -108,7 +123,9 @@ func VerifyRecovered(m *core.Machine, cores int, baseline map[mem.Addr]mem.Line)
 			}
 		}
 	}
-	for _, id := range mid {
+	mids := make([]midCommit, len(mid))
+	for i, id := range mid {
+		mids[i] = midCommit{id: id, writes: intents[id]}
 		for la, ln := range intents[id] {
 			expected[la] = ln
 		}
@@ -122,13 +139,19 @@ func VerifyRecovered(m *core.Machine, cores int, baseline map[mem.Addr]mem.Line)
 	}
 	for a, want := range expected {
 		if got[a] != want {
-			return fmt.Sprintf("line %#x: durable %x, oracle %x", uint64(a), got[a], want)
+			return nil, fmt.Sprintf("line %#x: durable %x, oracle %x", uint64(a), got[a], want)
 		}
 	}
 	for a, g := range got {
 		if _, ok := expected[a]; !ok && g != (mem.Line{}) {
-			return fmt.Sprintf("line %#x: unexpected durable data %x", uint64(a), g)
+			return nil, fmt.Sprintf("line %#x: unexpected durable data %x", uint64(a), g)
 		}
 	}
-	return ""
+	return mids, ""
+}
+
+// dataNVM reports whether a line holds NVM *data* (not hardware log
+// area) — the address range the oracle compares.
+func dataNVM(a mem.Addr) bool {
+	return mem.KindOf(a) == mem.NVM && !mem.InLogArea(a)
 }

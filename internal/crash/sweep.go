@@ -1,6 +1,8 @@
 package crash
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,6 +13,34 @@ import (
 	"uhtm/internal/stats"
 	"uhtm/internal/wal"
 )
+
+// Target is a system under test for the crash sweep. Every Start must
+// build a fresh, deterministic instance, so the enumeration pass
+// predicts the injection points of every replay.
+type Target interface {
+	// Label names the target and its seed for Outcome records.
+	Label() (name string, seed int64)
+	// Start builds a fresh instance with in installed at every
+	// injection point and runs it to completion, or until in.Hit
+	// reports a halt and the target halts its own engine.
+	Start(in *Injector) Instance
+}
+
+// Instance is one run of a Target, stopped at completion or at the
+// injected crash.
+type Instance interface {
+	// Complete reports why an uninjected run fell short of finishing
+	// all its work (nil when it finished) — the enumeration precondition.
+	Complete() error
+	// Counters returns the machine counters and virtual time at the
+	// end of the run.
+	Counters() (stats.Stats, sim.Time)
+	// Recover power-fails the instance and runs its recovery.
+	Recover() wal.ReplayStats
+	// Verify checks the recovered state, returning "" when every
+	// recovery invariant holds, else a description of the violation.
+	Verify() string
+}
 
 // Workload parameterizes one crash-sweep workload: a deterministic mix
 // of durable transactions over shared NVM and DRAM line pools, sized so
@@ -95,7 +125,9 @@ func pick(t, k, i, n int) int {
 // writes (keyed by hardware transaction ID), and the IDs of
 // transactions whose commit was acknowledged to the workload.
 type runState struct {
+	w        Workload
 	eng      *sim.Engine
+	elapsed  sim.Time
 	m        *core.Machine
 	nvmPool  []mem.Addr
 	dramPool []mem.Addr
@@ -104,19 +136,19 @@ type runState struct {
 	acked    []uint64
 }
 
-// build constructs the engine, machine, pools and threads, and installs
-// the injector (which may be counting-only). Run the returned state's
-// engine to execute the workload.
-func (w Workload) build(in *Injector) *runState {
+// Label implements Target.
+func (w Workload) Label() (string, int64) { return w.Name, w.Seed }
+
+// Start implements Target: it constructs the engine, machine, pools and
+// threads, installs the injector, and runs the workload.
+func (w Workload) Start(in *Injector) Instance {
 	eng := sim.NewEngine(w.Seed)
 	opts := core.DefaultOptions()
 	opts.TrackCommits = true
 	m := core.NewMachine(eng, w.geometry(), opts)
-	if in != nil {
-		in.halt = eng.HaltNow
-		m.SetCrashpoint(in.Hit)
-	}
+	m.SetCrashpoint(in.HaltHook("", eng))
 	st := &runState{
+		w:       w,
 		eng:     eng,
 		m:       m,
 		intents: make(map[uint64]map[mem.Addr]uint64),
@@ -134,13 +166,14 @@ func (w Workload) build(in *Injector) *runState {
 	// Non-transactional setup is durable before any transaction runs —
 	// the formatted-heap state crash recovery falls back to.
 	m.Store().PersistLiveNVM()
-	st.baseline = m.Store().SnapshotDurable()
+	st.baseline = Baseline(m)
 	for t := 0; t < w.Threads; t++ {
 		t := t
 		eng.Spawn(fmt.Sprintf("crash-w%d", t), func(th *sim.Thread) {
 			w.thread(st, th, t)
 		})
 	}
+	st.elapsed = eng.Run()
 	return st
 }
 
@@ -199,21 +232,17 @@ func (w Workload) thread(st *runState, th *sim.Thread, t int) {
 	}
 }
 
-// Enumerate runs the workload once with a counting injector and returns
+// Enumerate runs the target once with a counting injector and returns
 // the exhaustive injection list plus the per-point visit counts. The
-// run must complete (no crash) with every transaction acknowledged.
-func Enumerate(w Workload) ([]Injection, map[string]int, error) {
+// run must complete uncrashed.
+func Enumerate(t Target) ([]Injection, map[string]int, error) {
 	in := NewCounter()
-	st := w.build(in)
-	st.eng.Run()
-	if st.eng.Halted() {
-		return nil, nil, fmt.Errorf("crash: enumeration run halted unexpectedly")
-	}
-	if got, want := len(st.acked), w.Threads*w.TxPerThread; got != want {
-		return nil, nil, fmt.Errorf("crash: enumeration run acked %d txs, want %d", got, want)
+	name, _ := t.Label()
+	if err := t.Start(in).Complete(); err != nil {
+		return nil, nil, fmt.Errorf("crash: %s enumeration run: %v", name, err)
 	}
 	if len(in.Hits()) == 0 {
-		return nil, nil, fmt.Errorf("crash: workload fired no injection points")
+		return nil, nil, fmt.Errorf("crash: %s fired no injection points", name)
 	}
 	return enumerate(in.Hits()), in.Hits(), nil
 }
@@ -255,159 +284,96 @@ type Outcome struct {
 // OK reports whether every invariant held.
 func (o Outcome) OK() bool { return o.Verdict == "ok" }
 
-// RunInjection replays the workload, kills it at the injection, runs
+// RunInjection replays the target, kills it at the injection, runs
 // recovery, and verifies the recovery invariants. It never panics on an
 // invariant violation — failures are reported in the Outcome so sweeps
-// can tabulate them.
-func RunInjection(w Workload, inj Injection) Outcome {
-	out := Outcome{Workload: w.Name, Point: inj.Point, Visit: inj.Visit, Seed: w.Seed}
+// can tabulate them. An injection whose point or visit the run never
+// reaches (an unknown point, a shard the target lacks) fails as
+// "never reached".
+func RunInjection(t Target, inj Injection) Outcome {
+	out := Outcome{Point: inj.Point, Visit: inj.Visit}
+	out.Workload, out.Seed = t.Label()
 	in := Arm(inj)
-	st := w.build(in)
-	out.Elapsed = st.eng.Run()
-	out.Stats = *st.m.Stats()
+	run := t.Start(in)
+	out.Stats, out.Elapsed = run.Counters()
 	if !in.Fired() {
 		out.Verdict = fmt.Sprintf("fail: point %s visit %d never reached (saw %d visits)",
 			inj.Point, inj.Visit, in.Hits()[inj.Point])
 		return out
 	}
 	in.Disarm()
-	detail, replay := verify(w, st)
-	out.Replay = replay
-	if detail == "" {
-		out.Verdict = "ok"
-	} else {
+	out.Replay = run.Recover()
+	if detail := run.Verify(); detail != "" {
 		out.Verdict = "fail: " + detail
+	} else {
+		out.Verdict = "ok"
 	}
 	return out
 }
 
-// dataNVM reports whether a line holds NVM *data* (not hardware log
-// area) — the address range the oracle compares.
-func dataNVM(a mem.Addr) bool {
-	return mem.KindOf(a) == mem.NVM && !mem.InLogArea(a)
+// Complete implements Instance: the run must finish uncrashed with every
+// transaction acknowledged.
+func (st *runState) Complete() error {
+	if st.eng.Halted() {
+		return fmt.Errorf("halted unexpectedly")
+	}
+	if got, want := len(st.acked), st.w.Threads*st.w.TxPerThread; got != want {
+		return fmt.Errorf("acked %d txs, want %d", got, want)
+	}
+	return nil
 }
 
-// verify crashes the machine, recovers it, and checks the recovered
-// state against the committed-prefix oracle. It returns "" when every
-// invariant holds, else a description of the violation.
-func verify(w Workload, st *runState) (detail string, replay wal.ReplayStats) {
-	m := st.m
+// Counters implements Instance.
+func (st *runState) Counters() (stats.Stats, sim.Time) { return *st.m.Stats(), st.elapsed }
 
-	// Ground truth recorded by the still-live machine: the committed
-	// transactions in commit (LSN) order with their exact write images.
-	type centry struct {
-		id     uint64
-		writes map[mem.Addr]mem.Line
-	}
-	var clog []centry
+// Recover implements Instance: power failure, then redo-log replay.
+func (st *runState) Recover() wal.ReplayStats {
+	st.m.Crash()
+	return st.m.Recover().ReplayStats
+}
+
+// Verify implements Instance: the committed-prefix oracle
+// (VerifyRecovered) plus the invariants only the workload's own
+// bookkeeping can check — every acknowledged transaction reached the
+// commit log, every mid-commit transaction's durable images are
+// exactly the writes it intended, and no DRAM survived the crash.
+func (st *runState) Verify() string {
+	m := st.m
+	// Invariant 3: an acknowledged commit always reached the commit log
+	// (finishCommit ran before the ack).
 	committed := make(map[uint64]bool)
 	for _, c := range m.CommitLog() {
-		clog = append(clog, centry{id: c.ID, writes: c.Writes})
 		committed[c.ID] = true
 	}
-
-	// Invariant 3 precondition: an acknowledged commit always reached
-	// the commit log (finishCommit ran before the ack).
 	for _, id := range st.acked {
 		if !committed[id] {
-			return fmt.Sprintf("acked tx %d missing from commit log", id), replay
+			return fmt.Sprintf("acked tx %d missing from commit log", id)
 		}
 	}
 
-	// Power failure. Everything below sees only durable state plus the
-	// recovery protocol's own effects.
-	m.Crash()
-
-	// Commit marks at or below the durable checkpoint are truncation
-	// leftovers: their transactions' data is persisted in place, and
-	// recovery ignores them (see core.ReclaimLogs).
-	ckpt := m.Checkpoint()
-	durable := make(map[uint64]uint64) // txID → commit LSN, from durable logs
-	abortedD := make(map[uint64]bool)
-	for _, r := range m.DurableRedoRecords() {
-		switch r.Type {
-		case wal.RecCommit:
-			if _, ok := durable[r.TxID]; !ok && r.LSN > ckpt {
-				durable[r.TxID] = r.LSN
-			}
-		case wal.RecAbort:
-			abortedD[r.TxID] = true
-		case wal.RecWrite:
-			// Invariant 4: the redo log never references DRAM.
-			if !dataNVM(r.Addr) {
-				return fmt.Sprintf("redo record for tx %d addresses non-NVM-data line %#x", r.TxID, uint64(r.Addr)), replay
-			}
-		}
+	// Invariants 1, 2 and 4 (no redo record references DRAM).
+	mids, detail := verifyRecovered(m, st.w.Threads, st.baseline)
+	if detail != "" {
+		return detail
 	}
-	for id := range abortedD {
-		if _, ok := durable[id]; ok || committed[id] {
-			return fmt.Sprintf("tx %d has both abort and commit marks", id), replay
-		}
-	}
-
-	// A durable commit mark either belongs to a fully committed
-	// transaction or to one that was mid-commit when the power failed:
-	// past its durable mark but suspended (at the commit latency charge)
-	// before registering in the commit log. At most one such transaction
-	// per core is possible; conflict detection guarantees their write
-	// sets are mutually disjoint.
-	var mid []uint64
-	for id := range durable {
-		if !committed[id] {
-			mid = append(mid, id)
-		}
-	}
-	if len(mid) > w.Threads {
-		return fmt.Sprintf("%d mid-commit txs have durable commit marks (at most %d cores)", len(mid), w.Threads), replay
-	}
-	sort.Slice(mid, func(i, j int) bool { return durable[mid[i]] < durable[mid[j]] })
-
-	replay = m.Recover().ReplayStats
-
-	// Committed-prefix oracle: baseline, then every completed commit in
-	// order, then the mid-commit transaction iff its mark is durable.
-	expected := make(map[mem.Addr]mem.Line, len(st.baseline))
-	for a, l := range st.baseline {
-		if dataNVM(a) {
-			expected[a] = l
-		}
-	}
-	for _, ce := range clog {
-		for la, ln := range ce.writes {
-			if dataNVM(la) {
-				expected[la] = ln
-			}
-		}
-	}
-	for _, id := range mid {
-		wmap, ok := st.intents[id]
+	// The oracle rebuilt each mid-commit image from the durable log;
+	// hold it to what the transaction actually wrote.
+	for _, mc := range mids {
+		want, ok := st.intents[mc.id]
 		if !ok {
-			return fmt.Sprintf("durable commit mark for unknown tx %d", id), replay
+			return fmt.Sprintf("durable commit mark for unknown tx %d", mc.id)
 		}
-		for la, v := range wmap {
-			ln := expected[la]
-			for i := 0; i < 8; i++ {
-				ln[i] = byte(v >> (8 * i))
+		if len(mc.writes) != len(want) {
+			return fmt.Sprintf("mid-commit tx %d: %d durable write images, %d intended", mc.id, len(mc.writes), len(want))
+		}
+		// The workload writes word 0 only: the rest of each line must
+		// still be the baseline's.
+		for la, v := range want {
+			img, ok := mc.writes[la]
+			base := st.baseline[la]
+			if !ok || binary.LittleEndian.Uint64(img[:8]) != v || !bytes.Equal(img[8:], base[8:]) {
+				return fmt.Sprintf("mid-commit tx %d line %#x: durable image %x, intended value %#x over baseline %x", mc.id, uint64(la), img, v, base)
 			}
-			expected[la] = ln
-		}
-	}
-
-	// Invariants 1–3: exact durable-image equality over all NVM data.
-	got := make(map[mem.Addr]mem.Line)
-	for a, l := range m.Store().SnapshotDurable() {
-		if dataNVM(a) {
-			got[a] = l
-		}
-	}
-	for a, want := range expected {
-		if got[a] != want {
-			return fmt.Sprintf("line %#x: durable %x, oracle %x", uint64(a), got[a], want), replay
-		}
-	}
-	for a, g := range got {
-		if _, ok := expected[a]; !ok && g != (mem.Line{}) {
-			return fmt.Sprintf("line %#x: unexpected durable data %x", uint64(a), g), replay
 		}
 	}
 
@@ -415,8 +381,8 @@ func verify(w Workload, st *runState) (detail string, replay wal.ReplayStats) {
 	// image containing nothing but recovered NVM data.
 	for a, l := range m.Store().SnapshotLive() {
 		if mem.KindOf(a) == mem.DRAM && l != (mem.Line{}) {
-			return fmt.Sprintf("DRAM line %#x survived the crash", uint64(a)), replay
+			return fmt.Sprintf("DRAM line %#x survived the crash", uint64(a))
 		}
 	}
-	return "", replay
+	return ""
 }

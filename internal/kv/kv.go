@@ -100,6 +100,40 @@ type HybridPart struct {
 	Table *txds.HashMap // NVM
 }
 
+// NewHybridPart builds one empty partition: the index on dal, the
+// table (buckets buckets) on nal.
+func NewHybridPart(setup txds.Mem, dal, nal *mem.Allocator, buckets int) HybridPart {
+	return HybridPart{
+		Index: txds.NewBTree(setup, dal),
+		Table: txds.NewHashMap(setup, nal, buckets),
+	}
+}
+
+// RebuildIndex replaces the partition's DRAM index with a fresh one on
+// dal holding every key of the NVM table — the recovery bootstrap once
+// a power failure has erased DRAM. Recovery-relevant data lives in
+// NVM; the volatile index is reconstructable from it.
+func (p *HybridPart) RebuildIndex(setup txds.Mem, dal *mem.Allocator) {
+	p.Index = txds.NewBTree(setup, dal)
+	for _, k := range p.Table.Keys(setup) {
+		p.Index.Put(setup, k, nil)
+	}
+}
+
+// Scan walks up to n keys in ascending order from `from` via the DRAM
+// index, reading each value from the NVM table. Keys the index still
+// holds but the table no longer does (deleted since) are skipped.
+func (p HybridPart) Scan(m txds.Mem, from uint64, n int) (keys []uint64, vals [][]byte) {
+	p.Index.Scan(m, from, func(k uint64, _ mem.Addr) bool {
+		if v, ok := p.Table.Get(m, k); ok {
+			keys = append(keys, k)
+			vals = append(vals, v)
+		}
+		return len(keys) < n
+	})
+	return keys, vals
+}
+
 // HybridIndex is the HiKV-style store. Following HiKV's design, the
 // store is partitioned (one partition per serving thread), so true
 // conflicts between serving threads are rare and the interesting HTM
@@ -113,10 +147,7 @@ type HybridIndex struct {
 func NewHybridIndex(setup txds.Mem, dal, nal *mem.Allocator, buckets, parts int) *HybridIndex {
 	h := &HybridIndex{}
 	for i := 0; i < parts; i++ {
-		h.Parts = append(h.Parts, HybridPart{
-			Index: txds.NewBTree(setup, dal),
-			Table: txds.NewHashMap(setup, nal, buckets),
-		})
+		h.Parts = append(h.Parts, NewHybridPart(setup, dal, nal, buckets))
 	}
 	return h
 }
@@ -147,15 +178,8 @@ func (h *HybridIndex) Get(c *core.Ctx, part int, key uint64) (val []byte, found 
 // index, fetching values from the NVM table, in one read-only
 // transaction.
 func (h *HybridIndex) Scan(c *core.Ctx, part int, from uint64, n int) (keys []uint64) {
-	p := h.Parts[part]
 	c.Run(func(tx *core.Tx) {
-		keys = keys[:0]
-		p.Index.Scan(tx, from, func(k uint64, _ mem.Addr) bool {
-			if _, ok := p.Table.Get(tx, k); ok {
-				keys = append(keys, k)
-			}
-			return len(keys) < n
-		})
+		keys, _ = h.Parts[part].Scan(tx, from, n)
 	})
 	return keys
 }

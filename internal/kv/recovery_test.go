@@ -91,11 +91,8 @@ func TestHybridIndexCrashLosesOnlyDRAMIndex(t *testing.T) {
 	}
 	// Rebuild the volatile index from the recovered table — the
 	// AutoPersist/Go-pmem style bootstrap.
-	rebuilt := txds.NewBTree(s, dal)
-	for _, k := range h.Parts[0].Table.Keys(s) {
-		rebuilt.Put(s, k, nil)
-	}
-	if rebuilt.Len(s) != 20 {
-		t.Errorf("rebuilt index has %d keys", rebuilt.Len(s))
+	h.Parts[0].RebuildIndex(s, dal)
+	if got := h.Parts[0].Index.Len(s); got != 20 {
+		t.Errorf("rebuilt index has %d keys", got)
 	}
 }

@@ -165,14 +165,14 @@ func (s *Server) runCross(req *request) {
 			op := req.ops[i]
 			switch op.Kind {
 			case OpGet:
-				v, ok := st.table.Get(cm, op.Key)
+				v, ok := st.part.Table.Get(cm, op.Key)
 				req.results[i] = OpResult{Val: v, Found: ok}
 			case OpPut:
-				st.table.Put(cm, op.Key, op.Val)
+				st.part.Table.Put(cm, op.Key, op.Val)
 				puts[k] = append(puts[k], op.Key)
 				req.results[i] = OpResult{Written: true}
 			case OpDel:
-				req.results[i] = OpResult{Found: st.table.Delete(cm, op.Key)}
+				req.results[i] = OpResult{Found: st.part.Table.Delete(cm, op.Key)}
 			default:
 				panic("server: scan routed to the cross-shard path")
 			}
@@ -183,7 +183,7 @@ func (s *Server) runCross(req *request) {
 		st := s.stores[k]
 		mst := st.m.Store()
 		for _, key := range puts[k] {
-			st.index.Put(mst, key, nil)
+			st.part.Index.Put(mst, key, nil)
 		}
 	}
 	decided, halted := s.cluster.SubmitCross(parts, exec, applied)

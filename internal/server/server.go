@@ -335,7 +335,7 @@ func (s *Server) step(pending []*request) []*request {
 		close(head.done)
 		return pending[1:]
 	case reqCrash:
-		s.powerFail(head)
+		s.powerFail()
 		close(head.done)
 		return pending[1:]
 	case reqCross:
@@ -416,10 +416,8 @@ func (s *Server) runWave(pending []*request) []*request {
 // command): every shard loses volatile state, the redo logs replay, the
 // coordinator's completion pass finishes decided cross-shard
 // transactions, and the DRAM indexes are rebuilt. Runs between steps,
-// so no request is in flight. A protocol-invariant violation found by
-// recovery fails the CRASH request loudly instead of serving corrupt
-// state.
-func (s *Server) powerFail(req *request) {
+// so no request is in flight.
+func (s *Server) powerFail() {
 	s.crashes++
 	rec := s.cluster.RecoverServing()
 	s.recScanned, s.recApplied, s.recPS = 0, 0, 0
@@ -433,15 +431,12 @@ func (s *Server) powerFail(req *request) {
 	for _, st := range s.stores {
 		st.Recover()
 	}
-	if req != nil && len(rec.Inconsistent) > 0 {
-		req.err = fmt.Errorf("recovery invariant violated: %s", rec.Inconsistent[0])
-	}
 }
 
 // recoverAfterHalt is powerFail for a failure that struck mid-wave: the
 // engines halted, so every shard's session must also restart.
 func (s *Server) recoverAfterHalt() {
-	s.powerFail(nil)
+	s.powerFail()
 	for _, sh := range s.shards {
 		sh.Restart()
 	}
@@ -463,7 +458,7 @@ func (s *Server) statsJSON() []byte {
 		if t := sh.Engine().Now(); t > now {
 			now = t
 		}
-		keys += s.stores[i].table.Len(sh.Machine().Store())
+		keys += s.stores[i].part.Table.Len(sh.Machine().Store())
 	}
 	ms.Elapsed = now
 	doc := struct {

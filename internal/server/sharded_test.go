@@ -34,6 +34,15 @@ func shardBaselines(s *Server) []map[mem.Addr]mem.Line {
 	return out
 }
 
+// armShard arms an injector at point's first visit and hooks it on
+// shard k of the server's cluster, halting that shard's engine when it
+// fires.
+func armShard(s *Server, k int, point string) *crash.Injector {
+	in := crash.Arm(crash.Injection{Point: point, Visit: 1})
+	s.Cluster().SetHook(k, in.HaltHook("", s.Cluster().Shards()[k].Engine()))
+	return in
+}
+
 // TestShardedEndToEnd drives a 4-shard server over the wire: routed
 // single-key ops, the all-shard SCAN merge, a cross-shard MULTI through
 // 2PC, and the sharded STATS fields.
@@ -176,9 +185,7 @@ func TestHaltMidCrossRecovery(t *testing.T) {
 
 	t.Run("before-decision", func(t *testing.T) {
 		s := startServer(t, Config{Shards: 2, Cores: 2, Buckets: 64})
-		in := crash.Arm(crash.Injection{Point: shard.PointPrepareLogged, Visit: 1})
-		in.SetHalt(s.Cluster().Shards()[1].Engine().HaltNow)
-		s.Cluster().SetHook(1, in.Hit)
+		in := armShard(s, 1, shard.PointPrepareLogged)
 		c := dialT(t, s)
 
 		mustDo(t, c, "MULTI")
@@ -213,9 +220,7 @@ func TestHaltMidCrossRecovery(t *testing.T) {
 
 	t.Run("after-decision", func(t *testing.T) {
 		s := startServer(t, Config{Shards: 2, Cores: 2, Buckets: 64})
-		in := crash.Arm(crash.Injection{Point: shard.PointApplyMark, Visit: 1})
-		in.SetHalt(s.Cluster().Shards()[1].Engine().HaltNow)
-		s.Cluster().SetHook(1, in.Hit)
+		in := armShard(s, 1, shard.PointApplyMark)
 		c := dialT(t, s)
 
 		mustDo(t, c, "MULTI")

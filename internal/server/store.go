@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"uhtm/internal/core"
+	"uhtm/internal/kv"
 	"uhtm/internal/mem"
 	"uhtm/internal/txds"
 )
@@ -67,19 +68,17 @@ type OpResult struct {
 	Written bool     // OpPut: always true on commit
 }
 
-// Store is the durable KV the server fronts: an NVM HashMap holding
-// the authoritative key→value mapping (the durable truth recovery
-// restores) and a DRAM B-Tree index giving SCAN its ordered walk —
-// the HiKV split of the paper's Hybrid-Index workload, with both sides
-// updated in one durable transaction per request. Deletes remove the
-// table entry only; the index keeps a stale key until the next rebuild
-// and scans filter through the table, so a deleted key is never served.
+// Store is the durable KV the server fronts: one partition of the
+// paper's Hybrid-Index workload (kv.HybridPart) — an NVM HashMap
+// holding the authoritative key→value mapping (the durable truth
+// recovery restores) and a DRAM B-Tree index giving SCAN its ordered
+// walk, both updated in one durable transaction per request. Deletes
+// remove the table entry only; the index keeps a stale key until the
+// next rebuild and scans filter through the table, so a deleted key is
+// never served.
 type Store struct {
-	m     *core.Machine
-	table *txds.HashMap // NVM: durable truth
-	index *txds.BTree   // DRAM: ordered scan index, rebuilt on recovery
-	nal   *mem.Allocator
-	dal   *mem.Allocator
+	m    *core.Machine
+	part kv.HybridPart
 }
 
 // NewStore formats a fresh store on the machine: allocators over the
@@ -88,23 +87,17 @@ type Store struct {
 // pre-crash formatted heap, like the workload prepopulation paths) and
 // are made durable before the store serves traffic.
 func NewStore(m *core.Machine, buckets int) *Store {
-	s := &Store{
-		m:   m,
-		nal: mem.NewAllocator(mem.NVM),
-		dal: mem.NewAllocator(mem.DRAM),
-	}
 	st := m.Store()
-	s.table = txds.NewHashMap(st, s.nal, buckets)
-	s.index = txds.NewBTree(st, s.dal)
+	part := kv.NewHybridPart(st, mem.NewAllocator(mem.DRAM), mem.NewAllocator(mem.NVM), buckets)
 	st.PersistLiveNVM()
-	return s
+	return &Store{m: m, part: part}
 }
 
 // Machine returns the machine the store lives on.
 func (s *Store) Machine() *core.Machine { return s.m }
 
 // Table returns the NVM hash map (tests and recovery checks).
-func (s *Store) Table() *txds.HashMap { return s.table }
+func (s *Store) Table() *txds.HashMap { return s.part.Table }
 
 // Prepopulate inserts keys 1..n with deterministic valSize-byte values,
 // outside any transaction, and persists them — initial state for load
@@ -126,8 +119,8 @@ func (s *Store) PrepopulateOne(k uint64, valSize int) {
 	for i := range v {
 		v[i] = byte(k + uint64(i))
 	}
-	s.table.Put(st, k, v)
-	s.index.Put(st, k, nil)
+	s.part.Table.Put(st, k, v)
+	s.part.Index.Put(st, k, nil)
 }
 
 // Apply executes ops as one durable transaction on the given context
@@ -143,25 +136,18 @@ func (s *Store) Apply(c *core.Ctx, ops []Op) []OpResult {
 		for i, op := range ops {
 			switch op.Kind {
 			case OpGet:
-				v, ok := s.table.Get(tx, op.Key)
+				v, ok := s.part.Table.Get(tx, op.Key)
 				results[i] = OpResult{Val: v, Found: ok}
 			case OpPut:
-				s.table.Put(tx, op.Key, op.Val)
-				s.index.Put(tx, op.Key, nil)
+				s.part.Table.Put(tx, op.Key, op.Val)
+				s.part.Index.Put(tx, op.Key, nil)
 				results[i] = OpResult{Written: true}
 			case OpDel:
-				ok := s.table.Delete(tx, op.Key)
+				ok := s.part.Table.Delete(tx, op.Key)
 				results[i] = OpResult{Found: ok}
 			case OpScan:
-				r := OpResult{}
-				s.index.Scan(tx, op.Key, func(k uint64, _ mem.Addr) bool {
-					if v, ok := s.table.Get(tx, k); ok {
-						r.Keys = append(r.Keys, k)
-						r.Vals = append(r.Vals, v)
-					}
-					return len(r.Keys) < op.N
-				})
-				results[i] = r
+				keys, vals := s.part.Scan(tx, op.Key, op.N)
+				results[i] = OpResult{Keys: keys, Vals: vals}
 			default:
 				panic(fmt.Sprintf("server: unknown op kind %v", op.Kind))
 			}
@@ -173,14 +159,8 @@ func (s *Store) Apply(c *core.Ctx, ops []Op) []OpResult {
 // Recover brings the store back after a power failure: the machine has
 // already replayed its redo logs (core.Machine.Recover), which restored
 // the NVM table; the DRAM index is gone — DRAM does not survive — so it
-// is rebuilt from the table's keys on a fresh DRAM arena. Mirrors the
-// programmer's obligation from the paper: recovery-relevant structures
-// live in NVM, everything volatile is reconstructable.
+// is rebuilt from the table's keys on a fresh DRAM arena
+// (kv.HybridPart.RebuildIndex).
 func (s *Store) Recover() {
-	st := s.m.Store()
-	s.dal = mem.NewAllocator(mem.DRAM)
-	s.index = txds.NewBTree(st, s.dal)
-	for _, k := range s.table.Keys(st) {
-		s.index.Put(st, k, nil)
-	}
+	s.part.RebuildIndex(s.m.Store(), mem.NewAllocator(mem.DRAM))
 }

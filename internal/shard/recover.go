@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"fmt"
+	"sort"
 
 	"uhtm/internal/core"
 	"uhtm/internal/mem"
@@ -27,24 +27,28 @@ type Recovery struct {
 	// log.
 	Completed int
 	Noted     int
-	// Inconsistent lists protocol-invariant violations found during the
-	// pass (empty on a correct implementation).
-	Inconsistent []string
 }
 
-// Recover performs cross-shard crash recovery: every shard's machine
-// crashes (live image reverts to durable) and replays its own redo
-// rings, then the coordinator's durable evidence — the resolution cell
-// and the decision log — drives a completion pass that finishes every
-// decided-commit transaction on every participant and leaves no trace
-// of undecided or decided-abort ones.
+// RecoverServing is the cluster's only crash recovery. Its callers are
+// the crash sweep's SweepTarget, the serving front-end
+// (server.Server's CRASH handling) and the recovery-latency benchmark
+// probe. It reads durable evidence alone: every shard's machine crashes and
+// replays its own rings; then the coordinator's decision log drives a
+// completion pass that finishes every decided-commit transaction on
+// every participant from the durable prepare images (RecWrite records
+// carry the full line image, so no other source is needed). Undecided
+// prepared transactions vanish everywhere. The GID sequence is bumped
+// past every durably observed sequence so new transactions never reuse
+// an ID. Recovery does not check itself: the crash sweep's verifier
+// (SweepTarget) holds the result to the canned driver's ground truth,
+// including every registered apply image.
 //
-// Correctness leans on the phase ordering of runWave: a durable
+// Correctness leans on the protocol's phase ordering: a durable
 // decision implies every participant's prepare records were durable
 // first; an absent decision implies no participant ever logged an apply
 // mark; a GID at or below the cell implies every participant applied,
 // registered, and reclaimed it before the crash.
-func (c *Cluster) Recover() Recovery {
+func (c *Cluster) RecoverServing() Recovery {
 	rec := Recovery{
 		DecidedCommit: make(map[uint64]bool),
 		DecidedAbort:  make(map[uint64]bool),
@@ -55,98 +59,123 @@ func (c *Cluster) Recover() Recovery {
 		sh.m.Crash()
 	}
 
-	// Coordinator evidence, read from shard 0's durable image (after
-	// Crash the live image is the durable one).
-	st0 := c.shards[0].m.Store()
-	rec.Cell = st0.ReadU64(c.cellAddr)
-	for _, r := range c.decLog.Records(true) {
-		switch r.Type {
-		case wal.RecCommit:
-			rec.DecidedCommit[r.LSN] = true
-		case wal.RecAbort:
-			rec.DecidedAbort[r.LSN] = true
+	maxSeq := c.seq
+	if c.decLog != nil {
+		st0 := c.shards[0].m.Store()
+		rec.Cell = st0.ReadU64(c.cellAddr)
+		if rec.Cell > maxSeq {
+			maxSeq = rec.Cell
+		}
+		for _, r := range c.decLog.Records(true) {
+			switch r.Type {
+			case wal.RecCommit:
+				rec.DecidedCommit[r.LSN] = true
+			case wal.RecAbort:
+				rec.DecidedAbort[r.LSN] = true
+			}
+			if r.LSN > maxSeq {
+				maxSeq = r.LSN
+			}
 		}
 	}
 
 	// Per-shard durable evidence, collected before local replay appends
-	// anything: which GIDs have a durable apply mark, and which have
-	// durable prepare write records, on each shard.
+	// anything: apply marks and prepare images per GID. A later RecWrite
+	// for the same line overrides an earlier one, matching replay order.
 	durMark := make([]map[uint64]bool, len(c.shards))
-	durPrep := make([]map[uint64]bool, len(c.shards))
+	intents := make([]map[uint64][]LineWrite, len(c.shards))
 	for k, sh := range c.shards {
 		durMark[k] = make(map[uint64]bool)
-		durPrep[k] = make(map[uint64]bool)
+		intents[k] = make(map[uint64][]LineWrite)
 		for _, r := range sh.m.DurableRedoRecords() {
 			if r.TxID < GIDBase {
 				continue
+			}
+			if s := r.TxID &^ GIDBase; s > maxSeq {
+				maxSeq = s
 			}
 			switch r.Type {
 			case wal.RecCommit:
 				durMark[k][r.TxID] = true
 			case wal.RecWrite:
-				durPrep[k][r.TxID] = true
+				intents[k][r.TxID] = append(intents[k][r.TxID], LineWrite{Addr: r.Addr, Img: r.Data})
 			}
 		}
 	}
 
 	// Local replay per shard: completes every transaction — local or
-	// cross — whose commit/apply mark was durable, from its logged
-	// images.
+	// cross — whose commit/apply mark was durable.
 	for _, sh := range c.shards {
 		rec.PerShard = append(rec.PerShard, sh.m.Recover())
 	}
 
-	// Completion pass: decided-commit transactions above the cell that
-	// some participant never durably marked are finished from their
-	// durable prepare records; ones local replay already applied are
-	// registered in the commit log so the cluster-wide "applied" record
-	// is uniform.
-	for _, tx := range c.waves {
-		if tx.seq <= rec.Cell || !rec.DecidedCommit[tx.seq] {
-			continue
+	// Completion pass over decided commits above the cell, in sequence
+	// order. A shard with neither mark nor prepare records was not a
+	// writer for that transaction (or already resolved it), so it is
+	// skipped — prepare durably precedes decision, so a writer always
+	// has one or the other.
+	var seqs []uint64
+	for s := range rec.DecidedCommit {
+		if s > rec.Cell {
+			seqs = append(seqs, s)
 		}
-		for _, s := range tx.shards {
-			sh := c.shards[s]
-			ws := tx.writes[s]
-			if len(ws) == 0 {
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	for _, s := range seqs {
+		gid := GIDBase | s
+		for k, sh := range c.shards {
+			ws := dedupLineWrites(intents[k][gid])
+			if !durMark[k][gid] && len(ws) == 0 {
 				continue
 			}
-			if inCommitLog(sh, tx.gid) {
+			if inCommitLog(sh, gid) {
 				continue // fully applied and registered before the crash
-			}
-			if !durMark[s][tx.gid] && !durPrep[s][tx.gid] {
-				// A durable decision with neither mark nor prepare records
-				// can only mean the records were reclaimed — which implies
-				// the apply completed and registered, contradicting the
-				// commit-log miss above.
-				rec.Inconsistent = append(rec.Inconsistent, fmt.Sprintf(
-					"shard %d: decided tx %s has no durable evidence and no commit-log entry", s, tx))
-				continue
 			}
 			writes := make(map[mem.Addr]mem.Line, len(ws))
 			for _, w := range ws {
-				writes[w.addr] = w.img
+				writes[w.Addr] = w.Img
 			}
-			if durMark[s][tx.gid] {
+			if durMark[k][gid] {
 				// Local replay already applied the images; only register.
 				rec.Noted++
 			} else {
-				// Decision durable, shard unmarked: finish the apply — mark
-				// first, then the prepared images in place.
-				sh.m.RedoLog(0).Append(wal.Record{Type: wal.RecCommit, TxID: tx.gid, LSN: sh.m.NextLSN()})
+				sh.m.RedoLog(0).Append(wal.Record{Type: wal.RecCommit, TxID: gid, LSN: sh.m.NextLSN()})
 				st := sh.m.Store()
 				for _, w := range ws {
-					img := w.img
-					st.WriteLine(w.addr, &img)
-					st.PersistLine(w.addr, &img)
+					img := w.Img
+					st.WriteLine(w.Addr, &img)
+					st.PersistLine(w.Addr, &img)
 				}
 				rec.Completed++
 			}
-			sh.m.NoteCommit(tx.gid, 0, writes)
+			sh.m.NoteCommit(gid, 0, writes)
 		}
 	}
+	if c.seq < maxSeq {
+		c.seq = maxSeq
+	}
 	c.mergeDecisionState(rec)
+	c.halted = false
 	return rec
+}
+
+// dedupLineWrites collapses repeated images of the same line to the
+// last one, preserving first-seen line order (replay-equivalent).
+func dedupLineWrites(ws []LineWrite) []LineWrite {
+	if len(ws) < 2 {
+		return ws
+	}
+	idx := make(map[mem.Addr]int, len(ws))
+	out := ws[:0:0]
+	for _, w := range ws {
+		if i, ok := idx[w.Addr]; ok {
+			out[i] = w
+			continue
+		}
+		idx[w.Addr] = len(out)
+		out = append(out, w)
+	}
+	return out
 }
 
 // mergeDecisionState refreshes the cluster's in-memory mirror of the
@@ -167,10 +196,17 @@ func (c *Cluster) mergeDecisionState(rec Recovery) {
 // inCommitLog reports whether the machine's tracked commit log contains
 // id (requires core.Options.TrackCommits).
 func inCommitLog(sh *Shard, id uint64) bool {
+	_, ok := commitWrites(sh, id)
+	return ok
+}
+
+// commitWrites returns the write images registered for id in the
+// machine's tracked commit log, and whether id is registered at all.
+func commitWrites(sh *Shard, id uint64) (map[mem.Addr]mem.Line, bool) {
 	for _, ce := range sh.m.CommitLog() {
 		if ce.ID == id {
-			return true
+			return ce.Writes, true
 		}
 	}
-	return false
+	return nil, false
 }

@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"sort"
-
 	"uhtm/internal/mem"
 	"uhtm/internal/sim"
 	"uhtm/internal/wal"
@@ -12,9 +10,9 @@ import (
 // canned workload driver (Run/buildWave) fabricates its own
 // transactions, a long-lived server routes externally arriving requests
 // — single-shard batches through each shard's session, multi-shard
-// MULTI…EXEC batches through SubmitCross — and recovers the whole
-// cluster from durable evidence alone (RecoverServing), because a
-// server has no ground-truth wave record to lean on.
+// MULTI…EXEC batches through SubmitCross. A crashed cluster of either
+// kind recovers through the same RecoverServing: the crash sweep calls
+// it on canned clusters, the server on serving ones.
 
 // NewServing builds a cluster for a serving front-end: shards with
 // engines, machines and sessions but no canned NVM pools and no
@@ -201,144 +199,4 @@ func (c *Cluster) SubmitCross(parts []int, exec func(k int, th *sim.Thread) []Li
 		return true, true
 	}
 	return true, false
-}
-
-// RecoverServing performs cluster-wide crash recovery from durable
-// evidence alone — the serving counterpart of Recover, which leans on
-// the canned driver's ground-truth wave record. Every shard's machine
-// crashes and replays its own rings; then the coordinator's decision
-// log drives a completion pass that finishes every decided-commit
-// transaction on every participant from the durable prepare images
-// (RecWrite records carry the full line image, so no other source is
-// needed). Undecided prepared transactions vanish everywhere. The GID
-// sequence is bumped past every durably observed sequence so new
-// transactions never reuse an ID.
-func (c *Cluster) RecoverServing() Recovery {
-	rec := Recovery{
-		DecidedCommit: make(map[uint64]bool),
-		DecidedAbort:  make(map[uint64]bool),
-	}
-
-	// Power failure on every shard.
-	for _, sh := range c.shards {
-		sh.m.Crash()
-	}
-
-	maxSeq := c.seq
-	if c.decLog != nil {
-		st0 := c.shards[0].m.Store()
-		rec.Cell = st0.ReadU64(c.cellAddr)
-		if rec.Cell > maxSeq {
-			maxSeq = rec.Cell
-		}
-		for _, r := range c.decLog.Records(true) {
-			switch r.Type {
-			case wal.RecCommit:
-				rec.DecidedCommit[r.LSN] = true
-			case wal.RecAbort:
-				rec.DecidedAbort[r.LSN] = true
-			}
-			if r.LSN > maxSeq {
-				maxSeq = r.LSN
-			}
-		}
-	}
-
-	// Per-shard durable evidence, collected before local replay appends
-	// anything: apply marks and prepare images per GID. A later RecWrite
-	// for the same line overrides an earlier one, matching replay order.
-	durMark := make([]map[uint64]bool, len(c.shards))
-	intents := make([]map[uint64][]LineWrite, len(c.shards))
-	for k, sh := range c.shards {
-		durMark[k] = make(map[uint64]bool)
-		intents[k] = make(map[uint64][]LineWrite)
-		for _, r := range sh.m.DurableRedoRecords() {
-			if r.TxID < GIDBase {
-				continue
-			}
-			if s := r.TxID &^ GIDBase; s > maxSeq {
-				maxSeq = s
-			}
-			switch r.Type {
-			case wal.RecCommit:
-				durMark[k][r.TxID] = true
-			case wal.RecWrite:
-				intents[k][r.TxID] = append(intents[k][r.TxID], LineWrite{Addr: r.Addr, Img: r.Data})
-			}
-		}
-	}
-
-	// Local replay per shard: completes every transaction — local or
-	// cross — whose commit/apply mark was durable.
-	for _, sh := range c.shards {
-		rec.PerShard = append(rec.PerShard, sh.m.Recover())
-	}
-
-	// Completion pass over decided commits above the cell, in sequence
-	// order. A shard with neither mark nor prepare records was not a
-	// writer for that transaction (or already resolved it), so it is
-	// skipped — unlike Recover there is no ground truth to check that
-	// against, which is exactly why prepare durably precedes decision.
-	var seqs []uint64
-	for s := range rec.DecidedCommit {
-		if s > rec.Cell {
-			seqs = append(seqs, s)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		gid := GIDBase | s
-		for k, sh := range c.shards {
-			ws := dedupLineWrites(intents[k][gid])
-			if !durMark[k][gid] && len(ws) == 0 {
-				continue
-			}
-			if inCommitLog(sh, gid) {
-				continue // fully applied and registered before the crash
-			}
-			writes := make(map[mem.Addr]mem.Line, len(ws))
-			for _, w := range ws {
-				writes[w.Addr] = w.Img
-			}
-			if durMark[k][gid] {
-				// Local replay already applied the images; only register.
-				rec.Noted++
-			} else {
-				sh.m.RedoLog(0).Append(wal.Record{Type: wal.RecCommit, TxID: gid, LSN: sh.m.NextLSN()})
-				st := sh.m.Store()
-				for _, w := range ws {
-					img := w.Img
-					st.WriteLine(w.Addr, &img)
-					st.PersistLine(w.Addr, &img)
-				}
-				rec.Completed++
-			}
-			sh.m.NoteCommit(gid, 0, writes)
-		}
-	}
-	if c.seq < maxSeq {
-		c.seq = maxSeq
-	}
-	c.mergeDecisionState(rec)
-	c.halted = false
-	return rec
-}
-
-// dedupLineWrites collapses repeated images of the same line to the
-// last one, preserving first-seen line order (replay-equivalent).
-func dedupLineWrites(ws []LineWrite) []LineWrite {
-	if len(ws) < 2 {
-		return ws
-	}
-	idx := make(map[mem.Addr]int, len(ws))
-	out := ws[:0:0]
-	for _, w := range ws {
-		if i, ok := idx[w.Addr]; ok {
-			out[i] = w
-			continue
-		}
-		idx[w.Addr] = len(out)
-		out = append(out, w)
-	}
-	return out
 }

@@ -79,6 +79,14 @@ func servingFixture(t *testing.T, n int) (*Cluster, []mem.Addr, []map[mem.Addr]m
 	return c, las, baselines
 }
 
+// armShard arms an injector at point's first visit and hooks it on
+// shard k, halting that shard's engine when it fires.
+func armShard(c *Cluster, k int, point string) *crash.Injector {
+	in := crash.Arm(crash.Injection{Point: point, Visit: 1})
+	c.SetHook(k, in.HaltHook("", c.Shards()[k].Engine()))
+	return in
+}
+
 // lineImg builds a full-line image of repeated b.
 func lineImg(b byte) mem.Line {
 	var l mem.Line
@@ -144,9 +152,7 @@ func TestSubmitCrossReadOnlySkipsProtocol(t *testing.T) {
 
 func TestSubmitCrossHaltBeforeDecisionVanishesEverywhere(t *testing.T) {
 	c, las, baselines := servingFixture(t, 2)
-	in := crash.Arm(crash.Injection{Point: PointPrepareLogged, Visit: 1})
-	in.SetHalt(c.Shards()[1].Engine().HaltNow)
-	c.SetHook(1, in.Hit)
+	in := armShard(c, 1, PointPrepareLogged)
 
 	imgs := []mem.Line{lineImg(0xC3), lineImg(0xD4)}
 	decided, halted := c.SubmitCross([]int{0, 1},
@@ -193,9 +199,7 @@ func TestSubmitCrossHaltAfterDecisionCompletesEverywhere(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, las, baselines := servingFixture(t, 2)
-			in := crash.Arm(crash.Injection{Point: tc.point, Visit: 1})
-			in.SetHalt(c.Shards()[tc.shard].Engine().HaltNow)
-			c.SetHook(tc.shard, in.Hit)
+			in := armShard(c, tc.shard, tc.point)
 
 			imgs := []mem.Line{lineImg(0xE5), lineImg(0xF6)}
 			_, halted := c.SubmitCross([]int{0, 1},

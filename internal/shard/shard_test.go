@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestMergedTraceRemapsIdentities(t *testing.T) {
 }
 
 func TestEnumerateFindsTwoPCPoints(t *testing.T) {
-	injs, hits, err := Enumerate(SweepConfig())
+	injs, hits, err := crash.Enumerate(SweepTarget(SweepConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +154,8 @@ func TestEnumerateFindsTwoPCPoints(t *testing.T) {
 // every 2PC protocol step — the shard.* namespace — and verifies
 // recovery with the committed-prefix oracle plus cluster atomicity.
 func TestCrashSweepTwoPCPoints(t *testing.T) {
-	cfg := SweepConfig()
-	injs, _, err := Enumerate(cfg)
+	target := SweepTarget(SweepConfig())
+	injs, _, err := crash.Enumerate(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestCrashSweepTwoPCPoints(t *testing.T) {
 		if !strings.Contains(inj.Point, "shard.") {
 			continue
 		}
-		out := RunInjection(cfg, inj)
+		out := crash.RunInjection(target, inj)
 		if !out.OK() {
 			t.Errorf("%s visit %d: %s", out.Point, out.Visit, out.Verdict)
 		}
@@ -182,8 +183,8 @@ func TestCrashSweepSampledMachinePoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sampled sweep is slow")
 	}
-	cfg := SweepConfig()
-	injs, _, err := Enumerate(cfg)
+	target := SweepTarget(SweepConfig())
+	injs, _, err := crash.Enumerate(target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +194,8 @@ func TestCrashSweepSampledMachinePoints(t *testing.T) {
 			rest = append(rest, inj)
 		}
 	}
-	for _, inj := range crash.Sample(rest, 32, cfg.Seed) {
-		if out := RunInjection(cfg, inj); !out.OK() {
+	for _, inj := range crash.Sample(rest, 32, target.Seed) {
+		if out := crash.RunInjection(target, inj); !out.OK() {
 			t.Errorf("%s visit %d: %s", out.Point, out.Visit, out.Verdict)
 		}
 	}
@@ -205,14 +206,116 @@ func TestCrashSweepSampledMachinePoints(t *testing.T) {
 // pass has nothing to do.
 func TestRecoverAfterCleanRun(t *testing.T) {
 	c, res := runSweepCluster(t, 1)
-	rec := c.Recover()
+	rec := c.RecoverServing()
 	if rec.Completed != 0 || rec.Noted != 0 {
 		t.Fatalf("clean run needed completion work: completed=%d noted=%d", rec.Completed, rec.Noted)
 	}
-	if len(rec.Inconsistent) > 0 {
-		t.Fatalf("inconsistencies: %v", rec.Inconsistent)
-	}
 	if rec.Cell == 0 || rec.Cell != res.CrossCommits+res.CrossAborts {
 		t.Fatalf("cell = %d, want %d", rec.Cell, res.CrossCommits+res.CrossAborts)
+	}
+}
+
+// recoveredSweep runs the sweep cluster to a halt after the first
+// durable commit decision — no participant has applied yet, so recovery
+// completes the transaction everywhere — recovers it, and checks that
+// the untampered result verifies clean.
+func recoveredSweep(t *testing.T) *sweepRun {
+	t.Helper()
+	in := crash.Arm(crash.Injection{Point: "s0." + PointDecisionLogged, Visit: 1})
+	r := SweepTarget(SweepConfig()).Start(in).(*sweepRun)
+	if !in.Fired() {
+		t.Fatal("injection never fired")
+	}
+	r.Recover()
+	if r.rec.Completed == 0 {
+		t.Fatal("recovery completed no cross apply")
+	}
+	if d := r.Verify(); d != "" {
+		t.Fatalf("clean recovery failed verification: %s", d)
+	}
+	return r
+}
+
+// TestSweepVerifyCatchesCorruptedLine: one corrupted recovered durable
+// data line fails the per-shard committed-prefix oracle.
+func TestSweepVerifyCatchesCorruptedLine(t *testing.T) {
+	r := recoveredSweep(t)
+	st := r.c.shards[1].m.Store()
+	la := r.c.shards[1].pool[0]
+	ln := st.PeekLine(la)
+	ln[0] ^= 0xFF
+	st.WriteLine(la, &ln)
+	st.PersistLine(la, &ln)
+	if d := r.Verify(); !strings.HasPrefix(d, "shard 1: line ") {
+		t.Errorf("corrupted line verified as %q, want a shard 1 line mismatch", d)
+	}
+}
+
+// TestSweepVerifyCatchesDroppedCrossApply: a decided cross transaction
+// missing from one participant's commit log — a completion pass that
+// skipped that shard — fails cluster atomicity even though the shard's
+// own committed-prefix check still holds.
+func TestSweepVerifyCatchesDroppedCrossApply(t *testing.T) {
+	r := recoveredSweep(t)
+	tx := completedCrossTx(t, r)
+	s := tx.shards[0]
+	// Rename the registration in place (CommitLog aliases the machine's
+	// log): the images stay, the apply is gone from this shard.
+	dropped := false
+	for i, ce := range r.c.shards[s].m.CommitLog() {
+		if ce.ID == tx.gid {
+			r.c.shards[s].m.CommitLog()[i].ID = 0
+			dropped = true
+		}
+	}
+	if !dropped {
+		t.Fatalf("cross tx %s not registered on shard %d", tx, s)
+	}
+	want := fmt.Sprintf("cross tx %s missing on shard %d after recovery", tx, s)
+	if d := r.Verify(); d != want {
+		t.Errorf("dropped apply verified as %q, want %q", d, want)
+	}
+}
+
+// completedCrossTx returns a cross transaction that recovery completed:
+// decided commit, above the resolution cell.
+func completedCrossTx(t *testing.T, r *sweepRun) *crossTx {
+	t.Helper()
+	for _, tx := range r.c.waves {
+		if r.rec.DecidedCommit[tx.seq] && tx.seq > r.rec.Cell && len(tx.writes[tx.shards[0]]) > 0 {
+			return tx
+		}
+	}
+	t.Fatal("no decided cross transaction above the resolution cell")
+	return nil
+}
+
+// TestSweepVerifyCatchesWrongPrepareImage: recovery completes a decided
+// transaction from its durable prepare images and registers those same
+// images, so a prepare record that logged the wrong image passes every
+// shard's committed-prefix check. Changing one image the driver issued
+// models exactly that divergence; the ground-truth image check must
+// fail it.
+func TestSweepVerifyCatchesWrongPrepareImage(t *testing.T) {
+	r := recoveredSweep(t)
+	tx := completedCrossTx(t, r)
+	s := tx.shards[0]
+	w := &tx.writes[s][0]
+	w.img[0] ^= 0xFF
+	want := fmt.Sprintf("cross tx %s on shard %d line %#x: applied ", tx, s, uint64(w.addr))
+	if d := r.Verify(); !strings.HasPrefix(d, want) {
+		t.Errorf("wrong prepare image verified as %q, want prefix %q", d, want)
+	}
+}
+
+// TestSweepUnknownPointOrShardNeverReached: injections naming a shard
+// the cluster lacks, an unqualified point, or an unknown point are
+// reported as never reached — never a panic, never a bogus pass.
+func TestSweepUnknownPointOrShardNeverReached(t *testing.T) {
+	for _, p := range []string{"s9." + PointApplyMark, PointApplyMark, "s0.no.such.point"} {
+		o := crash.RunInjection(SweepTarget(SweepConfig()), crash.Injection{Point: p, Visit: 1})
+		if want := "fail: point " + p + " visit 1 never reached"; !strings.HasPrefix(o.Verdict, want) {
+			t.Errorf("%s: verdict = %q, want prefix %q", p, o.Verdict, want)
+		}
 	}
 }

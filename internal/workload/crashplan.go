@@ -35,116 +35,73 @@ const shardSamplesFullScale = 32
 // (Point/Visit/Verdict populated) in a stable order; the table folds
 // them per injection point.
 func RunCrashSweep(opt RunOptions) (*stats.Table, []Result, error) {
-	type job struct {
-		w   crash.Workload
-		inj crash.Injection
-	}
-	var jobs []job
-
-	small := crash.SmallWorkload()
-	large := crash.LargeWorkload()
+	small, large, scfg := crash.SmallWorkload(), crash.LargeWorkload(), shard.SweepConfig()
 	if opt.seedOverride() {
-		small.Seed = opt.Seed
-		large.Seed = opt.Seed
-	}
-
-	smallInjs, _, err := crash.Enumerate(small)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, inj := range smallInjs {
-		jobs = append(jobs, job{small, inj})
-	}
-
-	largeInjs, _, err := crash.Enumerate(large)
-	if err != nil {
-		return nil, nil, err
+		small.Seed, large.Seed, scfg.Seed = opt.Seed, opt.Seed, opt.Seed
 	}
 	scale := opt.Scale
 	if scale <= 0 {
 		scale = 1.0
 	}
-	n := int(math.Ceil(crashSamplesFullScale * scale))
-	if n < 4 {
-		n = 4
+	// sample draws a scaled, floored seeded-random subset.
+	sample := func(injs []crash.Injection, fullScale float64, seed int64) []crash.Injection {
+		return crash.Sample(injs, max(int(math.Ceil(fullScale*scale)), 4), seed)
 	}
-	for _, inj := range crash.Sample(largeInjs, n, large.Seed) {
-		jobs = append(jobs, job{large, inj})
+	targets := []struct {
+		t      crash.Target
+		shards int // Result.Shards (0: single machine)
+		pick   func([]crash.Injection) []crash.Injection
+	}{
+		{small, 0, func(injs []crash.Injection) []crash.Injection { return injs }},
+		{large, 0, func(injs []crash.Injection) []crash.Injection {
+			return sample(injs, crashSamplesFullScale, large.Seed)
+		}},
+		{shard.SweepTarget(scfg), scfg.Shards, func(injs []crash.Injection) []crash.Injection {
+			var twoPC, machine []crash.Injection
+			for _, inj := range injs {
+				if strings.Contains(inj.Point, "shard.") {
+					twoPC = append(twoPC, inj)
+				} else {
+					machine = append(machine, inj)
+				}
+			}
+			return append(twoPC, sample(machine, shardSamplesFullScale, scfg.Seed)...)
+		}},
 	}
 
-	scfg := shard.SweepConfig()
-	if opt.seedOverride() {
-		scfg.Seed = opt.Seed
-	}
-	shardInjs, _, err := shard.Enumerate(scfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	var twoPC, machine []crash.Injection
-	for _, inj := range shardInjs {
-		if strings.Contains(inj.Point, "shard.") {
-			twoPC = append(twoPC, inj)
-		} else {
-			machine = append(machine, inj)
+	var specs []harness.Spec[Result]
+	for _, tg := range targets {
+		injs, _, err := crash.Enumerate(tg.t)
+		if err != nil {
+			return nil, nil, err
 		}
-	}
-	nShard := int(math.Ceil(shardSamplesFullScale * scale))
-	if nShard < 4 {
-		nShard = 4
-	}
-	shardJobs := append(twoPC, crash.Sample(machine, nShard, scfg.Seed)...)
-
-	specs := make([]harness.Spec[Result], len(jobs), len(jobs)+len(shardJobs))
-	for i, j := range jobs {
-		j := j
-		specs[i] = harness.Spec[Result]{
-			Experiment: "crash",
-			System:     j.w.Name,
-			Bench:      j.inj.Point,
-			Seed:       j.w.Seed,
-			Run: func() Result {
-				start := time.Now()
-				o := crash.RunInjection(j.w, j.inj)
-				return Result{
-					Experiment: "crash",
-					System:     o.Workload,
-					Bench:      Bench(o.Point),
-					Seed:       o.Seed,
-					Stats:      o.Stats,
-					Elapsed:    o.Elapsed,
-					Wall:       time.Since(start),
-					Point:      o.Point,
-					Visit:      o.Visit,
-					Verdict:    o.Verdict,
-				}
-			},
+		name, seed := tg.t.Label()
+		for _, inj := range tg.pick(injs) {
+			t, inj, shards := tg.t, inj, tg.shards
+			specs = append(specs, harness.Spec[Result]{
+				Experiment: "crash",
+				System:     name,
+				Bench:      inj.Point,
+				Seed:       seed,
+				Run: func() Result {
+					start := time.Now()
+					o := crash.RunInjection(t, inj)
+					return Result{
+						Experiment: "crash",
+						System:     o.Workload,
+						Bench:      Bench(o.Point),
+						Seed:       o.Seed,
+						Stats:      o.Stats,
+						Elapsed:    o.Elapsed,
+						Wall:       time.Since(start),
+						Point:      o.Point,
+						Visit:      o.Visit,
+						Verdict:    o.Verdict,
+						Shards:     shards,
+					}
+				},
+			})
 		}
-	}
-	for _, inj := range shardJobs {
-		inj := inj
-		specs = append(specs, harness.Spec[Result]{
-			Experiment: "crash",
-			System:     fmt.Sprintf("shard-%dx%d", scfg.Shards, scfg.CoresPerShard),
-			Bench:      inj.Point,
-			Seed:       scfg.Seed,
-			Run: func() Result {
-				start := time.Now()
-				o := shard.RunInjection(scfg, inj)
-				return Result{
-					Experiment: "crash",
-					System:     o.Workload,
-					Bench:      Bench(o.Point),
-					Seed:       o.Seed,
-					Stats:      o.Stats,
-					Elapsed:    o.Elapsed,
-					Wall:       time.Since(start),
-					Point:      o.Point,
-					Visit:      o.Visit,
-					Verdict:    o.Verdict,
-					Shards:     scfg.Shards,
-				}
-			},
-		})
 	}
 	results := harness.Execute(specs, opt.Par)
 	return foldCrash(results), results, nil
