@@ -27,10 +27,11 @@ type Config struct {
 	// count). Default 4.
 	Cores int
 	// Shards partitions the key space across this many engine+machine
-	// shards (shard.ShardOf key hashing). 1 — the default — serves the
-	// single-machine fast path, bit-identical to a pre-sharding server;
-	// N > 1 routes MULTI…EXEC batches that straddle shards through the
-	// cross-shard 2PC coordinator.
+	// shards (shard.ShardOf key hashing). Default 1. Every shard count
+	// runs the same cluster, coordinator included: a batch with one home
+	// shard runs as one local transaction there, a MULTI…EXEC batch that
+	// straddles shards commits through the cross-shard 2PC coordinator,
+	// and a lone SCAN broadcasts to every shard and merges.
 	Shards int
 	// Buckets sizes the NVM hash table. Default 1<<15.
 	Buckets int
@@ -103,15 +104,14 @@ var errLostPower = errors.New("server lost power mid-request; state recovered, r
 // errShuttingDown rejects work submitted after shutdown began.
 var errShuttingDown = errors.New("server shutting down")
 
-// Server owns a long-lived simulated cluster — one engine+machine
-// shard by default, N key-hashed shards when Config.Shards > 1 — and
-// serves the wire protocol on a TCP listener. All simulation state
-// (engines, machines, stores, the 2PC coordinator) is owned exclusively
-// by the engine-loop goroutine; connection handlers communicate with it
-// only through requests, so every engine stays the single-threaded
-// world sim.Engine requires (shard fan-out inside a wave goes through
-// the harness worker pool, one shard per OS thread, never two threads
-// in one shard).
+// Server owns a long-lived simulated cluster — Config.Shards key-hashed
+// engine+machine shards, one by default — and serves the wire protocol
+// on a TCP listener. All simulation state (engines, machines, stores,
+// the 2PC coordinator) is owned exclusively by the engine-loop
+// goroutine; connection handlers communicate with it only through
+// requests, so every engine stays the single-threaded world sim.Engine
+// requires (shard fan-out inside a wave goes through the harness worker
+// pool, one shard per OS thread, never two threads in one shard).
 type Server struct {
 	cfg     Config
 	cluster *shard.Cluster
@@ -178,13 +178,9 @@ func New(cfg Config) *Server {
 }
 
 // prepopulate inserts keys 1..Prepopulate, each on its home shard, and
-// persists every shard's formatted image. With one shard this is
-// exactly Store.Prepopulate.
+// persists every shard's formatted image — Store.Prepopulate, spread
+// over the shards.
 func (s *Server) prepopulate() {
-	if len(s.shards) == 1 {
-		s.stores[0].Prepopulate(s.cfg.Prepopulate, s.cfg.PrepopValueSize)
-		return
-	}
 	for k := 1; k <= s.cfg.Prepopulate; k++ {
 		s.stores[shard.ShardOf(uint64(k), len(s.shards))].PrepopulateOne(uint64(k), s.cfg.PrepopValueSize)
 	}
@@ -537,9 +533,6 @@ func (s *Server) submitOps(ops []Op) ([]OpResult, error) {
 // route classifies one op batch into its engine-loop request kind.
 func (s *Server) route(ops []Op) *request {
 	n := len(s.shards)
-	if n == 1 {
-		return &request{kind: reqOps, ops: ops}
-	}
 	if len(ops) == 1 && ops[0].Kind == OpScan {
 		return &request{kind: reqScanAll, ops: ops}
 	}

@@ -59,24 +59,16 @@ func (c *Cluster) RecoverServing() Recovery {
 		sh.m.Crash()
 	}
 
-	maxSeq := c.seq
-	if c.decLog != nil {
-		st0 := c.shards[0].m.Store()
-		rec.Cell = st0.ReadU64(c.cellAddr)
-		if rec.Cell > maxSeq {
-			maxSeq = rec.Cell
+	rec.Cell = c.shards[0].m.Store().ReadU64(c.cellAddr)
+	maxSeq := max(c.seq, rec.Cell)
+	for _, r := range c.decLog.Records(true) {
+		switch r.Type {
+		case wal.RecCommit:
+			rec.DecidedCommit[r.LSN] = true
+		case wal.RecAbort:
+			rec.DecidedAbort[r.LSN] = true
 		}
-		for _, r := range c.decLog.Records(true) {
-			switch r.Type {
-			case wal.RecCommit:
-				rec.DecidedCommit[r.LSN] = true
-			case wal.RecAbort:
-				rec.DecidedAbort[r.LSN] = true
-			}
-			if r.LSN > maxSeq {
-				maxSeq = r.LSN
-			}
-		}
+		maxSeq = max(maxSeq, r.LSN)
 	}
 
 	// Per-shard durable evidence, collected before local replay appends
@@ -91,9 +83,7 @@ func (c *Cluster) RecoverServing() Recovery {
 			if r.TxID < GIDBase {
 				continue
 			}
-			if s := r.TxID &^ GIDBase; s > maxSeq {
-				maxSeq = s
-			}
+			maxSeq = max(maxSeq, r.TxID&^GIDBase)
 			switch r.Type {
 			case wal.RecCommit:
 				durMark[k][r.TxID] = true
@@ -183,9 +173,6 @@ func dedupLineWrites(ws []LineWrite) []LineWrite {
 // prepare resolvers answer from what actually survived the crash rather
 // than pre-crash volatile state.
 func (c *Cluster) mergeDecisionState(rec Recovery) {
-	if c.decidedAbort == nil {
-		return
-	}
 	clear(c.decidedAbort)
 	for s := range rec.DecidedAbort {
 		c.decidedAbort[s] = true

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"uhtm/internal/core"
@@ -48,19 +50,6 @@ func TestShardOfDeterministicAndCovering(t *testing.T) {
 	}
 }
 
-func TestNewServingSingleShardHasNoCoordinator(t *testing.T) {
-	c := NewServing(servingConfig(1))
-	if c.decLog != nil {
-		t.Fatalf("single-shard serving cluster built a decision log")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("SubmitCross on a single-shard cluster did not panic")
-		}
-	}()
-	c.SubmitCross([]int{0}, func(int, *sim.Thread) []LineWrite { return nil }, nil)
-}
-
 // servingFixture builds an n-shard serving cluster with one allocated,
 // persisted NVM data line per shard, returning the cluster, the line
 // addresses, and per-shard durable baselines for the oracle.
@@ -96,42 +85,94 @@ func lineImg(b byte) mem.Line {
 	return l
 }
 
+// TestSubmitCrossCommitAppliesEverywhere commits one written
+// transaction over every shard; with one shard it shows a single-shard
+// serving cluster builds the coordinator and commits through it.
 func TestSubmitCrossCommitAppliesEverywhere(t *testing.T) {
-	c, las, baselines := servingFixture(t, 2)
-	imgs := []mem.Line{lineImg(0xA1), lineImg(0xB2)}
-	appliedOn := map[int]bool{}
-	decided, halted := c.SubmitCross([]int{0, 1},
-		func(k int, th *sim.Thread) []LineWrite {
-			return []LineWrite{{Addr: las[k], Img: imgs[k]}}
-		},
-		func(k int, th *sim.Thread) { appliedOn[k] = true })
-	if !decided || halted {
-		t.Fatalf("SubmitCross = (decided=%v, halted=%v), want (true, false)", decided, halted)
-	}
-	if c.CrossCommits() != 1 {
-		t.Fatalf("CrossCommits = %d, want 1", c.CrossCommits())
-	}
-	for k, sh := range c.Shards() {
-		if !appliedOn[k] {
-			t.Errorf("applied callback never ran on shard %d", k)
-		}
-		if got := sh.Machine().Store().PeekLine(las[k]); got != imgs[k] {
-			t.Errorf("shard %d live line = %x, want committed image", k, got)
-		}
-	}
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			c, las, baselines := servingFixture(t, n)
+			imgs := []mem.Line{lineImg(0xA1), lineImg(0xB2)}
+			appliedOn := map[int]bool{}
+			decided, halted := c.SubmitCross([]int{0, 1}[:n],
+				func(k int, th *sim.Thread) []LineWrite {
+					return []LineWrite{{Addr: las[k], Img: imgs[k]}}
+				},
+				func(k int, th *sim.Thread) { appliedOn[k] = true })
+			if !decided || halted {
+				t.Fatalf("SubmitCross = (decided=%v, halted=%v), want (true, false)", decided, halted)
+			}
+			if c.CrossCommits() != 1 || c.decLog.Appends != 1 {
+				t.Fatalf("CrossCommits = %d, decision appends = %d, want 1 and 1", c.CrossCommits(), c.decLog.Appends)
+			}
+			for k, sh := range c.Shards() {
+				if !appliedOn[k] {
+					t.Errorf("applied callback never ran on shard %d", k)
+				}
+				if got := sh.Machine().Store().PeekLine(las[k]); got != imgs[k] {
+					t.Errorf("shard %d live line = %x, want committed image", k, got)
+				}
+			}
 
-	// Recovery after a clean commit is a no-op completion pass, and every
-	// shard still satisfies the committed-prefix oracle.
-	rec := c.RecoverServing()
-	if rec.Completed != 0 || rec.Noted != 0 {
-		t.Fatalf("clean commit needed completion work: completed=%d noted=%d", rec.Completed, rec.Noted)
+			// Recovery after a clean commit is a no-op completion pass, and
+			// every shard still satisfies the committed-prefix oracle.
+			rec := c.RecoverServing()
+			if rec.Completed != 0 || rec.Noted != 0 {
+				t.Fatalf("clean commit needed completion work: completed=%d noted=%d", rec.Completed, rec.Noted)
+			}
+			if rec.Cell != 1 {
+				t.Fatalf("resolution cell = %d, want 1", rec.Cell)
+			}
+			for k, sh := range c.Shards() {
+				if d := crash.VerifyRecovered(sh.Machine(), 3, baselines[k]); d != "" {
+					t.Errorf("shard %d: %s", k, d)
+				}
+			}
+		})
 	}
-	if rec.Cell != 1 {
-		t.Fatalf("resolution cell = %d, want 1", rec.Cell)
-	}
-	for k, sh := range c.Shards() {
-		if d := crash.VerifyRecovered(sh.Machine(), 3, baselines[k]); d != "" {
-			t.Errorf("shard %d: %s", k, d)
+}
+
+// TestSubmitCrossVirtualTime pins the serving 2PC's virtual-time charges
+// and decision-log traffic on a 3-shard cluster. exec charges 30ns per
+// shard index plus one; each record costs 5ns to prepare, a hop 200ns, a
+// decision 10ns, an applied line 8ns and the resolution cell 10ns. A
+// read-only participant gets no apply session and a read-only
+// transaction never reaches the coordinator, so their clocks stop after
+// prepare.
+func TestSubmitCrossVirtualTime(t *testing.T) {
+	const ns = sim.Nanosecond
+	c, las, _ := servingFixture(t, 3)
+	for i, step := range []struct {
+		parts, writers []int
+		decided        bool
+		now            [3]sim.Time
+		appends        uint64
+	}{
+		// Writers 0 and 2: decide at max(40, 100)+200+10 = 310, apply
+		// on both at 310+200+8 = 518, resolve on shard 0 to 528.
+		{[]int{0, 2}, []int{0, 2}, true, [3]sim.Time{528 * ns, 0, 518 * ns}, 1},
+		// Writer 1, read-only 2: decide at max(528, 70, 608)+210 = 818,
+		// apply on shard 1 only at 818+208 = 1026; shard 2 stays at 608.
+		{[]int{1, 2}, []int{1}, true, [3]sim.Time{828 * ns, 1026 * ns, 608 * ns}, 2},
+		// Read-only: prepare only.
+		{[]int{0, 1}, nil, false, [3]sim.Time{858 * ns, 1086 * ns, 608 * ns}, 2},
+	} {
+		decided, halted := c.SubmitCross(step.parts, func(k int, th *sim.Thread) []LineWrite {
+			th.Advance(sim.Time(30*(k+1)) * ns)
+			if !slices.Contains(step.writers, k) {
+				return nil
+			}
+			return []LineWrite{{Addr: las[k], Img: lineImg(byte(0x10*(i+1) + k))}}
+		}, nil)
+		if decided != step.decided || halted {
+			t.Fatalf("step %d: SubmitCross = (%v, %v), want (%v, false)", i, decided, halted, step.decided)
+		}
+		var now [3]sim.Time
+		for k, sh := range c.Shards() {
+			now[k] = sh.Engine().Now()
+		}
+		if now != step.now || c.decLog.Appends != step.appends {
+			t.Fatalf("step %d: clocks %v, decision appends %d; want %v, %d", i, now, c.decLog.Appends, step.now, step.appends)
 		}
 	}
 }

@@ -124,7 +124,8 @@ func (sh *Shard) hit(point string) {
 
 // Cluster is a set of shards plus the cross-shard commit coordinator
 // state (decision log and resolution cell on shard 0) and the ground-
-// truth record of every cross-shard transaction issued.
+// truth record of every cross-shard transaction the canned driver
+// issued.
 type Cluster struct {
 	cfg    Config
 	shards []*Shard
@@ -133,7 +134,7 @@ type Cluster struct {
 	cellAddr mem.Addr // resolution cell: highest durably resolved GID seq
 
 	seq    uint64     // GID sequence (next = seq+1)
-	waves  []*crossTx // every issued cross-shard transaction, in seq order
+	waves  []*crossTx // every transaction the canned driver issued, in seq order
 	halted bool
 
 	// decidedAbort and resolvedSeq mirror the coordinator's durable
@@ -155,7 +156,7 @@ type Cluster struct {
 // shard 0.
 func New(cfg Config) *Cluster {
 	cfg = cfg.normalized()
-	c := newCluster(cfg, DecisionReserve, cfg.Trace)
+	c := newCluster(cfg, cfg.Trace)
 	for _, sh := range c.shards {
 		al := mem.NewAllocator(mem.NVM)
 		for i := 0; i < cfg.LinesPerShard; i++ {
@@ -170,13 +171,14 @@ func New(cfg Config) *Cluster {
 	return c
 }
 
-// newCluster builds the shards (engine, machine, session each) and —
-// when reserve is nonzero — the coordinator decision log and resolution
-// cell on shard 0. It is the construction path shared by the canned
-// workload driver (New) and the serving front-end (NewServing); the
-// per-shard machine construction sequence must stay byte-identical so
-// goldens pinned against either path keep holding.
-func newCluster(cfg Config, reserve mem.Addr, traced bool) *Cluster {
+// newCluster builds the shards (engine, machine, session each, with
+// DecisionReserve carved off every log area) and the coordinator
+// decision log and resolution cell on shard 0. It is the construction
+// path shared by the canned workload driver (New) and the serving
+// front-end (NewServing); the per-shard machine construction sequence
+// must stay byte-identical so goldens pinned against either path keep
+// holding.
+func newCluster(cfg Config, traced bool) *Cluster {
 	c := &Cluster{cfg: cfg}
 	for k := 0; k < cfg.Shards; k++ {
 		eng := sim.NewEngine(cfg.Seed + int64(k))
@@ -189,24 +191,21 @@ func newCluster(cfg Config, reserve mem.Addr, traced bool) *Cluster {
 		}
 		g.Cores = cfg.CoresPerShard
 		opts := cfg.Opts
-		opts.ReserveLogArea = reserve
+		opts.ReserveLogArea = DecisionReserve
 		m := core.NewMachine(eng, g, opts)
 		c.shards = append(c.shards, &Shard{id: k, eng: eng, m: m, sess: harness.NewSession(eng)})
 	}
-	if reserve > 0 {
-		st0 := c.shards[0].m.Store()
-		decBase := mem.NVMLogBase + mem.LogAreaSize - reserve
-		c.cellAddr = decBase
-		c.decLog = wal.NewLog(st0, decBase+mem.LineSize, reserve-mem.LineSize, true)
-		c.decLog.SetPointPrefix(PointPrefixDecision)
-		c.decidedAbort = make(map[uint64]bool)
-		// Incremental reclamation consults the coordinator's decision
-		// state before truncating a prepared-but-unapplied record group:
-		// an undecided prepare is the only durable evidence of the
-		// transaction and must survive.
-		for _, sh := range c.shards {
-			sh.m.SetPrepareResolver(c.resolveGID)
-		}
+	decBase := mem.NVMLogBase + mem.LogAreaSize - DecisionReserve
+	c.cellAddr = decBase
+	c.decLog = wal.NewLog(c.shards[0].m.Store(), decBase+mem.LineSize, DecisionReserve-mem.LineSize, true)
+	c.decLog.SetPointPrefix(PointPrefixDecision)
+	c.decidedAbort = make(map[uint64]bool)
+	// Incremental reclamation consults the coordinator's decision state
+	// before truncating a prepared-but-unapplied record group: an
+	// undecided prepare is the only durable evidence of the transaction
+	// and must survive.
+	for _, sh := range c.shards {
+		sh.m.SetPrepareResolver(c.resolveGID)
 	}
 	return c
 }
@@ -250,7 +249,7 @@ func (c *Cluster) SetHook(k int, f func(point string)) {
 	sh := c.shards[k]
 	sh.hook = f
 	sh.m.SetCrashpoint(f)
-	if k == 0 && c.decLog != nil {
+	if k == 0 {
 		c.decLog.SetCrashpoint(f)
 	}
 }
@@ -271,10 +270,13 @@ func pick(t, k, i, n int) int {
 	return ((t*131+k*17+i*7+(t^k)*3)%n + n) % n
 }
 
-// fanout runs f once per given shard on the harness worker pool and
-// reports whether any shard halted. Execute's determinism guarantees
-// make the result independent of Par.
-func (c *Cluster) fanout(shards []*Shard, f func(sh *Shard) bool) bool {
+// Fanout runs f once per listed shard on the harness worker pool and
+// reports whether any shard halted; a halt also stops Run until
+// RecoverServing. It is the cluster's one phase barrier — the local
+// batches, the 2PC and reclamation phases, and the server's engine-loop
+// waves all fan out through it. Execute's determinism guarantees make
+// the result independent of Par.
+func (c *Cluster) Fanout(shards []*Shard, f func(sh *Shard) bool) bool {
 	specs := make([]harness.Spec[bool], len(shards))
 	for i, sh := range shards {
 		sh := sh
@@ -289,6 +291,7 @@ func (c *Cluster) fanout(shards []*Shard, f func(sh *Shard) bool) bool {
 	for _, h := range harness.Execute(specs, c.cfg.Par) {
 		halted = halted || h
 	}
+	c.halted = c.halted || halted
 	return halted
 }
 
@@ -325,28 +328,26 @@ func (c *Cluster) localBatch(sh *Shard, round int) bool {
 			}
 		}
 	}
-	_, halted := sh.sess.Do(fmt.Sprintf("local.r%d", round), bodies...)
-	return halted
+	return sh.Do(fmt.Sprintf("local.r%d", round), bodies...)
 }
 
 // Run drives the cluster to completion (or to an injected halt): per
 // round, a local batch on every shard, then the cross-shard wave —
-// prepare, decide, apply, per-shard log reclamation, and the
+// commit (prepare, decide, apply), per-shard log reclamation, and the
 // coordinator's resolution-cell advance. Each phase is a barrier across
 // shards; a halted shard stops the cluster after the phase in which it
 // died (the other shards complete that phase, exactly as independent
 // nodes would keep running until they notice the coordinator is gone).
 func (c *Cluster) Run() Result {
 	for r := 0; r < c.cfg.Rounds && !c.halted; r++ {
-		if c.fanout(c.shards, func(sh *Shard) bool { return c.localBatch(sh, r) }) {
-			c.halted = true
-			break
-		}
-		if c.cfg.CrossPerRound == 0 {
+		if c.Fanout(c.shards, func(sh *Shard) bool { return c.localBatch(sh, r) }) || c.cfg.CrossPerRound == 0 {
 			continue
 		}
 		wave := c.buildWave(r)
-		c.runWave(wave)
+		if _, halted := c.commit(wave); halted || c.Fanout(c.shards, c.reclaim) {
+			break
+		}
+		c.Fanout(c.shards[:1], func(sh *Shard) bool { return c.resolve(sh, wave[len(wave)-1].seq) })
 	}
 	return c.result()
 }

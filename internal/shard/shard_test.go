@@ -301,8 +301,8 @@ func TestSweepVerifyCatchesWrongPrepareImage(t *testing.T) {
 	tx := completedCrossTx(t, r)
 	s := tx.shards[0]
 	w := &tx.writes[s][0]
-	w.img[0] ^= 0xFF
-	want := fmt.Sprintf("cross tx %s on shard %d line %#x: applied ", tx, s, uint64(w.addr))
+	w.Img[0] ^= 0xFF
+	want := fmt.Sprintf("cross tx %s on shard %d line %#x: applied ", tx, s, uint64(w.Addr))
 	if d := r.Verify(); !strings.HasPrefix(d, want) {
 		t.Errorf("wrong prepare image verified as %q, want prefix %q", d, want)
 	}

@@ -132,9 +132,6 @@ func (r *sweepRun) Verify() string {
 		expect := r.rec.DecidedCommit[tx.seq] || (tx.seq <= r.rec.Cell && tx.admitted)
 		for _, s := range tx.shards {
 			ws := tx.writes[s]
-			if len(ws) == 0 {
-				continue
-			}
 			got, applied := commitWrites(c.shards[s], tx.gid)
 			if expect && !applied {
 				return fmt.Sprintf("cross tx %s missing on shard %d after recovery", tx, s)
@@ -149,8 +146,8 @@ func (r *sweepRun) Verify() string {
 				return fmt.Sprintf("cross tx %s on shard %d: %d lines applied, %d issued", tx, s, len(got), len(ws))
 			}
 			for _, w := range ws {
-				if img, ok := got[w.addr]; !ok || img != w.img {
-					return fmt.Sprintf("cross tx %s on shard %d line %#x: applied %x, issued %x", tx, s, uint64(w.addr), img, w.img)
+				if img, ok := got[w.Addr]; !ok || img != w.Img {
+					return fmt.Sprintf("cross tx %s on shard %d line %#x: applied %x, issued %x", tx, s, uint64(w.Addr), img, w.Img)
 				}
 			}
 		}

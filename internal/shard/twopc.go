@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"uhtm/internal/mem"
@@ -57,51 +59,84 @@ const (
 	applyLatPerLine  = 8 * sim.Nanosecond   // in-place write + persist
 )
 
-// crossWrite is one line write of a cross-shard transaction on one
-// participant shard. The full line image is captured when the prepare
-// record is logged and reused verbatim by apply and recovery, so the
-// durable log and the in-place update can never disagree.
-type crossWrite struct {
-	addr mem.Addr
-	val  uint64
-	img  mem.Line // captured at prepare
-}
-
-// crossTx is one cross-shard transaction: the ground truth the driver
-// keeps about what it issued (participants, write sets, admission
-// verdict), recorded before any phase runs so an injected crash can be
-// checked against exact intent.
+// crossTx is one cross-shard transaction as the coordinator runs it:
+// its participants, the per-participant work that produces its write
+// images, and — once prepared — those images. The canned driver keeps
+// every transaction it issues (Cluster.waves) as the ground truth an
+// injected crash is checked against.
 type crossTx struct {
 	gid      uint64
 	seq      uint64
-	shards   []int               // participant shard IDs, ascending
-	writes   map[int][]crossWrite // participant → writes, ascending by addr
-	admitted bool                // wave conflict admission verdict
+	shards   []int // participant shard IDs
+	admitted bool  // admission verdict: false decides RecAbort
+
+	// exec runs once on participant k's prepare thread and returns k's
+	// line writes (empty for a read-only participant).
+	exec func(k int, th *sim.Thread) []LineWrite
+	// applied, when non-nil, runs on participant k's apply thread after
+	// k's images are in place.
+	applied func(k int, th *sim.Thread)
+
+	writes [][]LineWrite // shard ID → prepared images, filled by prepare
+}
+
+// newTx issues the next GID to a transaction over the given
+// participants, admitted unless the caller's admission says otherwise.
+func (c *Cluster) newTx(shards []int, exec func(k int, th *sim.Thread) []LineWrite) *crossTx {
+	c.seq++
+	return &crossTx{
+		gid:      GIDBase | c.seq,
+		seq:      c.seq,
+		shards:   shards,
+		admitted: true,
+		exec:     exec,
+		writes:   make([][]LineWrite, len(c.shards)),
+	}
+}
+
+// wrote reports whether any participant prepared a write for tx.
+func (tx *crossTx) wrote() bool {
+	for _, ws := range tx.writes {
+		if len(ws) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // buildWave constructs round r's cross-shard transactions and runs
 // conflict admission: transactions are admitted greedily in GID order,
 // and one whose (shard, line) set overlaps an earlier admitted
 // transaction in the same wave is aborted by the coordinator (the
-// cross-shard analogue of a conflict abort). Everything is a pure
-// function of (Config, r), so waves are identical on every run.
+// cross-shard analogue of a conflict abort). Each transaction's exec
+// overlays its planned 8-byte value onto the live line at prepare time.
+// Everything is a pure function of (Config, r), so waves are identical
+// on every run.
 func (c *Cluster) buildWave(r int) []*crossTx {
 	cfg := c.cfg
 	var wave []*crossTx
 	taken := make(map[int]map[mem.Addr]bool, cfg.Shards)
 	for j := 0; j < cfg.CrossPerRound; j++ {
-		c.seq++
-		tx := &crossTx{
-			gid:    GIDBase | c.seq,
-			seq:    c.seq,
-			writes: make(map[int][]crossWrite, cfg.CrossShards),
-		}
 		base := pick(r*7+3, j, 0, cfg.Shards)
+		shards := make([]int, 0, cfg.CrossShards)
 		for i := 0; i < cfg.CrossShards; i++ {
-			tx.shards = append(tx.shards, (base+i)%cfg.Shards)
+			shards = append(shards, (base+i)%cfg.Shards)
 		}
-		sort.Ints(tx.shards)
-		for i, s := range tx.shards {
+		sort.Ints(shards)
+		// plan[k] holds participant k's writes, ascending by address;
+		// only the first word of each image is planned.
+		plan := make([][]LineWrite, cfg.Shards)
+		tx := c.newTx(shards, func(k int, _ *sim.Thread) []LineWrite {
+			st := c.shards[k].m.Store()
+			ws := make([]LineWrite, len(plan[k]))
+			for i, p := range plan[k] {
+				img := st.PeekLine(p.Addr)
+				copy(img[:8], p.Img[:8])
+				ws[i] = LineWrite{Addr: p.Addr, Img: img}
+			}
+			return ws
+		})
+		for i, s := range shards {
 			sh := c.shards[s]
 			seen := make(map[mem.Addr]bool, cfg.WritesPerTx)
 			for w := 0; w < cfg.WritesPerTx; w++ {
@@ -111,33 +146,29 @@ func (c *Cluster) buildWave(r int) []*crossTx {
 					continue // duplicate pick within the same tx: one write
 				}
 				seen[la] = true
-				tx.writes[s] = append(tx.writes[s], crossWrite{
-					addr: la,
-					val:  tx.seq<<20 | uint64(i)<<10 | uint64(w+1),
-				})
+				p := LineWrite{Addr: la}
+				binary.LittleEndian.PutUint64(p.Img[:8], tx.seq<<20|uint64(i)<<10|uint64(w+1))
+				plan[s] = append(plan[s], p)
 			}
-			sort.Slice(tx.writes[s], func(a, b int) bool {
-				return tx.writes[s][a].addr < tx.writes[s][b].addr
-			})
+			sort.Slice(plan[s], func(a, b int) bool { return plan[s][a].Addr < plan[s][b].Addr })
 		}
 		// Greedy admission against the wave's already-admitted sets.
-		tx.admitted = true
 	admit:
-		for _, s := range tx.shards {
-			for _, w := range tx.writes[s] {
-				if taken[s][w.addr] {
+		for _, s := range shards {
+			for _, p := range plan[s] {
+				if taken[s][p.Addr] {
 					tx.admitted = false
 					break admit
 				}
 			}
 		}
 		if tx.admitted {
-			for _, s := range tx.shards {
+			for _, s := range shards {
 				if taken[s] == nil {
 					taken[s] = make(map[mem.Addr]bool)
 				}
-				for _, w := range tx.writes[s] {
-					taken[s][w.addr] = true
+				for _, p := range plan[s] {
+					taken[s][p.Addr] = true
 				}
 			}
 		}
@@ -147,13 +178,14 @@ func (c *Cluster) buildWave(r int) []*crossTx {
 	return wave
 }
 
-// participants returns the distinct shards touched by the wave, in
-// index order.
-func (c *Cluster) participants(wave []*crossTx) []*Shard {
-	in := make([]bool, c.cfg.Shards)
+// participants returns, in index order, the distinct shards some wave
+// transaction lists as a participant — only those that prepared a write
+// when writersOnly is set.
+func (c *Cluster) participants(wave []*crossTx, writersOnly bool) []*Shard {
+	in := make([]bool, len(c.shards))
 	for _, tx := range wave {
-		for _, s := range tx.shards {
-			in[s] = true
+		for _, k := range tx.shards {
+			in[k] = in[k] || !writersOnly || len(tx.writes[k]) > 0
 		}
 	}
 	var out []*Shard
@@ -165,55 +197,44 @@ func (c *Cluster) participants(wave []*crossTx) []*Shard {
 	return out
 }
 
-// runWave executes one wave's 2PC: prepare on every participant,
-// decision on shard 0, apply on every participant, a log-reclamation
-// pass on every shard, and the resolution-cell advance on shard 0.
-// Every phase is a cross-shard barrier; a halt stops the cluster after
-// the phase that observed it.
-func (c *Cluster) runWave(wave []*crossTx) {
-	parts := c.participants(wave)
-
-	// Phase 1: durable prepare on each participant.
-	if c.fanout(parts, func(sh *Shard) bool { return c.prepare(sh, wave) }) {
-		c.halted = true
-		return
+// commit runs the 2PC phases over one wave: a durable prepare on every
+// participant, then — if any participant wrote — one decision record on
+// shard 0 per transaction that prepared a write (RecCommit if admitted,
+// RecAbort otherwise), then a mark-first apply on every shard holding a
+// prepared write. Each phase is a cross-shard barrier; a halt stops the
+// wave after the phase that observed it. decided reports that the
+// decision phase completed, so every decided commit reaches every
+// participant (during RecoverServing if the apply halted).
+func (c *Cluster) commit(wave []*crossTx) (decided, halted bool) {
+	// Phase 1: execute and durably prepare on each participant.
+	if c.Fanout(c.participants(wave, false), func(sh *Shard) bool { return c.prepare(sh, wave) }) {
+		return false, true
+	}
+	writers := c.participants(wave, true)
+	if len(writers) == 0 {
+		return false, false // read-only: nothing to decide or apply
 	}
 
 	// Phase 2: coordinator decision on shard 0, at a virtual time after
 	// every participant's prepare (plus a coordination hop).
 	tmax := c.maxNow()
-	if c.fanout(c.shards[:1], func(sh *Shard) bool { return c.decide(sh, wave, tmax) }) {
-		c.halted = true
-		return
+	if c.Fanout(c.shards[:1], func(sh *Shard) bool { return c.decide(sh, wave, tmax) }) {
+		return false, true
 	}
 	for _, tx := range wave {
-		if tx.admitted {
+		switch {
+		case !tx.wrote(): // no decision
+		case tx.admitted:
 			c.crossCommits++
-		} else {
+		default:
 			c.crossAborts++
 		}
 	}
 
 	// Phase 3: per-shard apply of the committed transactions, after the
-	// decision (plus the return hop).
+	// decision (plus the return hop). From here the outcome is fixed.
 	tdec := c.shards[0].eng.Now()
-	if c.fanout(parts, func(sh *Shard) bool { return c.apply(sh, wave, tdec) }) {
-		c.halted = true
-		return
-	}
-
-	// Phase 4: background log reclamation on every shard — applied
-	// images persist in place, checkpoints advance, rings truncate.
-	if c.fanout(c.shards, func(sh *Shard) bool { return c.reclaim(sh) }) {
-		c.halted = true
-		return
-	}
-
-	// Phase 5: the coordinator durably resolves the wave and truncates
-	// the decision log.
-	if c.fanout(c.shards[:1], func(sh *Shard) bool { return c.resolve(sh, wave[len(wave)-1].seq) }) {
-		c.halted = true
-	}
+	return true, c.Fanout(writers, func(sh *Shard) bool { return c.apply(sh, wave, tdec) })
 }
 
 // maxNow returns the latest virtual time across shards.
@@ -234,27 +255,24 @@ func advanceTo(th *sim.Thread, at sim.Time) {
 	}
 }
 
-// prepare logs, for every wave transaction with sh as participant, the
-// transaction's write images (RecWrite per line, full prepared image)
+// prepare runs, for every wave transaction with sh as participant, the
+// transaction's exec and logs the returned images (RecWrite per line)
 // followed by its RecPrepare mark on the shard's ring 0 — a durable
 // prepared write set invisible to local replay until a mark commits it.
 func (c *Cluster) prepare(sh *Shard, wave []*crossTx) bool {
-	_, halted := sh.sess.Do("2pc.prepare", func(th *sim.Thread) {
-		st := sh.m.Store()
+	return sh.Do("2pc.prepare", func(th *sim.Thread) {
 		ring := sh.m.RedoLog(0)
 		for _, tx := range wave {
-			ws := tx.writes[sh.id]
+			if !slices.Contains(tx.shards, sh.id) {
+				continue
+			}
+			ws := tx.exec(sh.id, th)
+			tx.writes[sh.id] = ws
 			if len(ws) == 0 {
 				continue
 			}
-			for i := range ws {
-				w := &ws[i]
-				img := st.PeekLine(w.addr)
-				for b := 0; b < 8; b++ {
-					img[b] = byte(w.val >> (8 * b))
-				}
-				w.img = img
-				ring.Append(wal.Record{Type: wal.RecWrite, TxID: tx.gid, Addr: w.addr, Data: img})
+			for _, w := range ws {
+				ring.Append(wal.Record{Type: wal.RecWrite, TxID: tx.gid, Addr: w.Addr, Data: w.Img})
 				th.Advance(prepareLatPerRec)
 			}
 			ring.Append(wal.Record{Type: wal.RecPrepare, TxID: tx.gid})
@@ -262,18 +280,20 @@ func (c *Cluster) prepare(sh *Shard, wave []*crossTx) bool {
 			sh.hit(PointPrepareLogged)
 		}
 	})
-	return halted
 }
 
 // decide runs the coordinator: one durable decision record per wave
-// transaction (RecCommit for admitted, RecAbort for conflict-aborted),
-// appended to the decision log in GID order at a time causally after
-// every prepare.
+// transaction that prepared a write (RecCommit for admitted, RecAbort
+// for conflict-aborted), appended to the decision log in GID order at a
+// time causally after every prepare.
 func (c *Cluster) decide(sh *Shard, wave []*crossTx, tmax sim.Time) bool {
-	_, halted := sh.sess.Do("2pc.decide", func(th *sim.Thread) {
+	return sh.Do("2pc.decide", func(th *sim.Thread) {
 		advanceTo(th, tmax)
 		th.Advance(coordHopLat)
 		for _, tx := range wave {
+			if !tx.wrote() {
+				continue
+			}
 			typ := wal.RecCommit
 			if !tx.admitted {
 				typ = wal.RecAbort
@@ -286,14 +306,14 @@ func (c *Cluster) decide(sh *Shard, wave []*crossTx, tmax sim.Time) bool {
 			sh.hit(PointDecisionLogged)
 		}
 	})
-	return halted
 }
 
 // apply completes the committed wave transactions on sh: the durable
 // apply mark first (so a torn apply is completed by local replay from
-// the prepare records), then each prepared image in place.
+// the prepare records), then each prepared image in place, then the
+// transaction's applied callback.
 func (c *Cluster) apply(sh *Shard, wave []*crossTx, tdec sim.Time) bool {
-	_, halted := sh.sess.Do("2pc.apply", func(th *sim.Thread) {
+	return sh.Do("2pc.apply", func(th *sim.Thread) {
 		advanceTo(th, tdec)
 		th.Advance(coordHopLat)
 		st := sh.m.Store()
@@ -306,28 +326,26 @@ func (c *Cluster) apply(sh *Shard, wave []*crossTx, tdec sim.Time) bool {
 			sh.hit(PointApplyMark)
 			ring.Append(wal.Record{Type: wal.RecCommit, TxID: tx.gid, LSN: sh.m.NextLSN()})
 			writes := make(map[mem.Addr]mem.Line, len(ws))
-			for i := range ws {
-				w := ws[i]
+			for _, w := range ws {
 				sh.hit(PointApplyLine)
-				img := w.img
-				st.WriteLine(w.addr, &img)
-				st.PersistLine(w.addr, &img)
-				writes[w.addr] = img
+				img := w.Img
+				st.WriteLine(w.Addr, &img)
+				st.PersistLine(w.Addr, &img)
+				writes[w.Addr] = img
 				th.Advance(applyLatPerLine)
 			}
 			sh.m.NoteCommit(tx.gid, 0, writes)
+			if tx.applied != nil {
+				tx.applied(sh.id, th)
+			}
 		}
 	})
-	return halted
 }
 
 // reclaim runs one background log-reclamation pass on sh's machine from
 // a simulated thread (so injected crashes inside it halt the engine).
 func (c *Cluster) reclaim(sh *Shard) bool {
-	_, halted := sh.sess.Do("2pc.reclaim", func(th *sim.Thread) {
-		sh.m.ReclaimLogs()
-	})
-	return halted
+	return sh.Do("2pc.reclaim", func(*sim.Thread) { sh.m.ReclaimLogs() })
 }
 
 // resolve durably advances the resolution cell to seq — every cross
@@ -335,7 +353,7 @@ func (c *Cluster) reclaim(sh *Shard) bool {
 // and reclaimed everywhere — then truncates the decision log, whose
 // records are now redundant with the cell.
 func (c *Cluster) resolve(sh *Shard, seq uint64) bool {
-	_, halted := sh.sess.Do("2pc.resolve", func(th *sim.Thread) {
+	return sh.Do("2pc.resolve", func(th *sim.Thread) {
 		st := sh.m.Store()
 		sh.hit(PointResolveCkpt)
 		st.WriteU64(c.cellAddr, seq)
@@ -345,7 +363,6 @@ func (c *Cluster) resolve(sh *Shard, seq uint64) bool {
 		c.decLog.Reclaim(c.decLog.Head())
 		c.resolvedSeq = seq
 	})
-	return halted
 }
 
 // String identifies a cross transaction in diagnostics.
