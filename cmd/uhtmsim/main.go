@@ -8,7 +8,6 @@
 //	uhtmsim -crash [-scale f] [-seed n] [-par n] [-json path]
 //	uhtmsim serve [-addr host:port] [-shards n] [-cores n] [-prepopulate n] [-seed n]
 //	uhtmsim loadgen [-addr host:port] [-qps f] [-conns n] [-duration d] [-out path]
-//	uhtmsim bench [-out path] [-compare baseline.json] [-tol f]
 //	uhtmsim trace-summary <trace.json>
 //
 // where experiment is one of: table3, fig2, fig6, fig7, fig8, fig9a,
@@ -77,7 +76,7 @@
 // drives such a server with open-loop traffic, reporting latency
 // percentiles, saturation throughput and the induced abort rate as
 // JSON Lines. Both are documented in SERVING.md; the full subcommand
-// registry (serve, loadgen, bench, trace-summary) is printed by
+// registry (serve, loadgen, trace-summary) is printed by
 // `uhtmsim -h`, and a drift test pins this comment to it.
 package main
 
@@ -91,7 +90,6 @@ import (
 	"sort"
 	"time"
 
-	"uhtm/internal/bench"
 	"uhtm/internal/stats"
 	"uhtm/internal/trace"
 	"uhtm/internal/workload"
@@ -104,10 +102,6 @@ func main() {
 // runExperimentFn indirects workload.RunExperiment so tests can inject
 // failing experiments.
 var runExperimentFn = workload.RunExperiment
-
-// benchRunSuiteFn indirects bench.RunSuite so tests can inject a suite
-// that fails partway through.
-var benchRunSuiteFn = bench.RunSuite
 
 // run is the entire CLI behind a testable seam: parse, execute, return
 // the exit code. Output sinks (-json, -trace) are finalized by defers,
@@ -431,103 +425,6 @@ func runCrash(out io.Writer, opt workload.RunOptions, enc *json.Encoder) (int, e
 		}
 	}
 	return fails, nil
-}
-
-// benchCmd runs the shared benchmark suite (internal/bench) and writes
-// one machine-readable BENCH_<n>.json document: per-benchmark ns/op,
-// allocs/op, bytes/op and the headline custom metrics. With -compare it
-// additionally gates allocs/op against a committed baseline (exit 1 on
-// regression beyond -tol); ns/op drift is reported but never fails,
-// because wall-clock on shared runners is machine-dependent.
-func benchCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("uhtmsim bench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	out := fs.String("out", "", "output path (default: first free BENCH_<n>.json in the current directory)")
-	baseline := fs.String("compare", "", "baseline BENCH_<n>.json to gate allocs/op against")
-	tol := fs.Float64("tol", 0.25, "relative regression tolerance for -compare")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: uhtmsim bench [-out path] [-compare baseline.json] [-tol f]")
-		return 2
-	}
-
-	path := *out
-	if path == "" {
-		for n := 0; ; n++ {
-			path = fmt.Sprintf("BENCH_%d.json", n)
-			if _, err := os.Stat(path); os.IsNotExist(err) {
-				break
-			}
-		}
-	}
-
-	f, err := benchRunSuiteFn(func(format string, a ...any) {
-		fmt.Fprintf(stdout, format+"\n", a...)
-	})
-	if err != nil {
-		// Same sink-loss class as the -json flush bug: the records
-		// collected before the failing benchmark are in f and must reach
-		// disk before the nonzero exit, or a long suite that dies on its
-		// last spec leaves nothing behind.
-		fmt.Fprintf(stderr, "uhtmsim: %v\n", err)
-		if len(f.Suite) > 0 {
-			if werr := writeBenchFile(path, f); werr != nil {
-				fmt.Fprintf(stderr, "uhtmsim: writing %s: %v\n", path, werr)
-			} else {
-				fmt.Fprintf(stdout, "wrote partial %s (%d benchmarks before the failure)\n", path, len(f.Suite))
-			}
-		}
-		return 1
-	}
-	if err := writeBenchFile(path, f); err != nil {
-		fmt.Fprintf(stderr, "uhtmsim: writing %s: %v\n", path, err)
-		return 1
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d benchmarks)\n", path, len(f.Suite))
-
-	if *baseline == "" {
-		return 0
-	}
-	bf, err := os.Open(*baseline)
-	if err != nil {
-		fmt.Fprintf(stderr, "uhtmsim: %v\n", err)
-		return 1
-	}
-	base, err := bench.Read(bf)
-	bf.Close()
-	if err != nil {
-		fmt.Fprintf(stderr, "uhtmsim: reading baseline %s: %v\n", *baseline, err)
-		return 1
-	}
-	failures, notes := bench.Compare(base, f, *tol)
-	for _, n := range notes {
-		fmt.Fprintf(stdout, "note: %s\n", n)
-	}
-	for _, fl := range failures {
-		fmt.Fprintf(stderr, "FAIL %s\n", fl)
-	}
-	if len(failures) > 0 {
-		fmt.Fprintf(stderr, "uhtmsim: %d benchmark regression(s) vs %s\n", len(failures), *baseline)
-		return 1
-	}
-	fmt.Fprintf(stdout, "no regressions vs %s (tol %.0f%%)\n", *baseline, 100**tol)
-	return 0
-}
-
-// writeBenchFile creates path and writes the bench document, closing
-// the file on every path.
-func writeBenchFile(path string, f bench.File) error {
-	w, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := f.Write(w); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }
 
 func b2i(b bool) int {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"uhtm/internal/bench"
 	"uhtm/internal/stats"
 	"uhtm/internal/trace"
 	"uhtm/internal/workload"
@@ -212,66 +211,6 @@ func TestJSONRecordsSurviveErrorExit(t *testing.T) {
 	}
 	if records != 2 {
 		t.Errorf("got %d records on disk after error exit, want 2 (the first experiment's)", records)
-	}
-}
-
-// TestBenchOutSurvivesSuiteFailure is the bench-side regression test
-// for the same sink-loss class: when a benchmark fails partway through
-// the suite, the records already measured are in the partial File and
-// must reach -out before the nonzero exit — a long suite dying on its
-// last spec used to leave nothing on disk.
-func TestBenchOutSurvivesSuiteFailure(t *testing.T) {
-	orig := benchRunSuiteFn
-	benchRunSuiteFn = func(logf func(string, ...any)) (bench.File, error) {
-		f := bench.File{Schema: bench.Schema, Go: "gotest"}
-		f.Suite = append(f.Suite, bench.Record{Name: "First", Iters: 3, NsPerOp: 10, Metrics: map[string]float64{"sched-handoffs/op": 0}})
-		return f, errors.New("benchmark Second failed")
-	}
-	t.Cleanup(func() { benchRunSuiteFn = orig })
-
-	path := filepath.Join(t.TempDir(), "BENCH_X.json")
-	var out, errOut bytes.Buffer
-	code := run([]string{"bench", "-out", path}, &out, &errOut)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "benchmark Second failed") {
-		t.Errorf("stderr does not report the failure: %q", errOut.String())
-	}
-	if !strings.Contains(out.String(), "wrote partial") {
-		t.Errorf("stdout does not announce the partial file: %q", out.String())
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("no bench file after error exit: %v", err)
-	}
-	defer f.Close()
-	doc, err := bench.Read(f)
-	if err != nil {
-		t.Fatalf("partial bench file unparseable: %v", err)
-	}
-	if len(doc.Suite) != 1 || doc.Suite[0].Name != "First" {
-		t.Errorf("partial file carries %+v, want the First record", doc.Suite)
-	}
-}
-
-// TestBenchEmptyFailureWritesNothing: when the very first benchmark
-// fails there are no records to save; -out must not be clobbered with
-// an empty document.
-func TestBenchEmptyFailureWritesNothing(t *testing.T) {
-	orig := benchRunSuiteFn
-	benchRunSuiteFn = func(logf func(string, ...any)) (bench.File, error) {
-		return bench.File{Schema: bench.Schema}, errors.New("benchmark First failed")
-	}
-	t.Cleanup(func() { benchRunSuiteFn = orig })
-
-	path := filepath.Join(t.TempDir(), "BENCH_X.json")
-	var out, errOut bytes.Buffer
-	if code := run([]string{"bench", "-out", path}, &out, &errOut); code != 1 {
-		t.Fatalf("exit code = %d, want 1", code)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Errorf("empty suite wrote %s (stat err=%v); want no file", path, err)
 	}
 }
 

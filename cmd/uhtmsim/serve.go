@@ -40,12 +40,6 @@ var subcommands = []subcommand{
 		run:      loadgenCmd,
 	},
 	{
-		name:     "bench",
-		synopsis: "uhtmsim bench [-out path] [-compare baseline.json] [-tol f]",
-		desc:     "run the shared benchmark suite, optionally gating against a baseline",
-		run:      benchCmd,
-	},
-	{
 		name:     "trace-summary",
 		synopsis: "uhtmsim trace-summary <trace.json>",
 		desc:     "print a per-transaction table from a -trace Chrome trace file",

@@ -33,8 +33,8 @@ func TestUsageListsAllSubcommands(t *testing.T) {
 		t.Fatal("main.go has no package clause")
 	}
 
-	if len(subcommands) < 4 {
-		t.Fatalf("registry has %d subcommands, expected at least serve/loadgen/bench/trace-summary", len(subcommands))
+	if len(subcommands) < 3 {
+		t.Fatalf("registry has %d subcommands, expected at least serve/loadgen/trace-summary", len(subcommands))
 	}
 	seen := map[string]bool{}
 	for _, sc := range subcommands {
@@ -55,7 +55,7 @@ func TestUsageListsAllSubcommands(t *testing.T) {
 			t.Errorf("package doc comment omits subcommand %q — update the Usage block", sc.name)
 		}
 	}
-	for _, name := range []string{"serve", "loadgen", "bench", "trace-summary"} {
+	for _, name := range []string{"serve", "loadgen", "trace-summary"} {
 		if !seen[name] {
 			t.Errorf("subcommand %q missing from the registry", name)
 		}

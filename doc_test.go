@@ -164,13 +164,20 @@ var referenceDocs = []string{
 // with a trailing "()".
 var docRef = regexp.MustCompile("`([a-z]+)\\.([A-Z]\\w*)(?:\\.([A-Z]\\w*))?(?:\\(\\))?`")
 
+// testFuncRef matches a backticked bare test, benchmark or fuzz
+// function name, optionally with a trailing "()".
+var testFuncRef = regexp.MustCompile("`((?:Test|Benchmark|Fuzz)\\w*)(?:\\(\\))?`")
+
 // TestDocReferencesResolve fails when a reference document names an
 // internal package identifier that does not exist: every backticked
 // `pkg.Ident` must be an exported top-level declaration of
 // internal/pkg (a test function counts), and every `pkg.Type.Member` a
-// method, field or interface method of that type. A rename or deletion that leaves the
+// method, field or interface method of that type. Every backticked
+// bare `TestX`, `BenchmarkX` or `FuzzX` must be a function in some
+// _test.go file of the module. A rename or deletion that leaves the
 // prose behind is caught here.
 func TestDocReferencesResolve(t *testing.T) {
+	testFuncs := moduleTestFuncs(t)
 	idents := map[string]map[string]bool{} // package → declared names, "Type.Member" included
 	exported := func(pkg string) map[string]bool {
 		if names, ok := idents[pkg]; ok {
@@ -204,6 +211,13 @@ func TestDocReferencesResolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, m := range testFuncRef.FindAllStringSubmatch(string(b), -1) {
+			if !testFuncs[m[1]] {
+				t.Errorf("%s: %s names no function in any _test.go file", doc, m[0])
+				continue
+			}
+			resolved++
+		}
 		for _, m := range docRef.FindAllStringSubmatch(string(b), -1) {
 			names := exported(m[1])
 			if names == nil {
@@ -223,6 +237,41 @@ func TestDocReferencesResolve(t *testing.T) {
 	if resolved == 0 {
 		t.Fatal("no internal package references found — run from the repo root")
 	}
+}
+
+// moduleTestFuncs returns the names of the top-level functions declared
+// in the _test.go files of the repo root and of every package under
+// internal/ and cmd/.
+func moduleTestFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	dirs := []string{"."}
+	for _, pattern := range []string{"internal/*", "cmd/*"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirs = append(dirs, m...)
+	}
+	names := map[string]bool{}
+	for _, dir := range dirs {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+			return strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("%s: %v", dir, err)
+		}
+		for _, p := range pkgs {
+			for _, f := range p.Files {
+				for _, decl := range f.Decls {
+					if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+						names[fn.Name.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 // collectDeclNames adds the exported names one top-level declaration

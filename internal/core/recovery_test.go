@@ -142,6 +142,77 @@ func TestRecoveryAfterReclaim(t *testing.T) {
 	}
 }
 
+// recoveryReplayMachine runs a fixed single-core load on a fresh
+// machine: 64 transactions of 4 writes each over an 8-line NVM pool,
+// with one fuzzy checkpoint (ReclaimLogs) after transaction 32, so a
+// committed suffix stays on the redo ring. It returns the machine and
+// the pool. BenchmarkRecoveryReplay times recovery of the same machine.
+func recoveryReplayMachine() (*Machine, mem.Addr) {
+	const txs = 64
+	const writesPerTx = 4
+	const poolLines = 8
+	eng := sim.NewEngine(1)
+	opts := DefaultOptions()
+	opts.Paranoid = false
+	mc := mem.DefaultConfig()
+	mc.Cores = 1
+	m := NewMachine(eng, mc, opts)
+	pool := mem.NewAllocator(mem.NVM).AllocLines(poolLines)
+	eng.Spawn("load", func(th *sim.Thread) {
+		c := m.NewCtx(th, 0)
+		for k := 0; k < txs; k++ {
+			c.Run(func(tx *Tx) {
+				for w := 0; w < writesPerTx; w++ {
+					line := pool + mem.Addr((k*writesPerTx+w)%poolLines)*mem.LineSize
+					tx.WriteU64(line, uint64(k))
+				}
+			})
+			if k == txs/2 {
+				m.ReclaimLogs()
+			}
+		}
+	})
+	eng.Run()
+	return m, pool
+}
+
+// TestRecoveryReplayCheckpointedSuffix pins what recovery replays after
+// a part-checkpointed load: exactly the 31 transactions committed after
+// the checkpoint (124 lines) against low-water LSN 33, the same on every
+// crash/recover cycle because replay does not consume the ring. A
+// checkpoint that stops filtering, or a replay that stops applying,
+// moves the count in one direction or the other.
+func TestRecoveryReplayCheckpointedSuffix(t *testing.T) {
+	m, pool := recoveryReplayMachine()
+	for cycle := 0; cycle < 3; cycle++ {
+		m.Crash()
+		st := m.Recover()
+		if st.AppliedLines != 124 || st.CheckpointLSN != 33 {
+			t.Fatalf("cycle %d: recovery applied %d lines against checkpoint LSN %d, want 124 against 33",
+				cycle, st.AppliedLines, st.CheckpointLSN)
+		}
+		// Transaction 63 wrote lines 4..7 last, transaction 62 lines 0..3.
+		for l := 0; l < 8; l++ {
+			want := uint64(62 + l/4)
+			if got := m.Store().ReadU64(pool + mem.Addr(l)*mem.LineSize); got != want {
+				t.Errorf("cycle %d: line %d = %d after recovery, want %d", cycle, l, got, want)
+			}
+		}
+	}
+	a := testing.AllocsPerRun(20, func() {
+		m.Crash()
+		m.Recover()
+	})
+	if a > recoveryReplayAllocCeiling {
+		t.Errorf("crash+recover allocates %v times, want <= %d", a, recoveryReplayAllocCeiling)
+	}
+}
+
+// recoveryReplayAllocCeiling bounds the heap allocations of one
+// crash/recover cycle of recoveryReplayMachine: 147 measured, plus 25%
+// and 64 for runtime and toolchain drift.
+const recoveryReplayAllocCeiling = 247
+
 // TestRecoveryOverwriteOrder: two committed transactions write the same
 // line; recovery must surface the later value.
 func TestRecoveryOverwriteOrder(t *testing.T) {

@@ -29,8 +29,14 @@ func runSweepCluster(t *testing.T, par int) (*Cluster, Result) {
 func TestClusterRunsAndCommitsCrossTxs(t *testing.T) {
 	cfg := SweepConfig()
 	_, res := runSweepCluster(t, 1)
-	if res.CrossCommits == 0 {
-		t.Fatalf("no cross-shard commits (aborts=%d)", res.CrossAborts)
+	// The count is a pure function of the configuration: a change that
+	// admits or commits more or fewer cross-shard transactions moves it.
+	if res.CrossCommits != 4 {
+		t.Fatalf("cross-shard commits = %d, want 4 (aborts=%d)", res.CrossCommits, res.CrossAborts)
+	}
+	a := testing.AllocsPerRun(5, func() { New(untracedSweepConfig()).Run() })
+	if a > shardCrossAllocCeiling {
+		t.Errorf("building and running the cluster allocates %v times, want <= %d", a, shardCrossAllocCeiling)
 	}
 	if res.CrossAborts == 0 {
 		t.Fatalf("no cross-shard conflict aborts — wave admission untested (commits=%d)", res.CrossCommits)

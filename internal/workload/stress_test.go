@@ -36,22 +36,3 @@ func TestSeedSweepParanoid(t *testing.T) {
 		}
 	}
 }
-
-// TestAblationsSmoke runs the ablation suite at tiny scale end to end.
-func TestAblationsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablations skipped in -short mode")
-	}
-	tbl, rs := Ablations(0.02)
-	if len(rs) != 8 {
-		t.Fatalf("ablations produced %d runs, want 8", len(rs))
-	}
-	if len(tbl.Rows) != 8 {
-		t.Fatalf("table has %d rows", len(tbl.Rows))
-	}
-	for _, r := range rs {
-		if r.Stats.Commits == 0 {
-			t.Errorf("%s: no commits", r.System)
-		}
-	}
-}
