@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"uhtm/internal/mem"
 )
@@ -23,27 +24,58 @@ type Eviction struct {
 // EvictFunc is called for each line displaced by an Insert.
 type EvictFunc func(Eviction)
 
-// Cache is one level of the hierarchy. Ways are stored as parallel flat
-// arrays indexed set*ways+way: tags holds the line address with bit 0
-// set as a validity marker (line addresses are 64-byte aligned, so bit
-// 0 is free; tag 0 means invalid — this also disambiguates line
-// address 0, which is a real DRAM line). used holds LRU stamps and
-// dirty the write-back bits.
-type Cache struct {
-	name    string
-	tags    []uint64
-	used    []uint64
-	dirty   []bool
-	numSets int
-	ways    int
-	tick    uint64
-	onEvict EvictFunc
+// maxWays is the largest supported associativity: a set's LRU stack
+// packs one 4-bit way number per way into a uint64.
+const maxWays = 16
 
-	// presence, when enabled, is a counting filter over line-number
-	// hashes: a zero counter proves the line is absent, so bulk
-	// snoop-style probes (MaybeContains) can skip the way scan. It has
-	// no false negatives; collisions only cost a redundant scan.
-	presence []uint16
+// Tag bits. Line addresses are 64-byte aligned, so the two low bits of
+// a tag are free: bit 0 marks the way valid (tag 0 means invalid, which
+// also disambiguates line address 0, a real DRAM line) and bit 1 is the
+// write-back dirty bit.
+const (
+	tagValid = 1
+	tagDirty = 2
+	tagFlags = tagValid | tagDirty
+)
+
+// LRU stack constants: nibble k of a stack holds the way that is k-th
+// most recently used. Stacks are stored XORed with stackIdent (nibble k
+// = k), so a zero word is the identity order and an all-zero set record
+// is a valid empty set. Nibbles at or above the associativity keep
+// their identity values forever, which are never way numbers.
+const (
+	stackIdent = 0xFEDCBA9876543210
+	nibbleOnes = 0x1111111111111111
+)
+
+// Cache is one level of the hierarchy. Each set is one contiguous
+// record in sets: the set's packed LRU stack, then its ways tag words
+// (line address | flags, see tagValid). A lookup or fill therefore
+// touches one region of host memory. A way's flat slot (set*ways + way,
+// as FindWay and WayLine number them) maps to its record position by
+// shifts alone.
+type Cache struct {
+	name     string
+	sets     []uint64
+	numSets  int
+	ways     int
+	wayShift uint // log2(ways)
+	stride   int  // words per set record: ways + 1
+	onEvict  EvictFunc
+
+	// gen counts tag mutations (fills, invalidations, resets). A miss
+	// in Touch, Lookup or Insert remembers its set and first free way
+	// under the current gen, and an Insert of the same line while gen
+	// is unchanged reuses them instead of rescanning the set.
+	gen      uint64
+	missLine mem.Addr
+	missBase int
+	missFree int
+	missGen  uint64
+
+	// presence, when shared in (SharePresence), counts this cache's
+	// resident lines alongside those of the other caches sharing it.
+	presence *Presence
 
 	// Hits and Misses count Lookup results, for statistics.
 	Hits, Misses uint64
@@ -54,25 +86,26 @@ type Cache struct {
 }
 
 // New builds a cache of the given total size in bytes and associativity.
-// size must be a multiple of ways*LineSize and the resulting set count a
-// power of two. onEvict may be nil.
+// size must be a multiple of ways*LineSize, ways a power of two no
+// larger than maxWays and the resulting set count a power of two.
+// onEvict may be nil.
 func New(name string, size, ways int, onEvict EvictFunc) *Cache {
-	if size <= 0 || ways <= 0 || size%(ways*mem.LineSize) != 0 {
+	if size <= 0 || ways <= 0 || ways > maxWays || ways&(ways-1) != 0 || size%(ways*mem.LineSize) != 0 {
 		panic(fmt.Sprintf("cache %s: bad geometry size=%d ways=%d", name, size, ways))
 	}
 	numSets := size / (ways * mem.LineSize)
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, numSets))
 	}
-	n := numSets * ways
 	return &Cache{
-		name:    name,
-		tags:    make([]uint64, n),
-		used:    make([]uint64, n),
-		dirty:   make([]bool, n),
-		numSets: numSets,
-		ways:    ways,
-		onEvict: onEvict,
+		name:     name,
+		sets:     make([]uint64, numSets*(ways+1)),
+		numSets:  numSets,
+		ways:     ways,
+		wayShift: uint(bits.TrailingZeros(uint(ways))),
+		stride:   ways + 1,
+		onEvict:  onEvict,
+		gen:      1,
 	}
 }
 
@@ -85,67 +118,90 @@ func (c *Cache) Ways() int { return c.ways }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.numSets }
 
-// base returns the first way index of a's set.
-func (c *Cache) base(a mem.Addr) int {
-	return (int(a/mem.LineSize) & (c.numSets - 1)) * c.ways
+// setOf returns the set index of line address la.
+func (c *Cache) setOf(la mem.Addr) int {
+	return int(la/mem.LineSize) & (c.numSets - 1)
 }
 
-// find returns the way index holding a's line, or -1.
-func (c *Cache) find(a mem.Addr) int {
-	tag := uint64(mem.LineOf(a)) | 1
-	b := c.base(a)
-	for i := b; i < b+c.ways; i++ {
-		if c.tags[i] == tag {
-			return i
+// find returns the position of a's set's first tag and the way holding
+// a's line, or -1.
+func (c *Cache) find(a mem.Addr) (base, way int) {
+	tag := uint64(mem.LineOf(a)) | tagValid
+	base = c.setOf(a)*c.stride + 1
+	for i := base; i < base+c.ways; i++ {
+		if c.sets[i]&^tagDirty == tag {
+			return base, i - base
 		}
 	}
-	return -1
+	return base, -1
 }
+
+// noteMiss records a miss of line la in the set at base, with the set's
+// first free way, for an Insert of the same line that follows.
+func (c *Cache) noteMiss(la mem.Addr, base int) {
+	free := -1
+	for i, t := range c.sets[base : base+c.ways] {
+		if t == 0 {
+			free = i
+			break
+		}
+	}
+	c.missLine, c.missBase, c.missFree, c.missGen = la, base, free, c.gen
+}
+
+// promote makes way the most recently used of the set whose tags start
+// at base. The stack's low nibble is stored as is (stackIdent's is 0),
+// so re-using the MRU way — the common hit — costs a load and compare.
+func (c *Cache) promote(base, way int) {
+	if c.sets[base-1]&0xF != uint64(way) {
+		c.moveToFront(base, way)
+	}
+}
+
+// moveToFront moves way to the front (low nibble) of the LRU stack of
+// the set whose tags start at base. It is kept out of line so that
+// promote, and with it the MRU check, inlines into every hit path.
+//
+//go:noinline
+func (c *Cache) moveToFront(base, way int) {
+	p := &c.sets[base-1]
+	s := *p ^ stackIdent
+	// Branch-free search for the nibble holding way: XOR turns it into
+	// the stack's only zero nibble, and the borrow trick flags the
+	// lowest zero nibble exactly, in its top bit.
+	d := s ^ uint64(way)*nibbleOnes
+	z := (d - nibbleOnes) &^ d & (nibbleOnes << 3)
+	ahead := (z&-z)>>3 - 1 // the nibbles before way's
+	*p = (s&^(ahead<<4|0xF) | (s&ahead)<<4 | uint64(way)) ^ stackIdent
+}
+
+// lru returns the least recently used way of the set whose tags start
+// at base.
+func (c *Cache) lru(base int) int {
+	return int((c.sets[base-1]^stackIdent)>>(4*uint(c.ways-1))) & 0xF
+}
+
+// pos returns the record position of flat way index i.
+func (c *Cache) pos(i int) int { return i + i>>c.wayShift + 1 }
 
 // FindWay returns the flat way index (set*ways + way) holding a's line,
 // or -1. It lets callers keep per-line metadata in arrays parallel to
 // the cache's ways instead of in side maps. During an onEvict callback
 // the victim is still findable — it is overwritten only after the
 // callback returns.
-func (c *Cache) FindWay(a mem.Addr) int { return c.find(a) }
-
-// EnableFilter attaches the counting presence filter, sized at 8×
-// line capacity (power of two). It must be called on an empty cache —
-// typically right after New — because the counters track insertions
-// from then on.
-func (c *Cache) EnableFilter() {
-	if c.Len() != 0 {
-		panic(fmt.Sprintf("cache %s: EnableFilter on a non-empty cache", c.name))
+func (c *Cache) FindWay(a mem.Addr) int {
+	la := mem.LineOf(a)
+	if _, w := c.find(la); w >= 0 {
+		return c.setOf(la)<<c.wayShift + w
 	}
-	n := 1
-	for n < 8*c.numSets*c.ways {
-		n <<= 1
-	}
-	c.presence = make([]uint16, n)
-}
-
-// phash maps a line address to its presence-filter bucket.
-func (c *Cache) phash(la mem.Addr) int {
-	return int(uint64(la)/mem.LineSize) & (len(c.presence) - 1)
-}
-
-// MaybeContains reports whether the line containing a could be present:
-// false is definitive (the line is absent), true means "scan to know".
-// Without an enabled filter it always reports true. It never touches
-// LRU state or counters, so callers can use it as a cheap pre-filter
-// for bulk probes like inclusive-invalidation snoops.
-func (c *Cache) MaybeContains(a mem.Addr) bool {
-	if c.presence == nil {
-		return true
-	}
-	return c.presence[c.phash(mem.LineOf(a))] != 0
+	return -1
 }
 
 // WayLine reports the line address held by flat way index i and whether
 // that way is valid.
 func (c *Cache) WayLine(i int) (mem.Addr, bool) {
-	t := c.tags[i]
-	return mem.Addr(t &^ 1), t != 0
+	t := c.sets[c.pos(i)]
+	return mem.Addr(t &^ tagFlags), t != 0
 }
 
 // SetLookupHook installs (or, with nil, removes) an observer for Lookup
@@ -155,15 +211,16 @@ func (c *Cache) SetLookupHook(f func(addr mem.Addr, hit bool)) { c.onLookup = f 
 // Lookup reports whether the line containing a is present, refreshing
 // its LRU position on a hit and updating hit/miss counters.
 func (c *Cache) Lookup(a mem.Addr) bool {
-	if i := c.find(a); i >= 0 {
-		c.tick++
-		c.used[i] = c.tick
+	base, w := c.find(a)
+	if w >= 0 {
+		c.promote(base, w)
 		c.Hits++
 		if c.onLookup != nil {
 			c.onLookup(mem.LineOf(a), true)
 		}
 		return true
 	}
+	c.noteMiss(mem.LineOf(a), base)
 	c.Misses++
 	if c.onLookup != nil {
 		c.onLookup(mem.LineOf(a), false)
@@ -172,75 +229,74 @@ func (c *Cache) Lookup(a mem.Addr) bool {
 }
 
 // Contains reports presence without touching LRU state or counters.
-func (c *Cache) Contains(a mem.Addr) bool { return c.find(a) >= 0 }
+func (c *Cache) Contains(a mem.Addr) bool {
+	_, w := c.find(a)
+	return w >= 0
+}
 
 // Dirty reports whether the line containing a is present and dirty.
 func (c *Cache) Dirty(a mem.Addr) bool {
-	i := c.find(a)
-	return i >= 0 && c.dirty[i]
+	base, w := c.find(a)
+	return w >= 0 && c.sets[base+w]&tagDirty != 0
 }
 
 // Touch refreshes the LRU position of a present line — exactly what
 // Insert does on a hit — and reports whether the line was present. On a
-// miss it changes nothing. Hot paths that need "refresh if present,
-// otherwise act before filling" (e.g. the LLC pollution stream) use it
-// to resolve presence and recency in one way scan instead of a
-// Contains/Insert pair.
+// miss it changes nothing, and an Insert of the same line that follows
+// with no fill or invalidation in between reuses the miss's set scan.
+// The LLC pollution stream uses the pair to resolve presence, act
+// before filling, then fill, in one way scan.
 func (c *Cache) Touch(a mem.Addr) bool {
-	if i := c.find(a); i >= 0 {
-		c.tick++
-		c.used[i] = c.tick
-		return true
+	base, w := c.find(a)
+	if w < 0 {
+		c.noteMiss(mem.LineOf(a), base)
+		return false
 	}
-	return false
+	c.promote(base, w)
+	return true
 }
 
 // Insert brings the line containing a into the cache (most recently
 // used), evicting the LRU way of its set if full. Inserting a present
 // line just refreshes LRU. The victim, if any, is reported to onEvict.
-// Hit check, free-way search and LRU victim selection share one pass
-// over the set.
-func (c *Cache) Insert(a mem.Addr) {
+// The free way is the lowest-index invalid way of the set. Insert
+// returns the flat way index now holding the line (see FindWay).
+func (c *Cache) Insert(a mem.Addr) int {
 	la := mem.LineOf(a)
-	tag := uint64(la) | 1
-	b := c.base(la)
-	free, victim := -1, -1
-	for i := b; i < b+c.ways; i++ {
-		switch t := c.tags[i]; {
-		case t == tag:
-			c.tick++
-			c.used[i] = c.tick
-			return
-		case t == 0:
-			if free < 0 {
-				free = i
-			}
-		case free < 0 && (victim < 0 || c.used[i] < c.used[victim]):
-			victim = i
+	slot := c.setOf(la) << c.wayShift
+	base, w := c.missBase, c.missFree
+	if c.missGen != c.gen || c.missLine != la {
+		if base, w = c.find(la); w >= 0 {
+			c.promote(base, w)
+			return slot + w
 		}
+		c.noteMiss(la, base)
+		w = c.missFree
 	}
-	if free >= 0 {
-		victim = free
-	} else if c.onEvict != nil {
-		c.onEvict(Eviction{Addr: mem.Addr(c.tags[victim] &^ 1), Dirty: c.dirty[victim]})
+	if w < 0 {
+		w = c.lru(base)
+		victim := c.sets[base+w]
+		if c.onEvict != nil {
+			c.onEvict(Eviction{Addr: mem.Addr(victim &^ tagFlags), Dirty: victim&tagDirty != 0})
+		}
+		if c.presence != nil {
+			c.presence.dec(mem.Addr(victim &^ tagFlags))
+		}
 	}
 	if c.presence != nil {
-		if free < 0 {
-			c.presence[c.phash(mem.Addr(c.tags[victim]&^1))]--
-		}
-		c.presence[c.phash(la)]++
+		c.presence.inc(la)
 	}
-	c.tick++
-	c.tags[victim] = tag
-	c.used[victim] = c.tick
-	c.dirty[victim] = false
+	c.sets[base+w] = uint64(la) | tagValid
+	c.promote(base, w)
+	c.gen++
+	return slot + w
 }
 
 // MarkDirty sets the dirty bit of a present line; it reports whether the
 // line was present.
 func (c *Cache) MarkDirty(a mem.Addr) bool {
-	if i := c.find(a); i >= 0 {
-		c.dirty[i] = true
+	if base, w := c.find(a); w >= 0 {
+		c.sets[base+w] |= tagDirty
 		return true
 	}
 	return false
@@ -248,8 +304,8 @@ func (c *Cache) MarkDirty(a mem.Addr) bool {
 
 // CleanLine clears the dirty bit (after a write-back) of a present line.
 func (c *Cache) CleanLine(a mem.Addr) {
-	if i := c.find(a); i >= 0 {
-		c.dirty[i] = false
+	if base, w := c.find(a); w >= 0 {
+		c.sets[base+w] &^= tagDirty
 	}
 }
 
@@ -257,13 +313,12 @@ func (c *Cache) CleanLine(a mem.Addr) {
 // caller decides what to do with its contents). It reports whether the
 // line was present and whether it was dirty.
 func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
-	if i := c.find(a); i >= 0 {
-		present, dirty = true, c.dirty[i]
-		c.tags[i] = 0
-		c.used[i] = 0
-		c.dirty[i] = false
+	if base, w := c.find(a); w >= 0 {
+		present, dirty = true, c.sets[base+w]&tagDirty != 0
+		c.sets[base+w] = 0
+		c.gen++
 		if c.presence != nil {
-			c.presence[c.phash(mem.LineOf(a))]--
+			c.presence.dec(mem.LineOf(a))
 		}
 	}
 	return
@@ -272,9 +327,11 @@ func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
 // ForEach visits every valid line (set order, way order). The callback
 // must not mutate the cache.
 func (c *Cache) ForEach(fn func(addr mem.Addr, dirty bool)) {
-	for i, tag := range c.tags {
-		if tag != 0 {
-			fn(mem.Addr(tag&^1), c.dirty[i])
+	for base := 1; base < len(c.sets); base += c.stride {
+		for _, t := range c.sets[base : base+c.ways] {
+			if t != 0 {
+				fn(mem.Addr(t&^tagFlags), t&tagDirty != 0)
+			}
 		}
 	}
 }
@@ -282,19 +339,61 @@ func (c *Cache) ForEach(fn func(addr mem.Addr, dirty bool)) {
 // Len returns the number of valid lines.
 func (c *Cache) Len() int {
 	n := 0
-	for _, tag := range c.tags {
-		if tag != 0 {
-			n++
-		}
-	}
+	c.ForEach(func(mem.Addr, bool) { n++ })
 	return n
 }
 
-// Reset empties the cache and clears counters.
+// Reset empties the cache and clears counters. A shared presence filter
+// loses exactly this cache's lines; the other caches' counts stay.
 func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.used)
-	clear(c.dirty)
-	clear(c.presence)
-	c.tick, c.Hits, c.Misses = 0, 0, 0
+	if c.presence != nil {
+		c.ForEach(func(a mem.Addr, _ bool) { c.presence.dec(a) })
+	}
+	clear(c.sets)
+	c.gen++
+	c.Hits, c.Misses = 0, 0
+}
+
+// Presence is a counting filter over the line addresses resident in a
+// group of caches (the machine's L1s): a zero counter proves that no
+// cache of the group holds the line, so a snoop broadcast to the group
+// can be skipped. It has no false negatives; hash collisions only cost
+// a redundant broadcast.
+type Presence struct {
+	counts []uint16
+}
+
+// NewPresence returns a filter for a group holding at most lines lines
+// in total, sized at 8× that (rounded up to a power of two).
+func NewPresence(lines int) *Presence {
+	n := 1
+	for n < 8*lines {
+		n <<= 1
+	}
+	return &Presence{counts: make([]uint16, n)}
+}
+
+// bucket maps a line address to its counter.
+func (p *Presence) bucket(la mem.Addr) int {
+	return int(uint64(la)/mem.LineSize) & (len(p.counts) - 1)
+}
+
+func (p *Presence) inc(la mem.Addr) { p.counts[p.bucket(la)]++ }
+func (p *Presence) dec(la mem.Addr) { p.counts[p.bucket(la)]-- }
+
+// MaybeContains reports whether the line containing a could be resident
+// in any cache of the group: false is definitive, true means "snoop to
+// know".
+func (p *Presence) MaybeContains(a mem.Addr) bool {
+	return p.counts[p.bucket(a)] != 0
+}
+
+// SharePresence makes c count its resident lines in p. It must be
+// called on an empty cache — typically right after New — because the
+// counters track fills from then on.
+func (c *Cache) SharePresence(p *Presence) {
+	if c.Len() != 0 {
+		panic(fmt.Sprintf("cache %s: SharePresence on a non-empty cache", c.name))
+	}
+	c.presence = p
 }

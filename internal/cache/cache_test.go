@@ -22,7 +22,11 @@ func addrInSet(s, i int) mem.Addr {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	for _, c := range []struct{ size, ways int }{{100, 2}, {0, 1}, {3 * 64 * 2, 2}} {
+	for _, c := range []struct{ size, ways int }{
+		{100, 2}, {0, 1}, {3 * 64 * 2, 2},
+		// The packed LRU stack holds at most 16 power-of-two ways.
+		{4 * 64 * 17, 17}, {4 * 64 * 32, 32}, {4 * 64 * 3, 3},
+	} {
 		func() {
 			defer func() {
 				if recover() == nil {

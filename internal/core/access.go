@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"uhtm/internal/cache"
 	"uhtm/internal/coherence"
@@ -149,6 +150,8 @@ func (m *Machine) probeOffChip(core int, la mem.Addr, tx *Tx, domain int, write 
 	if tx != nil {
 		reqID = tx.id
 	}
+	// Every filter has Options.SigBits bits, so one key serves them all.
+	key := signature.NewKey(la, m.opts.SigBits)
 	for _, other := range m.activeInOrder() {
 		if tx != nil && other.id == tx.id {
 			continue
@@ -159,7 +162,7 @@ func (m *Machine) probeOffChip(core int, la mem.Addr, tx *Tx, domain int, write 
 		if m.opts.Isolation && other.domain != domain {
 			continue // signature isolation: different conflict domain
 		}
-		m.statsFor(other.domain).SigChecks++
+		other.domainStats.SigChecks++
 		var kind signature.CheckKind
 		switch m.opts.Detect {
 		case DetectIdeal:
@@ -171,15 +174,10 @@ func (m *Machine) probeOffChip(core int, la mem.Addr, tx *Tx, domain int, write 
 				matched = true
 			}
 		default:
-			if write {
-				kind = other.sig.CheckWrite(la)
-			} else {
-				kind = other.sig.CheckRead(la)
-			}
 			// Same sticky rule at filter granularity: read-filter hits on
 			// a read request set the check bit without aborting anyone.
-			if kind != signature.NoConflict ||
-				other.sig.Read.MayContain(la) || other.sig.Write.MayContain(la) {
+			var hit bool
+			if kind, hit = other.sig.Probe(&key, write); hit {
 				matched = true
 			}
 		}
@@ -215,17 +213,33 @@ func (m *Machine) idealCheck(other *Tx, la mem.Addr, write bool) signature.Check
 	return signature.NoConflict
 }
 
-// activeInOrder returns live transactions in ascending ID order so
-// victim processing is deterministic.
+// activeInOrder returns live transactions in core order. Conflict
+// victims are collected, aborted and traced in this order, so it fixes
+// which transaction a multi-victim probe aborts first — the figure
+// goldens depend on it. The returned slice is a snapshot: callers may
+// abort (and so retire) transactions while iterating it.
 func (m *Machine) activeInOrder() []*Tx {
 	out := m.activeScratch[:0]
-	for _, t := range m.byCore {
-		if t != nil && !t.finished {
-			out = append(out, t)
+	for w, word := range m.activeCores {
+		for word != 0 {
+			core := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if t := m.byCore[core]; t != nil && !t.finished {
+				out = append(out, t)
+			}
 		}
 	}
 	m.activeScratch = out
 	return out
+}
+
+// setActive records whether core runs an unfinished transaction.
+func (m *Machine) setActive(core int, on bool) {
+	if on {
+		m.activeCores[core>>6] |= 1 << (core & 63)
+	} else {
+		m.activeCores[core>>6] &^= 1 << (core & 63)
+	}
 }
 
 // resolve applies Table II: if exactly one side overflowed, the
@@ -432,6 +446,17 @@ func (m *Machine) evictionPending(la mem.Addr) bool {
 	return false
 }
 
+// invalidateL1s drops every L1 copy of line la. The shared presence
+// filter turns the common all-absent case into one counter read instead
+// of a way scan per L1.
+func (m *Machine) invalidateL1s(la mem.Addr) {
+	if m.l1Presence.MaybeContains(la) {
+		for _, l1 := range m.l1 {
+			l1.Invalidate(la)
+		}
+	}
+}
+
 // drainEvictions processes queued LLC victims: inclusive invalidation of
 // L1 copies, write-back of dirty data, and the transaction-overflow
 // machinery of Section IV-B.
@@ -440,14 +465,7 @@ func (m *Machine) drainEvictions(requester *Tx) {
 		e := m.pendingEvicts[m.evictHead]
 		m.evictHead++
 		la := e.Addr
-		// Inclusive LLC: drop L1 copies. The presence filter turns the
-		// common all-absent case into len(l1) array reads instead of
-		// len(l1) way scans.
-		for _, l1 := range m.l1 {
-			if l1.MaybeContains(la) {
-				l1.Invalidate(la)
-			}
-		}
+		m.invalidateL1s(la) // inclusive LLC: drop L1 copies
 		owner, sharers := m.dir.SurrenderLine(la)
 		if m.tr != nil {
 			var dirty uint64
@@ -545,7 +563,7 @@ func (m *Machine) overflowWrite(t *Tx, la mem.Addr, requester *Tx) {
 // via its own TSS flag (the access path re-checks it).
 func (m *Machine) capacityAbort(t *Tx, requester *Tx) {
 	if !t.status.overflowed {
-		m.statsFor(t.domain).Overflows++
+		t.domainStats.Overflows++
 		m.stats.Overflows++
 		m.emit(trace.EvTxOverflow, t.core, t.id, 0, 0, 0)
 	}
@@ -564,7 +582,7 @@ func (m *Machine) capacityAbort(t *Tx, requester *Tx) {
 func (m *Machine) markOverflowed(t *Tx) {
 	if !t.status.overflowed {
 		t.status.overflowed = true
-		m.statsFor(t.domain).Overflows++
+		t.domainStats.Overflows++
 		m.stats.Overflows++
 		m.emit(trace.EvTxOverflow, t.core, t.id, 0, 0, 0)
 	}
@@ -641,10 +659,4 @@ func (m *Machine) stickySet(la mem.Addr) {
 	}
 	p.gen[idx&(mem.PageLines-1)] = m.stickyGen
 	m.stickyAny = true
-}
-
-// statsFor returns the per-domain counters (machine-wide stats update on
-// commit/abort events elsewhere).
-func (m *Machine) statsFor(domain int) *stats.Stats {
-	return m.DomainStats(domain)
 }

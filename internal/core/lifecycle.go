@@ -40,6 +40,7 @@ func (m *Machine) begin(c *Ctx, attempt int, slow bool) *Tx {
 	tx.th = c.th
 	tx.id = id
 	tx.domain = c.domain
+	tx.domainStats = m.DomainStats(c.domain)
 	tx.attempt = attempt
 	tx.slowPath = slow
 	tx.rolledBack = false
@@ -51,6 +52,7 @@ func (m *Machine) begin(c *Ctx, attempt int, slow bool) *Tx {
 	tx.sig.Clear()
 	tx.resetTracking()
 	m.byCore[c.core] = tx
+	m.setActive(c.core, true)
 	c.th.Advance(beginCost)
 	if m.tr != nil {
 		var slowBit uint64
@@ -145,6 +147,7 @@ func (m *Machine) commit(tx *Tx) {
 // statistics.
 func (m *Machine) finishCommit(tx *Tx) {
 	tx.finished = true
+	m.setActive(tx.core, false)
 	if tx.status.overflowed {
 		m.noteSigOccupancy(tx)
 	}
@@ -165,7 +168,7 @@ func (m *Machine) finishCommit(tx *Tx) {
 	m.maybeReclaimRedo(tx.core)
 	m.clearSticky()
 
-	s := m.statsFor(tx.domain)
+	s := tx.domainStats
 	s.Commits++
 	s.ReadLines += uint64(tx.readCount)
 	s.WriteLines += uint64(len(tx.writeList))
@@ -201,6 +204,7 @@ func (m *Machine) rollback(tx *Tx) (cost sim.Time) {
 	}
 	tx.rolledBack = true
 	tx.finished = true
+	m.setActive(tx.core, false)
 	m.noteAbort(tx)
 	m.hit(PointAbortBegin)
 	cfg := m.cfg
@@ -215,9 +219,7 @@ func (m *Machine) rollback(tx *Tx) (cost sim.Time) {
 		if p, _ := m.llc.Invalidate(e.la); p {
 			onChip++
 		}
-		for _, l1 := range m.l1 {
-			l1.Invalidate(e.la)
-		}
+		m.invalidateL1s(e.la)
 	}
 	cost += sim.Time(onChip) * m.lat.AbortPerLine
 
@@ -267,7 +269,7 @@ func (m *Machine) finishAbort(tx *Tx, ab txAbort) {
 	cost := m.rollback(tx)
 	tx.th.Advance(cost)
 
-	s := m.statsFor(tx.domain)
+	s := tx.domainStats
 	s.AbortsBy[ab.cause]++
 	m.stats.AbortsBy[ab.cause]++
 }
@@ -540,6 +542,7 @@ func (m *Machine) Crash() {
 	for i := range m.byCore {
 		m.byCore[i] = nil
 	}
+	clear(m.activeCores)
 	m.stickyReset()
 }
 

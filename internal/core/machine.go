@@ -211,11 +211,15 @@ type Machine struct {
 	lat  Latencies
 	eng  *sim.Engine
 
-	store  *mem.Store
-	l1     []*cache.Cache
-	llc    *cache.Cache
-	dcache *dramcache.Cache
-	dir    *coherence.Directory
+	store *mem.Store
+	l1    []*cache.Cache
+	llc   *cache.Cache
+	// l1Presence counts the lines resident in all L1s together: a zero
+	// counter lets the inclusive-invalidation snoop of an LLC victim
+	// skip the L1s altogether.
+	l1Presence *cache.Presence
+	dcache     *dramcache.Cache
+	dir        *coherence.Directory
 
 	undoRings *wal.Rings // DRAM log area, per core
 	redoRings *wal.Rings // NVM log area, per core
@@ -256,6 +260,9 @@ type Machine struct {
 	txCounter  uint64
 	lsnCounter uint64 // global commit sequence (log-serialization order)
 	byCore     []*Tx  // current transaction per core (nil if none)
+	// activeCores has bit c set while core c runs an unfinished
+	// transaction, so activeInOrder visits only live cores.
+	activeCores []uint64
 	// txPool holds each core's reusable Tx object (one live transaction
 	// per core; only that core's thread begins transactions on it, so
 	// the slot is recycled strictly after the previous attempt unwound).
@@ -347,6 +354,7 @@ func NewMachine(eng *sim.Engine, cfg mem.Config, opts Options) *Machine {
 		store:        mem.NewStore(cfg),
 		dir:          coherence.NewDirectory(),
 		byCore:       make([]*Tx, cfg.Cores),
+		activeCores:  make([]uint64, (cfg.Cores+63)/64),
 		txPool:       make([]*Tx, cfg.Cores),
 		locks:        make(map[int]*domainLock),
 		stats:        &stats.Stats{},
@@ -362,16 +370,17 @@ func NewMachine(eng *sim.Engine, cfg mem.Config, opts Options) *Machine {
 		m.coreDomain[i] = -1
 	}
 	m.llc = cache.New("llc", cfg.LLCSize, cfg.LLCWays, m.onLLCEvict)
+	// L1s take the brunt of inclusive-invalidation snoops (every LLC
+	// eviction probes all of them); one presence filter over all of them
+	// lets a snoop skip the broadcast when no L1 can hold the victim. The
+	// LLC is not filtered — nothing bulk-probes it.
+	m.l1Presence = cache.NewPresence(cfg.Cores * (cfg.L1Size / mem.LineSize))
 	for i := 0; i < cfg.Cores; i++ {
 		core := i
 		l1 := cache.New(fmt.Sprintf("l1.%d", i), cfg.L1Size, cfg.L1Ways, func(e cache.Eviction) {
 			m.onL1Evict(core, e)
 		})
-		// L1s take the brunt of inclusive-invalidation snoops (every LLC
-		// eviction probes all of them); the presence filter lets those
-		// probes skip caches that provably don't hold the victim. The LLC
-		// is not filtered — nothing bulk-probes it.
-		l1.EnableFilter()
+		l1.SharePresence(m.l1Presence)
 		m.l1 = append(m.l1, l1)
 	}
 	m.dcache = dramcache.New(cfg.DRAMCacheSize, cfg.DRAMCacheWays)

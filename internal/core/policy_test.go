@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"uhtm/internal/mem"
@@ -277,5 +278,29 @@ func TestSerialReplayEquivalence(t *testing.T) {
 	}
 	if len(m.CommitLog()) != 120 {
 		t.Errorf("commit log has %d entries, want 120", len(m.CommitLog()))
+	}
+}
+
+// TestActiveInOrderAcrossWords: the live-transaction walk visits cores
+// in ascending order across the 64-core words of its bitset (victim
+// order feeds the goldens), and skips retired transactions.
+func TestActiveInOrderAcrossWords(t *testing.T) {
+	cfg := testConfig()
+	cfg.Cores = 200
+	m := NewMachine(sim.NewEngine(1), cfg, DefaultOptions())
+	cores := []int{199, 3, 64, 130, 63, 128}
+	for _, c := range cores {
+		m.byCore[c] = &Tx{core: c}
+		m.setActive(c, true)
+	}
+	m.byCore[130].finished = true
+	m.setActive(130, false)
+	var got []int
+	for _, tx := range m.activeInOrder() {
+		got = append(got, tx.core)
+	}
+	want := []int{3, 63, 64, 128, 199}
+	if !slices.Equal(got, want) {
+		t.Errorf("activeInOrder visited cores %v, want %v", got, want)
 	}
 }

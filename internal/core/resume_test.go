@@ -68,3 +68,56 @@ func TestContextSwitchRoundTrip(t *testing.T) {
 		t.Errorf("worker resumed at %v, before the 100us switch-in point", resumedAt)
 	}
 }
+
+// TestSwitchOutKeepsOtherL1sSnooped: the L1s share one presence filter,
+// so a core's switch-out flush must remove only its own lines from it.
+// Line X sits in core 1's L1 while core 0 switches out; when the LLC
+// later evicts X, inclusion still requires X to leave core 1's L1. A
+// flush that wiped the shared counters would skip that snoop.
+func TestSwitchOutKeepsOtherL1sSnooped(t *testing.T) {
+	eng, m := newTestMachine(DefaultOptions())
+	llcSets, ways := m.llc.Sets(), m.llc.Ways()
+	base := mem.NewAllocator(mem.DRAM).AllocLines(llcSets * (2*ways + 2))
+	x := base
+	y := base + mem.LineSize // core 0's line: another set and counter
+	// X's LLC set-mates, skipping those that share X's presence counter
+	// (the filter has 8 counters per L1 line, a multiple of llcSets
+	// here): a shared counter would mask the missing snoop.
+	counters := 8 * m.cfg.Cores * (m.cfg.L1Size / mem.LineSize)
+	var mates []mem.Addr
+	for k := 1; len(mates) < ways; k++ {
+		if k*llcSets%counters != 0 {
+			mates = append(mates, x+mem.Addr(k*llcSets)*mem.LineSize)
+		}
+	}
+	// Cores are thread IDs, in spawn order.
+	switched := eng.Spawn("core0", func(th *sim.Thread) {
+		th.Advance(sim.Microsecond)
+		th.Sync()
+		c := m.NewCtx(th, 0)
+		c.NTReadU64(y)
+		c.ContextSwitchOut()
+		th.Sync()
+	})
+	eng.Spawn("core1", func(th *sim.Thread) {
+		m.NewCtx(th, 0).NTReadU64(x)
+	})
+	eng.Spawn("core2", func(th *sim.Thread) {
+		th.WaitUntil(func() bool { return switched.Suspended() }, 5*sim.Nanosecond)
+		if !m.l1[1].Contains(x) || !m.llc.Contains(x) {
+			t.Fatal("setup: X not in core 1's L1 and the LLC")
+		}
+		c := m.NewCtx(th, 0)
+		for _, a := range mates {
+			c.NTReadU64(a)
+		}
+		if m.llc.Contains(x) {
+			t.Fatal("setup: set-mate fills did not evict X from the LLC")
+		}
+		if m.l1[1].Contains(x) {
+			t.Error("X survived its LLC eviction in core 1's L1: the switch-out flush lost core 1's presence count")
+		}
+		m.NewCtx(switched, 0).ContextSwitchIn(th.Clock())
+	})
+	eng.Run()
+}

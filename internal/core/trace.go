@@ -65,7 +65,7 @@ func (m *Machine) noteSigOccupancy(tx *Tx) {
 	if b > 9 {
 		b = 9
 	}
-	m.statsFor(tx.domain).SigOccupancy[b]++
+	tx.domainStats.SigOccupancy[b]++
 	m.stats.SigOccupancy[b]++
 	m.emit(trace.EvSigOccupancy, tx.core, tx.id, 0, uint64(wf*1e4), uint64(rf*1e4))
 }
@@ -118,7 +118,7 @@ func (m *Machine) noteSlowWait(c *Ctx, d sim.Time, acquire bool) {
 	if d <= 0 {
 		return
 	}
-	m.statsFor(c.domain).SlowPathWait += d
+	m.DomainStats(c.domain).SlowPathWait += d
 	m.stats.SlowPathWait += d
 	var a uint64
 	if acquire {

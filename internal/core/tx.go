@@ -53,6 +53,9 @@ type Tx struct {
 	core   int
 	domain int
 	status *txStatus
+	// domainStats caches the domain's counters (Machine.DomainStats
+	// entries live as long as the machine).
+	domainStats *stats.Stats
 	// statusVal backs status — one TSS entry per core, reset per attempt.
 	statusVal txStatus
 

@@ -13,6 +13,7 @@
 package dramcache
 
 import (
+	"cmp"
 	"slices"
 
 	"uhtm/internal/cache"
@@ -22,17 +23,19 @@ import (
 
 // Cache is the DRAM cache. Per-line metadata (owning transaction and
 // commit state) lives in arrays parallel to the tag cache's ways, and
-// the per-transaction line index is an append-only slice validated
-// lazily against the current way owner — a stale entry (line evicted or
-// re-adopted by a newer transaction) is simply skipped when the list is
-// consumed.
+// the per-transaction index is an append-only slice of the ways the
+// transaction filled, validated lazily against the current way owner —
+// a stale entry (line evicted, or the way refilled for a newer owner)
+// is simply skipped when the list is consumed. Every way a transaction
+// owns was filled by it, so the list covers them all without a tag
+// search per line.
 type Cache struct {
 	tags      *cache.Cache
 	txOf      []uint64 // owning transaction per way; meaningful while the way is valid
 	committed []bool
-	byTx      map[uint64][]mem.Addr
-	freeLists [][]mem.Addr // recycled byTx slices
-	scratch   []mem.Addr   // DrainAll victim collection
+	byTx      map[uint64][]int
+	freeLists [][]int // recycled byTx slices
+	scratch   []int   // DrainAll victim collection
 
 	// Drains counts committed lines displaced (their lazy in-place
 	// update is due); Drops counts uncommitted lines discarded (the redo
@@ -48,7 +51,7 @@ type Cache struct {
 
 // New builds a DRAM cache of the given geometry.
 func New(size, ways int) *Cache {
-	c := &Cache{byTx: make(map[uint64][]mem.Addr)}
+	c := &Cache{byTx: make(map[uint64][]int)}
 	c.tags = cache.New("dram$", size, ways, c.onEvict)
 	n := c.tags.Sets() * c.tags.Ways()
 	c.txOf = make([]uint64, n)
@@ -85,7 +88,7 @@ func (c *Cache) onEvict(e cache.Eviction) {
 	}
 }
 
-func (c *Cache) index(tx uint64, la mem.Addr) {
+func (c *Cache) index(tx uint64, way int) {
 	if tx == 0 {
 		return
 	}
@@ -94,10 +97,27 @@ func (c *Cache) index(tx uint64, la mem.Addr) {
 		s = c.freeLists[len(c.freeLists)-1]
 		c.freeLists = c.freeLists[:len(c.freeLists)-1]
 	}
-	c.byTx[tx] = append(s, la)
+	c.byTx[tx] = append(s, way)
 }
 
-// release returns tx's line list to the free pool. A transaction's list
+// owned returns the line held by way i and whether it is valid and
+// owned by tx.
+func (c *Cache) owned(i int, tx uint64) (mem.Addr, bool) {
+	la, ok := c.tags.WayLine(i)
+	return la, ok && c.txOf[i] == tx
+}
+
+// sortByLine orders ways by the line they hold, so traced bulk
+// operations emit events in address order.
+func (c *Cache) sortByLine(ways []int) {
+	slices.SortFunc(ways, func(i, j int) int {
+		a, _ := c.tags.WayLine(i)
+		b, _ := c.tags.WayLine(j)
+		return cmp.Compare(a, b)
+	})
+}
+
+// release returns tx's way list to the free pool. A transaction's list
 // is consumed exactly once (commit or abort), so it can be recycled
 // immediately afterwards.
 func (c *Cache) release(tx uint64) {
@@ -112,14 +132,13 @@ func (c *Cache) release(tx uint64) {
 func (c *Cache) Insert(a mem.Addr, tx uint64) {
 	la := mem.LineOf(a)
 	c.emit(trace.EvDCFill, tx, la)
-	c.tags.Insert(la) // refresh on re-insert, may evict a victim otherwise
-	i := c.tags.FindWay(la)
+	i := c.tags.Insert(la) // refresh on re-insert, may evict a victim otherwise
 	// Re-inserted lines (the line bounced LLC→DRAM$ again) adopt the
 	// newest owner; the old owner's index entry goes stale and is
 	// skipped on consumption.
 	c.txOf[i] = tx
 	c.committed[i] = tx == 0
-	c.index(tx, la)
+	c.index(tx, i)
 }
 
 // Lookup reports whether a's line is buffered, refreshing LRU.
@@ -132,8 +151,8 @@ func (c *Cache) Contains(a mem.Addr) bool { return c.tags.Contains(a) }
 // number of lines marked.
 func (c *Cache) CommitTx(tx uint64) int {
 	n := 0
-	for _, la := range c.byTx[tx] {
-		if i := c.tags.FindWay(la); i >= 0 && c.txOf[i] == tx && !c.committed[i] {
+	for _, i := range c.byTx[tx] {
+		if _, ok := c.owned(i, tx); ok && !c.committed[i] {
 			c.committed[i] = true
 			n++
 		}
@@ -145,13 +164,13 @@ func (c *Cache) CommitTx(tx uint64) int {
 // InvalidateTx sets the invalidate bit on every buffered line of tx —
 // the abort path — and drops them. It returns the number invalidated.
 func (c *Cache) InvalidateTx(tx uint64) int {
-	lines := c.byTx[tx]
+	ways := c.byTx[tx]
 	if c.tracer != nil {
-		slices.Sort(lines)
+		c.sortByLine(ways)
 	}
 	n := 0
-	for _, la := range lines {
-		if i := c.tags.FindWay(la); i >= 0 && c.txOf[i] == tx {
+	for _, i := range ways {
+		if la, ok := c.owned(i, tx); ok {
 			c.tags.Invalidate(la)
 			c.emit(trace.EvDCDrop, tx, la)
 			n++
@@ -166,16 +185,19 @@ func (c *Cache) InvalidateTx(tx uint64) int {
 // Uncommitted lines stay.
 func (c *Cache) DrainAll() {
 	vs := c.scratch[:0]
-	for i := range c.txOf {
-		if la, ok := c.tags.WayLine(i); ok && c.committed[i] {
-			vs = append(vs, la)
+	for i, done := range c.committed {
+		if !done {
+			continue // most ways: skip decoding the tag
+		}
+		if _, ok := c.tags.WayLine(i); ok {
+			vs = append(vs, i)
 		}
 	}
 	if c.tracer != nil {
-		slices.Sort(vs)
+		c.sortByLine(vs)
 	}
-	for _, la := range vs {
-		i := c.tags.FindWay(la)
+	for _, i := range vs {
+		la, _ := c.tags.WayLine(i)
 		c.Drains++
 		c.emit(trace.EvDCDrain, c.txOf[i], la)
 		c.tags.Invalidate(la)

@@ -120,3 +120,24 @@ func TestNonTransactionalInsertCommitted(t *testing.T) {
 		t.Error("non-transactional line should be drain-eligible immediately")
 	}
 }
+
+// TestStaleWayEntriesSkipped: a transaction's index holds the ways it
+// filled. A way refilled for another transaction, or indexed twice,
+// must not be counted (or committed) for it.
+func TestStaleWayEntriesSkipped(t *testing.T) {
+	c := tiny()
+	c.Insert(nvmLine(0), 5) // set 0, way 0
+	c.Insert(nvmLine(2), 6) // set 0, way 1
+	c.Insert(nvmLine(4), 6) // evicts line 0: way 0 now tx 6's
+	c.Insert(nvmLine(0), 5) // evicts line 2: way 1 now tx 5's
+	c.Insert(nvmLine(0), 5) // refresh: way 1 indexed again
+	if n := c.CommitTx(5); n != 1 {
+		t.Errorf("CommitTx(5) = %d, want 1 (line 0 once, not tx 6's way)", n)
+	}
+	if n := c.InvalidateTx(6); n != 1 {
+		t.Errorf("InvalidateTx(6) = %d, want 1 (line 4; line 2 was evicted)", n)
+	}
+	if !c.Contains(nvmLine(0)) || c.Contains(nvmLine(4)) {
+		t.Error("wrong lines left after commit of 5 and abort of 6")
+	}
+}

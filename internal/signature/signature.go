@@ -49,6 +49,14 @@ func hash(a mem.Addr, idx int) uint64 {
 	return x
 }
 
+// bitOf maps a hash to a bit position of an nbits-bit filter.
+func bitOf(h uint64, nbits int) uint64 {
+	if n := uint64(nbits); n&(n-1) == 0 {
+		return h & (n - 1) // the paper's sizes: no division
+	}
+	return h % uint64(nbits)
+}
+
 // Filter is one hardware Bloom filter.
 type Filter struct {
 	words []uint64
@@ -68,10 +76,26 @@ func NewFilter(nbits int) *Filter {
 // Bits returns the filter's size in bits.
 func (f *Filter) Bits() int { return f.nbits }
 
+// Key is a line's bit positions in every filter of one size: probing
+// many same-sized filters for one line hashes it at most once per hash
+// function. Positions are computed on first use, so a probe that a
+// filter rules out early never pays for the remaining hashes.
+type Key struct {
+	line  mem.Addr
+	nbits int
+	n     int // positions computed so far
+	bits  [numHashes]uint32
+}
+
+// NewKey returns the key of the line containing a for nbits-bit filters.
+func NewKey(a mem.Addr, nbits int) Key {
+	return Key{line: mem.LineOf(a), nbits: nbits}
+}
+
 // Insert encodes the line containing a into the filter.
 func (f *Filter) Insert(a mem.Addr) {
 	for i := 0; i < numHashes; i++ {
-		b := hash(a, i) % uint64(f.nbits)
+		b := bitOf(hash(a, i), f.nbits)
 		f.words[b/64] |= 1 << (b % 64)
 	}
 	f.count++
@@ -80,8 +104,19 @@ func (f *Filter) Insert(a mem.Addr) {
 // MayContain reports whether a's line may have been inserted. False
 // means definitely not inserted (no false negatives).
 func (f *Filter) MayContain(a mem.Addr) bool {
+	k := NewKey(a, f.nbits)
+	return f.has(&k)
+}
+
+// has is MayContain for a key, which must have been built for this
+// filter's size.
+func (f *Filter) has(k *Key) bool {
 	for i := 0; i < numHashes; i++ {
-		b := hash(a, i) % uint64(f.nbits)
+		if i == k.n {
+			k.bits[i] = uint32(bitOf(hash(k.line, i), k.nbits))
+			k.n++
+		}
+		b := k.bits[i]
 		if f.words[b/64]&(1<<(b%64)) == 0 {
 			return false
 		}
@@ -214,22 +249,42 @@ func (k CheckKind) String() string {
 // this transaction's signatures: it conflicts if the line may be in
 // either the read or the write set.
 func (p *Pair) CheckWrite(a mem.Addr) CheckKind {
-	if !p.Read.MayContain(a) && !p.Write.MayContain(a) {
-		return NoConflict
-	}
-	if p.PreciseRead.Contains(a) || p.PreciseWrite.Contains(a) {
-		return TrueConflict
-	}
-	return FalsePositive
+	k := NewKey(a, p.Read.nbits)
+	return p.check(&k, true)
 }
 
 // CheckRead classifies an incoming *read* (shared) request: it conflicts
 // only if the line may be in the write set.
 func (p *Pair) CheckRead(a mem.Addr) CheckKind {
-	if !p.Write.MayContain(a) {
+	k := NewKey(a, p.Read.nbits)
+	return p.check(&k, false)
+}
+
+// Probe classifies a write (or read) request for key k like CheckWrite
+// (or CheckRead) and also reports whether either filter matched at all,
+// conflict or not — the hardware's signal to keep checking the line.
+func (p *Pair) Probe(k *Key, write bool) (kind CheckKind, matched bool) {
+	kind = p.check(k, write)
+	// Without a conflict a write missed both filters, but a read only
+	// missed the write filter: its read-filter hit still counts.
+	return kind, kind != NoConflict || (!write && p.Read.has(k))
+}
+
+// check is the classification behind CheckWrite, CheckRead and Probe.
+func (p *Pair) check(k *Key, write bool) CheckKind {
+	if write {
+		if !p.Read.has(k) && !p.Write.has(k) {
+			return NoConflict
+		}
+		if p.PreciseRead.Contains(k.line) || p.PreciseWrite.Contains(k.line) {
+			return TrueConflict
+		}
+		return FalsePositive
+	}
+	if !p.Write.has(k) {
 		return NoConflict
 	}
-	if p.PreciseWrite.Contains(a) {
+	if p.PreciseWrite.Contains(k.line) {
 		return TrueConflict
 	}
 	return FalsePositive

@@ -234,3 +234,42 @@ func TestQuickCheckAgreesWithShadow(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestProbeMatchesFilterRule: one key probed against several pairs
+// gives, for each, the CheckWrite/CheckRead verdict plus the sticky
+// rule "either filter matched", exactly as a fresh hash per call would.
+// 576 bits exercises the non-power-of-two bit mapping.
+func TestProbeMatchesFilterRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, nbits := range []int{Bits512, 576, Bits4K} {
+		pairs := make([]*Pair, 3)
+		for i := range pairs {
+			pairs[i] = NewPair(nbits)
+			for j := 0; j < 60; j++ {
+				pairs[i].AddRead(mem.Addr(rng.Intn(4096)) * mem.LineSize)
+				pairs[i].AddWrite(mem.Addr(rng.Intn(4096)) * mem.LineSize)
+			}
+		}
+		var kinds [3]int
+		for n := 0; n < 20000; n++ {
+			a := mem.Addr(rng.Intn(4096))*mem.LineSize + mem.Addr(rng.Intn(mem.LineSize))
+			write := rng.Intn(2) == 0
+			k := NewKey(a, nbits)
+			for _, p := range pairs {
+				want := p.CheckRead(a)
+				if write {
+					want = p.CheckWrite(a)
+				}
+				wantHit := want != NoConflict || p.Read.MayContain(a) || p.Write.MayContain(a)
+				got, hit := p.Probe(&k, write)
+				if got != want || hit != wantHit {
+					t.Fatalf("%d bits: Probe(%#x, write=%v) = (%v,%v), want (%v,%v)", nbits, uint64(a), write, got, hit, want, wantHit)
+				}
+				kinds[got]++
+			}
+		}
+		if kinds[TrueConflict] == 0 || kinds[FalsePositive] == 0 {
+			t.Fatalf("%d bits: probe mix produced %v (none/true/false-positive); want every kind", nbits, kinds)
+		}
+	}
+}
