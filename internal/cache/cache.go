@@ -11,6 +11,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"uhtm/internal/mem"
 )
@@ -25,42 +26,62 @@ type Eviction struct {
 type EvictFunc func(Eviction)
 
 // maxWays is the largest supported associativity: a set's LRU stack
-// packs one 4-bit way number per way into a uint64.
+// packs one 4-bit way number per way into a uint64, and a set's tags
+// fill at most one 64-byte host cache line.
 const maxWays = 16
 
-// Tag bits. Line addresses are 64-byte aligned, so the two low bits of
-// a tag are free: bit 0 marks the way valid (tag 0 means invalid, which
-// also disambiguates line address 0, a real DRAM line) and bit 1 is the
-// write-back dirty bit.
+// hostLine is the host CPU's cache-line size in bytes. The tag array
+// starts on a hostLine boundary, so no set's ways straddle two host
+// lines.
+const hostLine = 64
+
+// Tag words. A tag is the line's dense index (mem.LineIndex, computed
+// without branches by mem.UncheckedLineIndex) shifted above two flag
+// bits: bit 0 marks the way valid (tag 0 means invalid, which also
+// disambiguates DRAM line 0) and bit 1 is the write-back dirty bit.
+// Insert rejects an address outside both memory regions, whose index
+// would alias another line's.
 const (
 	tagValid = 1
 	tagDirty = 2
 	tagFlags = tagValid | tagDirty
+	tagShift = 2
 )
+
+// Every line index fits a tag word (the conversion overflows, a compile
+// error, otherwise).
+const _ = uint32(mem.LineCount<<tagShift - 1)
+
+// tagOf returns the flagless tag of the line containing a.
+func tagOf(a mem.Addr) uint32 { return uint32(mem.UncheckedLineIndex(a)) << tagShift }
+
+// lineOf inverts tagOf, ignoring flag bits.
+func lineOf(t uint32) mem.Addr { return mem.AddrOfLineIndex(uint64(t >> tagShift)) }
 
 // LRU stack constants: nibble k of a stack holds the way that is k-th
 // most recently used. Stacks are stored XORed with stackIdent (nibble k
-// = k), so a zero word is the identity order and an all-zero set record
-// is a valid empty set. Nibbles at or above the associativity keep
-// their identity values forever, which are never way numbers.
+// = k), so a zero word is the identity order and zeroed arrays are a
+// valid empty cache. Nibbles at or above the associativity keep their
+// identity values forever, which are never way numbers.
 const (
 	stackIdent = 0xFEDCBA9876543210
 	nibbleOnes = 0x1111111111111111
 )
 
-// Cache is one level of the hierarchy. Each set is one contiguous
-// record in sets: the set's packed LRU stack, then its ways tag words
-// (line address | flags, see tagValid). A lookup or fill therefore
-// touches one region of host memory. A way's flat slot (set*ways + way,
-// as FindWay and WayLine number them) maps to its record position by
-// shifts alone.
+// Cache is one level of the hierarchy. The ways of set s are the tag
+// words tags[s*ways : (s+1)*ways] — one aligned host cache line for a
+// 16-way set — and its packed LRU stack is stacks[s]. A lookup or fill
+// therefore touches one host line of tags and one stack word, and
+// Prefetch can start loading both ahead of use. A way's flat index
+// (set*ways + way, as FindWay and WayLine number them) is its tag's
+// position.
 type Cache struct {
 	name     string
-	sets     []uint64
+	tags     []uint32
+	stacks   []uint64
 	numSets  int
 	ways     int
 	wayShift uint // log2(ways)
-	stride   int  // words per set record: ways + 1
 	onEvict  EvictFunc
 
 	// gen counts tag mutations (fills, invalidations, resets). A miss
@@ -99,14 +120,24 @@ func New(name string, size, ways int, onEvict EvictFunc) *Cache {
 	}
 	return &Cache{
 		name:     name,
-		sets:     make([]uint64, numSets*(ways+1)),
+		tags:     alignedTags(numSets * ways),
+		stacks:   make([]uint64, numSets),
 		numSets:  numSets,
 		ways:     ways,
 		wayShift: uint(bits.TrailingZeros(uint(ways))),
-		stride:   ways + 1,
 		onEvict:  onEvict,
 		gen:      1,
 	}
+}
+
+// alignedTags returns n zeroed tag words starting on a hostLine
+// boundary. The Go heap does not move objects, so the alignment holds
+// for the slice's lifetime.
+func alignedTags(n int) []uint32 {
+	const per = hostLine / 4
+	buf := make([]uint32, n+per-1)
+	skip := (per - int(uintptr(unsafe.Pointer(&buf[0]))%hostLine)/4) % per
+	return buf[skip : skip+n : skip+n]
 }
 
 // Name returns the cache's label.
@@ -123,14 +154,14 @@ func (c *Cache) setOf(la mem.Addr) int {
 	return int(la/mem.LineSize) & (c.numSets - 1)
 }
 
-// find returns the position of a's set's first tag and the way holding
-// a's line, or -1.
+// find returns the flat index of a's set's first way and the way
+// holding a's line, or -1.
 func (c *Cache) find(a mem.Addr) (base, way int) {
-	tag := uint64(mem.LineOf(a)) | tagValid
-	base = c.setOf(a)*c.stride + 1
-	for i := base; i < base+c.ways; i++ {
-		if c.sets[i]&^tagDirty == tag {
-			return base, i - base
+	tag := tagOf(a) | tagValid
+	base = c.setOf(a) << c.wayShift
+	for i, t := range c.tags[base : base+c.ways] {
+		if t&^tagDirty == tag {
+			return base, i
 		}
 	}
 	return base, -1
@@ -140,7 +171,7 @@ func (c *Cache) find(a mem.Addr) (base, way int) {
 // first free way, for an Insert of the same line that follows.
 func (c *Cache) noteMiss(la mem.Addr, base int) {
 	free := -1
-	for i, t := range c.sets[base : base+c.ways] {
+	for i, t := range c.tags[base : base+c.ways] {
 		if t == 0 {
 			free = i
 			break
@@ -149,22 +180,22 @@ func (c *Cache) noteMiss(la mem.Addr, base int) {
 	c.missLine, c.missBase, c.missFree, c.missGen = la, base, free, c.gen
 }
 
-// promote makes way the most recently used of the set whose tags start
+// promote makes way the most recently used of the set whose ways start
 // at base. The stack's low nibble is stored as is (stackIdent's is 0),
 // so re-using the MRU way — the common hit — costs a load and compare.
 func (c *Cache) promote(base, way int) {
-	if c.sets[base-1]&0xF != uint64(way) {
+	if c.stacks[base>>c.wayShift]&0xF != uint64(way) {
 		c.moveToFront(base, way)
 	}
 }
 
 // moveToFront moves way to the front (low nibble) of the LRU stack of
-// the set whose tags start at base. It is kept out of line so that
+// the set whose ways start at base. It is kept out of line so that
 // promote, and with it the MRU check, inlines into every hit path.
 //
 //go:noinline
 func (c *Cache) moveToFront(base, way int) {
-	p := &c.sets[base-1]
+	p := &c.stacks[base>>c.wayShift]
 	s := *p ^ stackIdent
 	// Branch-free search for the nibble holding way: XOR turns it into
 	// the stack's only zero nibble, and the borrow trick flags the
@@ -175,14 +206,11 @@ func (c *Cache) moveToFront(base, way int) {
 	*p = (s&^(ahead<<4|0xF) | (s&ahead)<<4 | uint64(way)) ^ stackIdent
 }
 
-// lru returns the least recently used way of the set whose tags start
+// lru returns the least recently used way of the set whose ways start
 // at base.
 func (c *Cache) lru(base int) int {
-	return int((c.sets[base-1]^stackIdent)>>(4*uint(c.ways-1))) & 0xF
+	return int((c.stacks[base>>c.wayShift]^stackIdent)>>(4*uint(c.ways-1))) & 0xF
 }
-
-// pos returns the record position of flat way index i.
-func (c *Cache) pos(i int) int { return i + i>>c.wayShift + 1 }
 
 // FindWay returns the flat way index (set*ways + way) holding a's line,
 // or -1. It lets callers keep per-line metadata in arrays parallel to
@@ -190,9 +218,8 @@ func (c *Cache) pos(i int) int { return i + i>>c.wayShift + 1 }
 // the victim is still findable — it is overwritten only after the
 // callback returns.
 func (c *Cache) FindWay(a mem.Addr) int {
-	la := mem.LineOf(a)
-	if _, w := c.find(la); w >= 0 {
-		return c.setOf(la)<<c.wayShift + w
+	if base, w := c.find(a); w >= 0 {
+		return base + w
 	}
 	return -1
 }
@@ -200,8 +227,18 @@ func (c *Cache) FindWay(a mem.Addr) int {
 // WayLine reports the line address held by flat way index i and whether
 // that way is valid.
 func (c *Cache) WayLine(i int) (mem.Addr, bool) {
-	t := c.sets[c.pos(i)]
-	return mem.Addr(t &^ tagFlags), t != 0
+	t := c.tags[i]
+	return lineOf(t), t != 0
+}
+
+// Prefetch asks the host CPU to start loading the tags and LRU stack of
+// the set of a's line, so that a Touch, Lookup or Insert of that line a
+// few operations later does not wait on host memory. It changes no
+// cache state: a pipelined stream (core.Ctx.PolluteLLC) prefetches the
+// set of the line it will reach next while it works on the current one.
+func (c *Cache) Prefetch(a mem.Addr) {
+	s := c.setOf(a)
+	prefetch(&c.tags[s<<c.wayShift], &c.stacks[s])
 }
 
 // SetLookupHook installs (or, with nil, removes) an observer for Lookup
@@ -237,15 +274,17 @@ func (c *Cache) Contains(a mem.Addr) bool {
 // Dirty reports whether the line containing a is present and dirty.
 func (c *Cache) Dirty(a mem.Addr) bool {
 	base, w := c.find(a)
-	return w >= 0 && c.sets[base+w]&tagDirty != 0
+	return w >= 0 && c.tags[base+w]&tagDirty != 0
 }
 
 // Touch refreshes the LRU position of a present line — exactly what
 // Insert does on a hit — and reports whether the line was present. On a
 // miss it changes nothing, and an Insert of the same line that follows
 // with no fill or invalidation in between reuses the miss's set scan.
-// The LLC pollution stream uses the pair to resolve presence, act
-// before filling, then fill, in one way scan.
+// Both read only the set's host line of tags and its stack word, which
+// a Prefetch of the line issued a few operations earlier has usually
+// brought in. The LLC pollution stream uses the three to resolve
+// presence, act before filling, then fill, in one way scan per miss.
 func (c *Cache) Touch(a mem.Addr) bool {
 	base, w := c.find(a)
 	if w < 0 {
@@ -260,43 +299,48 @@ func (c *Cache) Touch(a mem.Addr) bool {
 // used), evicting the LRU way of its set if full. Inserting a present
 // line just refreshes LRU. The victim, if any, is reported to onEvict.
 // The free way is the lowest-index invalid way of the set. Insert
-// returns the flat way index now holding the line (see FindWay).
+// returns the flat way index now holding the line (see FindWay). It
+// panics on an address outside the DRAM and NVM regions, whose tag
+// would alias another line's.
 func (c *Cache) Insert(a mem.Addr) int {
 	la := mem.LineOf(a)
-	slot := c.setOf(la) << c.wayShift
 	base, w := c.missBase, c.missFree
 	if c.missGen != c.gen || c.missLine != la {
 		if base, w = c.find(la); w >= 0 {
 			c.promote(base, w)
-			return slot + w
+			return base + w
 		}
 		c.noteMiss(la, base)
 		w = c.missFree
 	}
+	idx := mem.UncheckedLineIndex(la)
+	if idx >= mem.LineCount || mem.AddrOfLineIndex(idx) != la {
+		panic(fmt.Sprintf("cache %s: address %#x outside DRAM and NVM regions", c.name, uint64(a)))
+	}
 	if w < 0 {
 		w = c.lru(base)
-		victim := c.sets[base+w]
+		victim := c.tags[base+w]
 		if c.onEvict != nil {
-			c.onEvict(Eviction{Addr: mem.Addr(victim &^ tagFlags), Dirty: victim&tagDirty != 0})
+			c.onEvict(Eviction{Addr: lineOf(victim), Dirty: victim&tagDirty != 0})
 		}
 		if c.presence != nil {
-			c.presence.dec(mem.Addr(victim &^ tagFlags))
+			c.presence.dec(lineOf(victim))
 		}
 	}
 	if c.presence != nil {
 		c.presence.inc(la)
 	}
-	c.sets[base+w] = uint64(la) | tagValid
+	c.tags[base+w] = uint32(idx)<<tagShift | tagValid
 	c.promote(base, w)
 	c.gen++
-	return slot + w
+	return base + w
 }
 
 // MarkDirty sets the dirty bit of a present line; it reports whether the
 // line was present.
 func (c *Cache) MarkDirty(a mem.Addr) bool {
 	if base, w := c.find(a); w >= 0 {
-		c.sets[base+w] |= tagDirty
+		c.tags[base+w] |= tagDirty
 		return true
 	}
 	return false
@@ -305,7 +349,7 @@ func (c *Cache) MarkDirty(a mem.Addr) bool {
 // CleanLine clears the dirty bit (after a write-back) of a present line.
 func (c *Cache) CleanLine(a mem.Addr) {
 	if base, w := c.find(a); w >= 0 {
-		c.sets[base+w] &^= tagDirty
+		c.tags[base+w] &^= tagDirty
 	}
 }
 
@@ -314,8 +358,8 @@ func (c *Cache) CleanLine(a mem.Addr) {
 // line was present and whether it was dirty.
 func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
 	if base, w := c.find(a); w >= 0 {
-		present, dirty = true, c.sets[base+w]&tagDirty != 0
-		c.sets[base+w] = 0
+		present, dirty = true, c.tags[base+w]&tagDirty != 0
+		c.tags[base+w] = 0
 		c.gen++
 		if c.presence != nil {
 			c.presence.dec(mem.LineOf(a))
@@ -327,11 +371,9 @@ func (c *Cache) Invalidate(a mem.Addr) (present, dirty bool) {
 // ForEach visits every valid line (set order, way order). The callback
 // must not mutate the cache.
 func (c *Cache) ForEach(fn func(addr mem.Addr, dirty bool)) {
-	for base := 1; base < len(c.sets); base += c.stride {
-		for _, t := range c.sets[base : base+c.ways] {
-			if t != 0 {
-				fn(mem.Addr(t&^tagFlags), t&tagDirty != 0)
-			}
+	for _, t := range c.tags {
+		if t != 0 {
+			fn(lineOf(t), t&tagDirty != 0)
 		}
 	}
 }
@@ -349,7 +391,8 @@ func (c *Cache) Reset() {
 	if c.presence != nil {
 		c.ForEach(func(a mem.Addr, _ bool) { c.presence.dec(a) })
 	}
-	clear(c.sets)
+	clear(c.tags)
+	clear(c.stacks)
 	c.gen++
 	c.Hits, c.Misses = 0, 0
 }

@@ -120,12 +120,13 @@ type diffRig struct {
 	m       *stampLRU
 	evs     []Eviction
 	checked int // evictions already compared with the model
-	base    mem.Addr
 	lines   int // address window in lines
+	block   int // lines per window block (see addr)
 }
 
-func newDiffRig(t testing.TB, sets, ways, window int) *diffRig {
-	r := &diffRig{t: t, m: newStampLRU(sets, ways), base: mem.NVMBase, lines: window}
+func newDiffRig(t testing.TB, sets, ways int) *diffRig {
+	r := &diffRig{t: t, m: newStampLRU(sets, ways), block: sets * ways}
+	r.lines = len(windowBlocks) * r.block
 	r.c = New("diff", sets*ways*mem.LineSize, ways, func(e Eviction) {
 		// The victim is still findable during the callback.
 		if r.c.FindWay(e.Addr) < 0 {
@@ -136,8 +137,25 @@ func newDiffRig(t testing.TB, sets, ways, window int) *diffRig {
 	return r
 }
 
+// windowBlocks anchor the blocks of the address window at both ends of
+// both regions: DRAM line 0, the last DRAM line, mem.NVMBase and the
+// last NVM line all fall in it, so packed tags are checked where the
+// region bits change. A block marked end finishes at its region's end.
+var windowBlocks = []struct {
+	base mem.Addr
+	end  bool
+}{{mem.DRAMBase, false}, {mem.DRAMBase + mem.DRAMSize, true}, {mem.NVMBase, false}, {mem.NVMBase + mem.NVMSize, true}}
+
+// addr maps a window line to its address. Every block holds a whole
+// number of cache capacities, so line and line + k*sets share a set.
 func (r *diffRig) addr(line int) mem.Addr {
-	return r.base + mem.Addr(line%r.lines)*mem.LineSize
+	line %= r.lines
+	b := windowBlocks[line/r.block]
+	a := b.base + mem.Addr(line%r.block)*mem.LineSize
+	if b.end {
+		a -= mem.Addr(r.block) * mem.LineSize
+	}
+	return a
 }
 
 // sameSet returns a line index in the same set as line.
@@ -268,25 +286,30 @@ func (r *diffRig) finish() {
 	}
 }
 
-// diffGeometries are the associativities the differential tests cover:
-// every one the simulator configures.
-var diffGeometries = []int{2, 4, 8, 16}
+// diffGeometries are the shapes the differential tests cover: every
+// associativity the simulator configures, with several sets and with
+// one (the server tests' caches have one set).
+var diffGeometries = []struct{ sets, ways int }{
+	{4, 2}, {4, 4}, {4, 8}, {4, 16},
+	{1, 2}, {1, 4}, {1, 8}, {1, 16},
+	{8, 2}, {8, 4}, {8, 8}, {8, 16},
+}
 
 // TestCacheMatchesStampLRUModel runs a seeded random op mix against the
 // packed-stack cache and the timestamp model over each geometry and
-// requires identical evictions, answers and way numbering.
+// requires identical evictions, answers and way numbering. Addresses
+// come from both ends of both memory regions.
 func TestCacheMatchesStampLRUModel(t *testing.T) {
-	for _, ways := range diffGeometries {
+	for _, g := range diffGeometries {
 		for seed := int64(1); seed <= 4; seed++ {
-			rng := rand.New(rand.NewSource(seed*100 + int64(ways)))
-			const sets = 8
-			r := newDiffRig(t, sets, ways, sets*ways*3)
+			rng := rand.New(rand.NewSource(seed*100 + int64(g.sets*g.ways)))
+			r := newDiffRig(t, g.sets, g.ways)
 			for n := 0; n < 20000; n++ {
 				r.step(n, cacheOp{kind: byte(rng.Intn(numCacheOps)), line: rng.Intn(r.lines), other: rng.Intn(64)})
 			}
 			r.finish()
 			if len(r.evs) == 0 {
-				t.Fatalf("ways=%d seed=%d: op mix produced no evictions", ways, seed)
+				t.Fatalf("sets=%d ways=%d seed=%d: op mix produced no evictions", g.sets, g.ways, seed)
 			}
 		}
 	}
@@ -302,18 +325,49 @@ func FuzzCacheMatchesModel(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 8, 0, 0, 0, 16, 0, 0, 24, 0, 7, 0, 3, 2, 8, 4})
 	f.Add([]byte{2, 5, 3, 1, 7, 9, 0, 8, 64, 5, 4, 3, 9, 0, 16, 2, 11, 0})
 	f.Add([]byte{3, 0, 0, 0, 0, 16, 0, 0, 32, 0, 9, 0, 1, 8, 7, 3, 7, 2, 0, 4, 5, 6, 0, 9})
+	// 1-set, 2-way: DRAM line 0, the last DRAM line, then NVM lines that
+	// evict them.
+	f.Add([]byte{4, 0, 0, 0, 0, 3, 0, 0, 4, 0, 0, 7, 0, 5, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		ways := diffGeometries[int(data[0])%len(diffGeometries)]
-		const sets = 4
-		r := newDiffRig(t, sets, ways, sets*ways*3)
+		g := diffGeometries[int(data[0])%len(diffGeometries)]
+		r := newDiffRig(t, g.sets, g.ways)
 		for n, i := 0, 1; i+2 < len(data); n, i = n+1, i+3 {
 			r.step(n, cacheOp{kind: data[i], line: int(data[i+1]), other: int(data[i+2])})
 		}
 		r.finish()
 	})
+}
+
+// TestTagPackRoundTrip checks that a tag is the dense line index above
+// the flags at both ends of both regions, and that Insert rejects
+// addresses outside them rather than aliasing.
+func TestTagPackRoundTrip(t *testing.T) {
+	last := func(base, size mem.Addr) mem.Addr { return base + size - mem.LineSize }
+	for _, a := range []mem.Addr{
+		mem.DRAMBase, mem.DRAMBase + mem.LineSize + 5, mem.DRAMLogBase, last(mem.DRAMBase, mem.DRAMSize),
+		mem.NVMBase, mem.NVMBase + 3*mem.LineSize + 63, mem.NVMLogBase, last(mem.NVMBase, mem.NVMSize),
+	} {
+		tag := tagOf(a)
+		if uint64(tag>>tagShift) != mem.LineIndex(a) || tag&tagFlags != 0 {
+			t.Errorf("tagOf(%#x) = %#x, want line index %#x above the flags", uint64(a), tag, mem.LineIndex(a))
+		}
+		if got := lineOf(tag | tagFlags); got != mem.LineOf(a) {
+			t.Errorf("lineOf(tagOf(%#x)) = %#x", uint64(a), uint64(got))
+		}
+	}
+	for _, a := range []mem.Addr{mem.DRAMBase + mem.DRAMSize, mem.NVMBase - mem.LineSize, mem.NVMBase + mem.NVMSize, 1 << 41} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Insert(%#x) outside both regions did not panic", uint64(a))
+				}
+			}()
+			New("range", 4*mem.LineSize, 4, nil).Insert(a)
+		}()
+	}
 }
 
 // BenchmarkPollutionStream measures the LLC pollution stream's miss

@@ -1,0 +1,7 @@
+//go:build !amd64
+
+package cache
+
+// prefetch is a no-op on architectures without a prefetch stub; the
+// cache behaves the same, only without the overlap.
+func prefetch(*uint32, *uint64) {}

@@ -88,7 +88,7 @@ func (m *Machine) accessEx(th *sim.Thread, core int, tx *Tx, a mem.Addr, write, 
 		probe = !llcResident || m.stickyHas(la)
 	}
 	if probe {
-		vs, matched := m.probeOffChip(core, la, tx, domain, write)
+		vs, matched := m.probeOffChip(core, la, tx, write, m.probeScope(domain))
 		victims = append(victims, vs...)
 		if matched && !llcResident {
 			m.stickySet(la)
@@ -137,13 +137,30 @@ func (m *Machine) ntDomain(core int) int {
 	return -1
 }
 
-// probeOffChip checks the request against other transactions'
-// signatures. Scope follows the isolation option: with isolation only
-// same-domain signatures are consulted; without it, every signature in
-// the machine is (the consolidated-environment false-conflict source the
-// optimization removes). It returns conflicting victims and whether any
-// signature matched at all (for the sticky bit).
-func (m *Machine) probeOffChip(core int, la mem.Addr, tx *Tx, domain int, write bool) ([]victim, bool) {
+// probeScope returns, in core order, the transactions whose signatures
+// an off-chip request from domain consults: live and not serialized (a
+// slow-path transaction cannot conflict within its domain). Scope
+// follows the isolation option: with isolation only same-domain
+// signatures are in it; without it, every signature in the machine is
+// (the consolidated-environment false-conflict source the optimization
+// removes). The slice is a reusable buffer, valid until the next call.
+func (m *Machine) probeScope(domain int) []*Tx {
+	out := m.scopeScratch[:0]
+	for _, t := range m.activeInOrder() {
+		if !t.slowPath && (!m.opts.Isolation || t.domain == domain) {
+			out = append(out, t)
+		}
+	}
+	m.scopeScratch = out
+	return out
+}
+
+// probeOffChip checks the request against the signatures of scope
+// (probeScope of the request's domain, possibly computed once for a
+// batch of requests), skipping the requester's own. It returns
+// conflicting victims and whether any signature matched at all (for
+// the sticky bit).
+func (m *Machine) probeOffChip(core int, la mem.Addr, tx *Tx, write bool, scope []*Tx) ([]victim, bool) {
 	var out []victim
 	matched := false
 	reqID := uint64(0)
@@ -152,15 +169,9 @@ func (m *Machine) probeOffChip(core int, la mem.Addr, tx *Tx, domain int, write 
 	}
 	// Every filter has Options.SigBits bits, so one key serves them all.
 	key := signature.NewKey(la, m.opts.SigBits)
-	for _, other := range m.activeInOrder() {
+	for _, other := range scope {
 		if tx != nil && other.id == tx.id {
 			continue
-		}
-		if other.slowPath {
-			continue // serialized; cannot conflict within its domain
-		}
-		if m.opts.Isolation && other.domain != domain {
-			continue // signature isolation: different conflict domain
 		}
 		other.domainStats.SigChecks++
 		var kind signature.CheckKind

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"uhtm/internal/mem"
@@ -40,5 +42,58 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Crash()
 		m.Recover()
+	}
+}
+
+// BenchmarkPolluteLLC measures one 4096-line LLC pollution batch (the
+// memory-intensive co-runner of Figures 6 and 10) on a default-geometry
+// machine: Touch, the signature probe of a live transaction in the
+// polluter's domain, Insert and the final eviction drain together. A
+// second live transaction in another domain is out of the isolated
+// probe scope. The LLC is filled before timing starts.
+func BenchmarkPolluteLLC(b *testing.B) {
+	eng := sim.NewEngine(1)
+	opts := DefaultOptions()
+	opts.Paranoid = false
+	m := NewMachine(eng, mem.DefaultConfig(), opts)
+	al := mem.NewAllocator(mem.DRAM)
+	done := false
+	for domain := 0; domain < 2; domain++ {
+		d, data := domain, al.AllocLines(8)
+		eng.Spawn(fmt.Sprintf("tx%d", d), func(th *sim.Thread) {
+			c := m.NewCtx(th, d)
+			// An abort (a signature false positive) retries, so the
+			// transaction stays live until the benchmark ends.
+			c.Run(func(tx *Tx) {
+				for i := 0; i < 8; i++ {
+					tx.WriteU64(data+mem.Addr(i)*mem.LineSize, 1)
+				}
+				th.WaitUntil(func() bool { return done || tx.status.abortFlag }, sim.Microsecond)
+				tx.checkAbortFlag()
+			})
+		})
+	}
+	const window = 32 << 20
+	base := mem.DRAMLogBase - window
+	eng.Spawn("polluter", func(th *sim.Thread) {
+		c := m.NewCtx(th, 0)
+		rng := rand.New(rand.NewSource(1))
+		th.Advance(sim.Microsecond) // let both transactions begin
+		for i := 0; i < 2*m.cfg.LLCSize/mem.LineSize/4096; i++ {
+			c.PolluteLLC(base, window, 4096, 1500*sim.Picosecond, rng)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.PolluteLLC(base, window, 4096, 1500*sim.Picosecond, rng)
+		}
+		b.StopTimer()
+		done = true
+	})
+	eng.Run()
+	// Checked here, not in the polluter: FailNow on a sim thread would
+	// leave the transactions waiting forever.
+	if in, out := m.DomainStats(0).SigChecks, m.DomainStats(1).SigChecks; in == 0 || out != 0 {
+		b.Fatalf("probe scope: %d checks in the polluter's domain, %d outside it", in, out)
 	}
 }

@@ -299,6 +299,11 @@ type Machine struct {
 	stickyAny   bool
 
 	activeScratch []*Tx // reusable buffer for activeInOrder
+	scopeScratch  []*Tx // reusable buffer for probeScope
+
+	// polluteAddrs holds the addresses of the PolluteLLC batch in
+	// progress; it is sized by the first batch and reused after.
+	polluteAddrs []mem.Addr
 
 	// The pendingNVM set holds, per committed NVM line, the exact image
 	// at the latest commit that wrote it. Log reclamation persists these

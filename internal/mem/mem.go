@@ -52,11 +52,19 @@ func (k Kind) String() string {
 // a low window and NVM a high one; the top of each region is reserved
 // for the hardware log area (inaccessible to software, managed by the
 // memory controllers — Section IV-B of the paper).
+//
+// The map is shaped so that a line's dense index needs no branches
+// (UncheckedLineIndex): DRAM starts at address 0, both regions span
+// 1<<regionShift bytes, and NVM starts at the single address bit
+// nvmShift, above DRAM.
 const (
+	regionShift = 30 // log2 of each region's size
+	nvmShift    = 40 // log2 of NVMBase
+
 	DRAMBase Addr = 0x0000_0000_0000
-	DRAMSize Addr = 1 << 30 // 1 GiB of addressable DRAM
-	NVMBase  Addr = 0x100_0000_0000
-	NVMSize  Addr = 1 << 30 // 1 GiB of addressable NVM
+	DRAMSize Addr = 1 << regionShift // 1 GiB of addressable DRAM
+	NVMBase  Addr = 1 << nvmShift    // 0x100_0000_0000
+	NVMSize  Addr = 1 << regionShift // 1 GiB of addressable NVM
 
 	// LogAreaSize is reserved at the top of each region for the
 	// hardware undo (DRAM) and redo (NVM) logs.
@@ -147,6 +155,9 @@ const (
 	dramLineCount = uint64(DRAMSize / LineSize)
 	nvmLineCount  = uint64(NVMSize / LineSize)
 
+	lineShift      = 6                       // log2(LineSize)
+	regionLineBits = regionShift - lineShift // log2(dramLineCount)
+
 	// LineCount is the total number of addressable lines (DRAM + NVM).
 	LineCount = dramLineCount + nvmLineCount
 	// PageCount is the number of line-table pages covering LineCount.
@@ -165,12 +176,31 @@ func LineIndex(a Addr) uint64 {
 	panic(fmt.Sprintf("mem: address %#x outside DRAM and NVM regions", uint64(a)))
 }
 
-// AddrOfLineIndex inverts LineIndex, returning the line address.
+// The branch-free index relies on the shape of the address map; each
+// constant below overflows (a compile error) if that shape is broken.
+const (
+	_ = uint(LineSize - 1<<lineShift)
+	_ = uint(1<<lineShift - LineSize)
+	_ = 0 - DRAMBase // DRAM starts at address 0
+	_ = uint(nvmShift - regionShift - 1)
+)
+
+// UncheckedLineIndex is LineIndex without branches or a range check,
+// for hot paths that validate separately: the line's offset within its
+// region, with NVMBase's address bit moved down just above it. It
+// equals LineIndex(a) for every address in DRAM or NVM; for any other
+// address it is not a valid line index, which AddrOfLineIndex exposes
+// (it does not map the result back to a's line, or the result is at
+// least LineCount).
+func UncheckedLineIndex(a Addr) uint64 {
+	return uint64(a>>lineShift)&(1<<regionLineBits-1) | uint64(a>>nvmShift)<<regionLineBits
+}
+
+// AddrOfLineIndex inverts LineIndex, returning the line address. It
+// has no branches: the index's region bit becomes NVMBase's address
+// bit.
 func AddrOfLineIndex(idx uint64) Addr {
-	if idx < dramLineCount {
-		return Addr(idx * LineSize)
-	}
-	return NVMBase + Addr((idx-dramLineCount)*LineSize)
+	return Addr(idx&(1<<regionLineBits-1))<<lineShift | Addr(idx>>regionLineBits)<<nvmShift
 }
 
 // linePage is one page of a memory image: the line contents plus a

@@ -51,6 +51,32 @@ func TestLineOf(t *testing.T) {
 	}
 }
 
+// TestLineIndexRoundTrip checks the branch-free line index against
+// LineIndex at both ends of both regions, AddrOfLineIndex's inverse,
+// and that addresses outside both regions give no valid index.
+func TestLineIndexRoundTrip(t *testing.T) {
+	for _, a := range []Addr{
+		DRAMBase, DRAMBase + LineSize + 5, DRAMLogBase, DRAMBase + DRAMSize - 1,
+		NVMBase, NVMBase + 3*LineSize + 63, NVMLogBase, NVMBase + NVMSize - 1,
+	} {
+		idx := LineIndex(a)
+		if got := UncheckedLineIndex(a); got != idx {
+			t.Errorf("UncheckedLineIndex(%#x) = %#x, want %#x", uint64(a), got, idx)
+		}
+		if got := AddrOfLineIndex(idx); got != LineOf(a) {
+			t.Errorf("AddrOfLineIndex(%#x) = %#x, want %#x", idx, uint64(got), uint64(LineOf(a)))
+		}
+	}
+	if got := LineIndex(NVMBase + NVMSize - 1); got != LineCount-1 {
+		t.Errorf("last NVM line has index %#x, want %#x", got, LineCount-1)
+	}
+	for _, a := range []Addr{DRAMBase + DRAMSize, NVMBase - LineSize, NVMBase + NVMSize, 1 << 41, 3 << 40} {
+		if idx := UncheckedLineIndex(a); idx < LineCount && AddrOfLineIndex(idx) == LineOf(a) {
+			t.Errorf("UncheckedLineIndex(%#x) = %#x, a valid index of that line", uint64(a), idx)
+		}
+	}
+}
+
 func TestDefaultConfigIsTableIII(t *testing.T) {
 	c := DefaultConfig()
 	if c.Cores != 16 {
