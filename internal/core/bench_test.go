@@ -45,6 +45,46 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkReclaimLogs measures one ReclaimLogs pass on a default
+// four-core machine whose core-0 redo ring holds 45 % of its slots in
+// committed four-line transactions: just under the half-full mark at
+// which commits start reclaiming on their own, the shape of perfbench's
+// core.reclaim_us probe. Each iteration refills the ring untimed (tens
+// of milliseconds), so give it a fixed count: -benchtime 20x.
+func BenchmarkReclaimLogs(b *testing.B) {
+	eng := sim.NewEngine(1)
+	opts := DefaultOptions()
+	opts.Paranoid = false
+	mc := mem.DefaultConfig()
+	mc.Cores = 4
+	m := NewMachine(eng, mc, opts)
+	const footprintLines = 100 << 10 / mem.LineSize
+	pool := mem.NewAllocator(mem.NVM).AllocLines(footprintLines)
+	ring := m.RedoLog(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng.Spawn("fill", func(th *sim.Thread) {
+			c := m.NewCtx(th, 0)
+			for k := 0; ring.Len()+8 < ring.Slots()*45/100; k++ {
+				c.Run(func(tx *Tx) {
+					for w := 0; w < 4; w++ {
+						tx.WriteU64(pool+mem.Addr((k*4+w)%footprintLines)*mem.LineSize, uint64(k))
+					}
+				})
+			}
+		})
+		eng.Run()
+		eng.Recycle()
+		b.StartTimer()
+		m.ReclaimLogs()
+	}
+	b.StopTimer()
+	if ring.Len() != 0 {
+		b.Fatalf("quiescent pass left %d records on ring 0", ring.Len())
+	}
+}
+
 // BenchmarkPolluteLLC measures one 4096-line LLC pollution batch (the
 // memory-intensive co-runner of Figures 6 and 10) on a default-geometry
 // machine: Touch, the signature probe of a live transaction in the

@@ -408,56 +408,35 @@ func (m *Machine) writeCheckpoint(low uint64, dirty int) {
 
 // reclaimRing truncates ring's disposable prefix: record groups whose
 // transaction is aborted, committed at or below the low-water mark, or
-// 2PC-prepared with a durably decided fate (prepareResolver). The walk
-// stops at the first record that must survive — a mid-commit
-// transaction's group, a commit above the mark, or an undecided prepare
-// — so truncation never splits a group (a transaction's records are
-// contiguous on its ring and fate is uniform per transaction).
+// 2PC-prepared with a durably decided fate (prepareResolver). It walks
+// the ring's group index (wal.Log.Group) from the front and stops at the
+// first group that must survive — a mid-commit transaction's group, a
+// commit above the mark, or an undecided prepare — so truncation never
+// splits a group, and no record is read.
 func (m *Machine) reclaimRing(ring *wal.Log, low uint64) {
-	if m.ringFate == nil {
-		m.ringFate = make(map[uint64]ringFate)
-	}
-	clear(m.ringFate)
-	head := ring.Head()
-	for seq := ring.Tail(); seq < head; seq++ {
-		r, ok := ring.Read(seq)
-		if !ok {
-			continue
-		}
-		f := m.ringFate[r.TxID]
-		switch r.Type {
-		case wal.RecCommit:
-			f.committed = true
-			f.commitLSN = r.LSN
-		case wal.RecAbort:
-			f.aborted = true
-		case wal.RecPrepare:
-			f.prepared = true
-		}
-		m.ringFate[r.TxID] = f
-	}
 	stop := ring.Tail()
-	for seq := stop; seq < head; seq++ {
-		r, ok := ring.Read(seq)
-		if !ok {
-			break // undecodable live slot: keep everything from here on
-		}
-		f := m.ringFate[r.TxID]
-		disposable := false
-		switch {
-		case f.aborted && !f.committed:
-			disposable = true
-		case f.committed:
-			disposable = f.commitLSN <= low
-		case f.prepared:
-			disposable = m.prepareResolver != nil && m.prepareResolver(r.TxID)
-		}
-		if !disposable {
+	for i, n := 0, ring.Groups(); i < n; i++ {
+		g := ring.Group(i)
+		if !m.disposable(g, low) {
 			break
 		}
-		stop = seq + 1
+		stop = g.End
 	}
 	ring.Reclaim(stop)
+}
+
+// disposable reports whether group g may be truncated at low-water mark
+// low.
+func (m *Machine) disposable(g wal.Group, low uint64) bool {
+	switch g.Fate {
+	case wal.FateAborted:
+		return true
+	case wal.FateCommitted:
+		return g.LSN <= low
+	case wal.FatePrepared:
+		return m.prepareResolver != nil && m.prepareResolver(g.TxID)
+	}
+	return false
 }
 
 // persistPending force-drains the committed image of every NVM line

@@ -245,10 +245,6 @@ type Machine struct {
 	lastCkptBegin  uint64
 	ckptActScratch []wal.CkptActive
 
-	// ringFate is the reusable per-ring transaction-fate table of
-	// incremental reclamation (see reclaimRing).
-	ringFate map[uint64]ringFate
-
 	// prepareResolver, when set, is consulted by incremental reclamation
 	// for record groups that carry a 2PC prepare mark but no local
 	// decision: it reports whether the group's fate is durably decided
@@ -612,15 +608,6 @@ type stickyPage struct {
 // the line in pendingAddrs/pendingImgs, 0 when absent.
 type pendingPage struct {
 	pos [mem.PageLines]int32
-}
-
-// ringFate summarizes one transaction's marks on one redo ring, built
-// per reclamation pass (see reclaimRing).
-type ringFate struct {
-	commitLSN uint64
-	committed bool
-	aborted   bool
-	prepared  bool
 }
 
 // pendingPut registers (or refreshes) the committed image of an NVM

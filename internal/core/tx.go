@@ -262,27 +262,10 @@ func (m *Machine) rangeLines(a mem.Addr, n int, fn func(mem.Addr)) {
 }
 
 // copyOut reads bytes from the live store without access accounting.
-func (m *Machine) copyOut(a mem.Addr, dst []byte) {
-	for i := range dst {
-		addr := a + mem.Addr(i)
-		l := m.store.PeekLine(addr)
-		dst[i] = l[mem.LineOffset(addr)]
-	}
-}
+func (m *Machine) copyOut(a mem.Addr, dst []byte) { m.store.ReadInto(a, dst) }
 
 // copyIn writes bytes to the live store without access accounting.
-func (m *Machine) copyIn(a mem.Addr, src []byte) {
-	i := 0
-	for i < len(src) {
-		addr := a + mem.Addr(i)
-		la := mem.LineOf(addr)
-		off := mem.LineOffset(addr)
-		l := m.store.PeekLine(la)
-		n := copy(l[off:], src[i:])
-		m.store.PokeLine(la, &l)
-		i += n
-	}
-}
+func (m *Machine) copyIn(a mem.Addr, src []byte) { m.store.WriteBytes(a, src) }
 
 // String identifies the transaction (id, core, domain) for logs.
 func (tx *Tx) String() string {

@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -383,13 +384,8 @@ func (s *Store) ReadU64(a Addr) uint64 {
 	if a%8 != 0 {
 		panic("mem: unaligned ReadU64")
 	}
-	l := s.lineLive(a)
 	off := LineOffset(a)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(l[off+i])
-	}
-	return v
+	return binary.LittleEndian.Uint64(s.lineLive(a)[off : off+8])
 }
 
 // DurableU64 reads the 8-byte word at a from the durable NVM image
@@ -402,11 +398,7 @@ func (s *Store) DurableU64(a Addr) uint64 {
 	}
 	l := s.durable.read(LineIndex(a))
 	off := LineOffset(a)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(l[off+i])
-	}
-	return v
+	return binary.LittleEndian.Uint64(l[off : off+8])
 }
 
 // WriteU64 writes the 8-byte word at a in the live image (checker use).
@@ -414,29 +406,35 @@ func (s *Store) WriteU64(a Addr, v uint64) {
 	if a%8 != 0 {
 		panic("mem: unaligned WriteU64")
 	}
-	l := s.lineLive(a)
 	off := LineOffset(a)
-	for i := 0; i < 8; i++ {
-		l[off+i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(s.lineLive(a)[off:off+8], v)
 }
 
 // ReadBytes copies n bytes starting at a from the live image (checker
 // and setup use — no latency accounting).
 func (s *Store) ReadBytes(a Addr, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		l := s.lineLive(a + Addr(i))
-		out[i] = l[LineOffset(a+Addr(i))]
-	}
+	s.ReadInto(a, out)
 	return out
 }
 
-// WriteBytes copies b into the live image starting at a (checker use).
+// ReadInto fills dst from the live image starting at a, one line at a
+// time: ReadBytes into a caller's buffer.
+func (s *Store) ReadInto(a Addr, dst []byte) {
+	for len(dst) > 0 {
+		n := copy(dst, s.lineLive(a)[LineOffset(a):])
+		dst = dst[n:]
+		a += Addr(n)
+	}
+}
+
+// WriteBytes copies b into the live image starting at a, one line at a
+// time (checker and setup use — no latency accounting).
 func (s *Store) WriteBytes(a Addr, b []byte) {
-	for i := range b {
-		l := s.lineLive(a + Addr(i))
-		l[LineOffset(a+Addr(i))] = b[i]
+	for len(b) > 0 {
+		n := copy(s.lineLive(a)[LineOffset(a):], b)
+		b = b[n:]
+		a += Addr(n)
 	}
 }
 

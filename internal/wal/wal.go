@@ -188,6 +188,14 @@ func getU64(b []byte) uint64 {
 const ctrlSize = mem.LineSize
 
 // Log is one per-core log ring.
+//
+// Every ring keeps a group index of its host window [Tail, Head): one
+// Group per run of consecutive same-TxID records, in ring order, each
+// carrying the fate its transaction's marks gave it. Append extends it
+// from the Record in hand and Reclaim drops its front, so reclamation
+// (internal/core.ReclaimLogs) decides what to truncate without reading
+// or checksumming a single slot — the transaction table of ARIES kept
+// per ring.
 type Log struct {
 	store   *mem.Store
 	base    mem.Addr // control block address
@@ -196,6 +204,21 @@ type Log struct {
 	head    uint64   // next sequence number to write
 	tail    uint64   // oldest live sequence number
 	persist bool     // NVM ring: mirror every write to the durable image
+
+	// groups[first:] is the group index over [tail, head). popped counts
+	// the entries dropped from its front, so popped+i-first is entry i's
+	// position, stable across compaction.
+	groups []Group
+	first  int
+	popped uint64
+	// unmarked maps the TxID of each prepared group still waiting for
+	// its mark to the group's position: the 2PC apply mark lands after
+	// other groups and must stamp the prepare group too. Local commits
+	// never enter it. A second mark for the same TxID (recovery
+	// re-logging an apply mark whose first copy missed the durable
+	// window) stamps only its own group; it is appended before any new
+	// commit can hold a low-water mark below either LSN.
+	unmarked map[uint64]uint64
 
 	// hook, when set, fires at the ring's named injection points (see
 	// the Point* constants); the crash framework uses it to kill the
@@ -216,6 +239,44 @@ type Log struct {
 
 	// Appends counts records written since creation (statistics).
 	Appends uint64
+}
+
+// Fate is a record group's transaction outcome as the ring's marks
+// record it.
+type Fate uint8
+
+const (
+	// FateOpen: no mark yet — a transaction mid-commit or mid-prepare,
+	// or one a crash cut short.
+	FateOpen Fate = iota
+	// FatePrepared: a RecPrepare closed the group; the outcome rests
+	// with the 2PC coordinator until a mark arrives.
+	FatePrepared
+	// FateAborted: a RecAbort marked the transaction aborted.
+	FateAborted
+	// FateCommitted: a RecCommit marked the transaction committed at
+	// Group.LSN. It overrides an abort mark.
+	FateCommitted
+)
+
+// Group is one entry of a ring's group index: a run of consecutive
+// records sharing a TxID, and its transaction's fate. A 2PC transaction
+// has two groups on a ring — its prepare group and, later, its apply
+// mark — and the mark stamps both.
+type Group struct {
+	End  uint64 // sequence number one past the group's last record
+	TxID uint64
+	LSN  uint64 // commit LSN when Fate is FateCommitted
+	Fate Fate
+}
+
+// mark applies a RecCommit or RecAbort to g's fate.
+func (g *Group) mark(r *Record) {
+	if r.Type == RecCommit {
+		g.Fate, g.LSN = FateCommitted, r.LSN
+	} else if g.Fate != FateCommitted {
+		g.Fate = FateAborted
+	}
 }
 
 // Injection-point suffixes fired by a Log. The full point name is the
@@ -373,6 +434,7 @@ func (l *Log) Append(r Record) uint64 {
 	l.hit(PointAppendRecord)
 	l.writeBytes(l.slotAddr(seq), buf[:])
 	l.head++
+	l.indexAppend(&r, seq)
 	l.Appends++
 	l.hit(PointAppendCtrl)
 	l.writeCtrl()
@@ -392,6 +454,7 @@ func (l *Log) Reclaim(seq uint64) {
 	if seq > l.tail {
 		l.hit(PointReclaimCtrl)
 		l.tail = seq
+		l.indexReclaim(seq)
 		l.writeCtrl()
 		if l.tracer != nil {
 			l.tracer.Emit(l.traceNow(), l.ringCore, trace.EvWALTruncate,
@@ -399,6 +462,68 @@ func (l *Log) Reclaim(seq uint64) {
 		}
 	}
 }
+
+// indexAppend extends the group index with r, just written at seq.
+func (l *Log) indexAppend(r *Record, seq uint64) {
+	n := len(l.groups)
+	if n == l.first || l.groups[n-1].TxID != r.TxID {
+		if n == cap(l.groups) {
+			// Full: compact in place when at least half the entries are
+			// reclaimed, else double. Either way the next n/2 pushes are
+			// copy-free, and a steady window settles in one array.
+			live := l.groups[l.first:]
+			if 2*l.first < n {
+				l.groups = make([]Group, len(live), max(64, 2*n))
+			}
+			n = copy(l.groups[:len(live)], live)
+			l.groups = l.groups[:n]
+			l.first = 0
+		}
+		l.groups = append(l.groups, Group{TxID: r.TxID})
+		n++
+	}
+	g := &l.groups[n-1]
+	g.End = seq + 1
+	switch r.Type {
+	case RecCommit, RecAbort:
+		g.mark(r)
+		if len(l.unmarked) != 0 {
+			if pos, ok := l.unmarked[r.TxID]; ok {
+				l.groups[l.first+int(pos-l.popped)].mark(r)
+				delete(l.unmarked, r.TxID)
+			}
+		}
+	case RecPrepare:
+		if g.Fate == FateOpen {
+			g.Fate = FatePrepared
+			if l.unmarked == nil {
+				l.unmarked = make(map[uint64]uint64)
+			}
+			l.unmarked[r.TxID] = l.popped + uint64(n-1-l.first)
+		}
+	}
+}
+
+// indexReclaim drops the groups that end at or before the new tail seq.
+// A group seq cuts through stays; its first live record is the tail.
+func (l *Log) indexReclaim(seq uint64) {
+	for l.first < len(l.groups) && l.groups[l.first].End <= seq {
+		if g := &l.groups[l.first]; g.Fate == FatePrepared {
+			delete(l.unmarked, g.TxID)
+		}
+		l.first++
+		l.popped++
+	}
+	if l.first == len(l.groups) {
+		l.groups, l.first = l.groups[:0], 0
+	}
+}
+
+// Groups returns the number of record groups in the window [Tail, Head).
+func (l *Log) Groups() int { return len(l.groups) - l.first }
+
+// Group returns the i-th group of the window, oldest first.
+func (l *Log) Group(i int) Group { return l.groups[l.first+i] }
 
 // Read returns the record at sequence number seq from the live image.
 func (l *Log) Read(seq uint64) (Record, bool) {
