@@ -479,6 +479,9 @@ type RecoveryStats struct {
 	wal.ReplayStats
 	CheckpointLSN uint64 // low-water LSN the replay filtered against
 	CkptRecords   int    // checkpoint-ring records decoded to find it
+	// Redo is each core's redo window as this recovery decoded it (core
+	// i's at index i), for the cluster's 2PC completion pass.
+	Redo []wal.Window
 
 	ScanPS    sim.Time // modeled log-scan phase (read every slot)
 	ReplayPS  sim.Time // modeled redo-apply phase (write applied lines)
@@ -486,22 +489,23 @@ type RecoveryStats struct {
 	Wall      time.Duration
 }
 
-// Recover performs post-crash recovery (Section IV-C): it resolves the
-// latest complete durable fuzzy checkpoint, then replays the committed
-// redo records of every core's NVM log onto the durable image, ignoring
-// records at or below the checkpoint's low-water LSN (their data is
-// persisted in place; see ReclaimLogs). DRAM contents and the undo logs
-// are gone; the programmer keeps recovery-relevant structures in NVM.
-// All evidence is read from the durable image, so calling it without a
-// preceding Crash gives the same answer a real power failure would.
+// Recover performs post-crash recovery (Section IV-C). It recovers each
+// persistent ring once (wal.Log.Recover): the checkpoint ring's window
+// resolves the latest complete fuzzy checkpoint, then the redo rings'
+// committed groups are replayed onto the durable image, ignoring those
+// at or below its low-water LSN (persisted in place; see ReclaimLogs).
+// DRAM contents and the undo logs are gone; the programmer keeps
+// recovery-relevant structures in NVM. All evidence is read from the
+// durable image, so calling it without a preceding Crash gives the same
+// answer a real power failure would.
 func (m *Machine) Recover() RecoveryStats {
 	start := time.Now()
 	var st RecoveryStats
-	if ck, ok := m.durableCheckpoint(); ok {
+	if ck, ok := m.durableCheckpoint(m.ckptLog.Recover()); ok {
 		st.CheckpointLSN = ck.LowWater
 		st.CkptRecords = len(ck.Active) + 2
 	}
-	st.ReplayStats = m.redoRings.ReplayAll(st.CheckpointLSN)
+	st.ReplayStats, st.Redo = m.redoRings.Recover(st.CheckpointLSN)
 	st.ScanPS = sim.Time(st.ScannedRecs+st.CkptRecords) * 2 * m.cfg.NVMReadLatency
 	st.ReplayPS = sim.Time(st.AppliedLines) * m.cfg.NVMWriteLatency
 	st.PersistPS = sim.Time(st.AppliedLines) * m.cfg.NVMWriteLatency

@@ -469,12 +469,13 @@ func (m *Machine) hit(point string) {
 
 // DurableRedoRecords returns every validated record inside the durable
 // recovery window of every core's redo ring — the evidence recovery
-// would act on after a crash at this instant. Checkers use it to build
-// the committed-prefix oracle independently of Replay.
+// would act on after a crash at this instant. It leaves the rings
+// alone: the committed-prefix oracle, its one caller, reads the
+// evidence independently of Recover.
 func (m *Machine) DurableRedoRecords() []wal.Record {
 	var out []wal.Record
 	for i := 0; i < m.redoRings.Count(); i++ {
-		out = append(out, m.redoRings.ForCore(i).Records(true)...)
+		out = append(out, m.redoRings.ForCore(i).Records()...)
 	}
 	return out
 }
@@ -485,7 +486,7 @@ func (m *Machine) DurableRedoRecords() []wal.Record {
 // checkpoint ring are decoded from the durable image, so the answer is
 // identical before and after Crash.
 func (m *Machine) Checkpoint() uint64 {
-	ck, ok := m.durableCheckpoint()
+	ck, ok := m.durableCheckpoint(m.ckptLog.Window())
 	if !ok {
 		return 0
 	}
@@ -493,16 +494,17 @@ func (m *Machine) Checkpoint() uint64 {
 }
 
 // durableCheckpoint resolves the latest complete checkpoint group from
-// durable evidence alone: the cell points at the newest group; if that
-// group is torn (a crash mid-append) the ring is scanned for the newest
-// complete one — the previous checkpoint, which is always retained.
-func (m *Machine) durableCheckpoint() (wal.Checkpoint, bool) {
+// the durable cell and w, the checkpoint ring's durable window: the cell
+// points at the newest group; if that group is torn (a crash mid-append)
+// the window is scanned for the newest complete one — the previous
+// checkpoint, which is always retained.
+func (m *Machine) durableCheckpoint(w wal.Window) (wal.Checkpoint, bool) {
 	if cell := m.store.DurableU64(m.ckptAddr); cell != 0 {
-		if ck, ok := m.ckptLog.CheckpointAt(cell-1, true); ok {
+		if ck, ok := w.CheckpointAt(cell - 1); ok {
 			return ck, true
 		}
 	}
-	return m.ckptLog.LatestCheckpoint(true)
+	return w.LatestCheckpoint()
 }
 
 // CkptLog exposes the checkpoint ring (tests, tooling).

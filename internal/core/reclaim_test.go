@@ -174,3 +174,47 @@ func TestRecoverReadsDurableOnly(t *testing.T) {
 		t.Errorf("recovery differs across Crash: pre %+v, post %+v", pre, post)
 	}
 }
+
+// TestReclaimPastCrashKilledGroup: a power failure between a commit's
+// redo records and its mark leaves an open group on the ring that no
+// mark can ever close. Recovery discards it and must let reclamation
+// truncate it too; otherwise every later record of that ring stays
+// behind it and the ring eventually fills.
+func TestReclaimPastCrashKilledGroup(t *testing.T) {
+	eng, m := newTestMachine(DefaultOptions())
+	a := mem.NewAllocator(mem.NVM).AllocLines(1)
+	m.SetCrashpoint(func(p string) {
+		if p == PointCommitMark {
+			eng.HaltNow()
+		}
+	})
+	eng.Spawn("killed", func(th *sim.Thread) {
+		m.NewCtx(th, 0).Run(func(tx *Tx) { tx.WriteU64(a, 1) })
+	})
+	eng.Run()
+	if !eng.Halted() {
+		t.Fatal("crash before the commit mark never fired")
+	}
+	m.SetCrashpoint(nil)
+	m.Crash()
+	m.Recover()
+
+	eng.Restart()
+	eng.Recycle()
+	eng.Spawn("next", func(th *sim.Thread) {
+		c := m.NewCtx(th, 0)
+		for k := 0; k < 8; k++ {
+			c.Run(func(tx *Tx) { tx.WriteU64(a, uint64(2+k)) })
+		}
+	})
+	eng.Run()
+	m.ReclaimLogs() // quiescent: every group is disposable
+	if r := m.RedoLog(0); r.Len() != 0 {
+		t.Errorf("quiescent reclamation kept %d records behind the crash-killed group", r.Len())
+	}
+	m.Crash()
+	m.Recover()
+	if got := m.Store().ReadU64(a); got != 9 {
+		t.Errorf("line = %d after recovery, want 9", got)
+	}
+}

@@ -20,8 +20,10 @@ type decodeFate struct {
 // reclaimRingDecode is the reference reclaimRing must match bit for
 // bit: it decodes every live slot twice, first to build a per-TxID fate
 // table over the window, then to walk the window from the tail and stop
-// at the first record whose transaction must survive.
-func (m *Machine) reclaimRingDecode(ring *wal.Log, low uint64) {
+// at the first record whose transaction must survive. dead holds the
+// transactions a power failure cut short, which recovery closes as
+// aborted.
+func (m *Machine) reclaimRingDecode(ring *wal.Log, low uint64, dead map[uint64]bool) {
 	fates := make(map[uint64]decodeFate)
 	head := ring.Head()
 	for seq := ring.Tail(); seq < head; seq++ {
@@ -39,6 +41,7 @@ func (m *Machine) reclaimRingDecode(ring *wal.Log, low uint64) {
 		case wal.RecPrepare:
 			f.prepared = true
 		}
+		f.aborted = f.aborted || dead[r.TxID]
 		fates[r.TxID] = f
 	}
 	stop := ring.Tail()
@@ -85,6 +88,7 @@ func TestReclaimRingMatchesDecodeWalk(t *testing.T) {
 		ref := wal.NewLog(refStore, redoBase, ringBytes, true)
 
 		decided := map[uint64]bool{}
+		dead := map[uint64]bool{}
 		m.SetPrepareResolver(func(id uint64) bool { return decided[id] })
 		rng := rand.New(rand.NewSource(seed))
 		lines := mem.NewAllocator(mem.NVM).AllocLines(8)
@@ -161,7 +165,7 @@ func TestReclaimRingMatchesDecodeWalk(t *testing.T) {
 					low -= d
 				}
 				m.reclaimRing(ring, low)
-				m.reclaimRingDecode(ref, low)
+				m.reclaimRingDecode(ref, low, dead)
 				passes++
 				if ring.Tail() != ref.Tail() {
 					t.Fatalf("seed %d op %d: index reclaimed to %d, decode walk to %d (low %d, head %d)",
@@ -171,10 +175,11 @@ func TestReclaimRingMatchesDecodeWalk(t *testing.T) {
 				ring.Reclaim(ring.Head())
 				ref.Reclaim(ref.Head())
 				open = 0
-			default: // power failure and recovery; an open group stays torn
+			default: // power failure and recovery; an open group dies
 				m.Crash()
 				m.Recover()
 				refStore.Crash()
+				dead[open] = true
 				open = 0
 			}
 		}

@@ -5,6 +5,7 @@ import (
 
 	"uhtm/internal/mem"
 	"uhtm/internal/sim"
+	"uhtm/internal/wal"
 )
 
 // TestRecoveryDiscardsUncommitted: a power failure in the middle of a
@@ -254,5 +255,61 @@ func TestDRAMIsVolatile(t *testing.T) {
 	}
 	if got := m.Store().ReadU64(na); got != 22 {
 		t.Errorf("NVM value = %d after recovery", got)
+	}
+}
+
+// TestRecoveryForgetsOrphanCommitMark: a power failure after a commit
+// mark's bytes reach NVM but before the redo ring's control block
+// advances leaves the mark outside the durable window, so recovery
+// discards the unacknowledged transaction. Recovery must also reset the
+// ring's head register to the durable control block: otherwise the
+// next commit's control-block update publishes the orphan mark, and a
+// second crash replays the transaction the first recovery dropped.
+func TestRecoveryForgetsOrphanCommitMark(t *testing.T) {
+	eng, m := newTestMachine(DefaultOptions())
+	al := mem.NewAllocator(mem.NVM)
+	lost, kept := al.AllocLines(1), al.AllocLines(1)
+	marked := false
+	m.SetCrashpoint(func(p string) {
+		switch {
+		case p == PointCommitMark:
+			marked = true
+		case marked && p == "wal.redo."+wal.PointAppendCtrl:
+			eng.HaltNow()
+		}
+	})
+	eng.Spawn("lost", func(th *sim.Thread) {
+		m.NewCtx(th, 0).Run(func(tx *Tx) { tx.WriteU64(lost, 0xb) })
+	})
+	eng.Run()
+	if !eng.Halted() {
+		t.Fatal("crash at the commit mark's control-block update never fired")
+	}
+	m.SetCrashpoint(nil)
+	m.Crash()
+	m.Recover()
+	if got := m.Store().ReadU64(lost); got != 0 {
+		t.Fatalf("recovery 1 applied the unacknowledged transaction: line = %#x", got)
+	}
+
+	// Reboot and commit one more transaction on the same core, so it
+	// appends to the ring that holds the orphan mark.
+	eng.Restart()
+	eng.Recycle()
+	eng.Spawn("kept", func(th *sim.Thread) {
+		c := m.NewCtx(th, 0)
+		if c.Core() != 0 {
+			t.Errorf("post-crash transaction runs on core %d, want 0", c.Core())
+		}
+		c.Run(func(tx *Tx) { tx.WriteU64(kept, 1) })
+	})
+	eng.Run()
+	m.Crash()
+	m.Recover()
+	if got := m.Store().ReadU64(lost); got != 0 {
+		t.Errorf("recovery 2 replayed the transaction recovery 1 dropped: line = %#x, want 0", got)
+	}
+	if got := m.Store().ReadU64(kept); got != 1 {
+		t.Errorf("committed transaction lost: line = %d, want 1", got)
 	}
 }

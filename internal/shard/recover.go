@@ -32,11 +32,12 @@ type Recovery struct {
 // RecoverServing is the cluster's only crash recovery. Its callers are
 // the crash sweep's SweepTarget, the serving front-end
 // (server.Server's CRASH handling) and the recovery-latency benchmark
-// probe. It reads durable evidence alone: every shard's machine crashes and
-// replays its own rings; then the coordinator's decision log drives a
-// completion pass that finishes every decided-commit transaction on
-// every participant from the durable prepare images (RecWrite records
-// carry the full line image, so no other source is needed). Undecided
+// probe. It reads durable evidence alone and decodes each persistent
+// ring once: the decision log and every shard's rings are recovered,
+// and the redo windows local replay decoded drive a completion pass
+// that finishes every decided-commit transaction on every participant
+// from the durable prepare images (RecWrite records carry the full line
+// image, so no other source is needed). Undecided
 // prepared transactions vanish everywhere. The GID sequence is bumped
 // past every durably observed sequence so new transactions never reuse
 // an ID. Recovery does not check itself: the crash sweep's verifier
@@ -61,7 +62,7 @@ func (c *Cluster) RecoverServing() Recovery {
 
 	rec.Cell = c.shards[0].m.Store().ReadU64(c.cellAddr)
 	maxSeq := max(c.seq, rec.Cell)
-	for _, r := range c.decLog.Records(true) {
+	for _, r := range c.decLog.Recover().Recs {
 		switch r.Type {
 		case wal.RecCommit:
 			rec.DecidedCommit[r.LSN] = true
@@ -71,32 +72,29 @@ func (c *Cluster) RecoverServing() Recovery {
 		maxSeq = max(maxSeq, r.LSN)
 	}
 
-	// Per-shard durable evidence, collected before local replay appends
-	// anything: apply marks and prepare images per GID. A later RecWrite
-	// for the same line overrides an earlier one, matching replay order.
+	// Local replay per shard completes every transaction whose
+	// commit/apply mark was durable; its decoded windows give the apply
+	// marks and prepare images per GID (a later image of a line wins).
 	durMark := make([]map[uint64]bool, len(c.shards))
 	intents := make([]map[uint64][]LineWrite, len(c.shards))
 	for k, sh := range c.shards {
+		rec.PerShard = append(rec.PerShard, sh.m.Recover())
 		durMark[k] = make(map[uint64]bool)
 		intents[k] = make(map[uint64][]LineWrite)
-		for _, r := range sh.m.DurableRedoRecords() {
-			if r.TxID < GIDBase {
-				continue
-			}
-			maxSeq = max(maxSeq, r.TxID&^GIDBase)
-			switch r.Type {
-			case wal.RecCommit:
-				durMark[k][r.TxID] = true
-			case wal.RecWrite:
-				intents[k][r.TxID] = append(intents[k][r.TxID], LineWrite{Addr: r.Addr, Img: r.Data})
+		for _, w := range rec.PerShard[k].Redo {
+			for _, r := range w.Recs {
+				if r.TxID < GIDBase {
+					continue
+				}
+				maxSeq = max(maxSeq, r.TxID&^GIDBase)
+				switch r.Type {
+				case wal.RecCommit:
+					durMark[k][r.TxID] = true
+				case wal.RecWrite:
+					intents[k][r.TxID] = append(intents[k][r.TxID], LineWrite{Addr: r.Addr, Img: r.Data})
+				}
 			}
 		}
-	}
-
-	// Local replay per shard: completes every transaction — local or
-	// cross — whose commit/apply mark was durable.
-	for _, sh := range c.shards {
-		rec.PerShard = append(rec.PerShard, sh.m.Recover())
 	}
 
 	// Completion pass over decided commits above the cell, in sequence

@@ -9,6 +9,7 @@ import (
 	"uhtm/internal/crash"
 	"uhtm/internal/mem"
 	"uhtm/internal/sim"
+	"uhtm/internal/wal"
 )
 
 // servingConfig is the cluster shape the serving-surface tests run:
@@ -288,5 +289,59 @@ func TestSubmitCrossHaltAfterDecisionCompletesEverywhere(t *testing.T) {
 				t.Fatalf("post-recovery SubmitCross = (%v, %v), want (true, false)", decided, halted)
 			}
 		})
+	}
+}
+
+// TestRecoveryForgetsOrphanDecision: a power failure after a commit
+// decision's bytes reach NVM but before the decision log's control
+// block advances leaves the decision outside the durable window, so
+// recovery drops the undecided transaction everywhere. Recovery must
+// also reset the decision log's head register: otherwise the next
+// transaction's decision publishes the orphan, and a second recovery
+// decides and applies the transaction the first one dropped.
+func TestRecoveryForgetsOrphanDecision(t *testing.T) {
+	c, las, baselines := servingFixture(t, 2)
+	in := armShard(c, 0, PointPrefixDecision+wal.PointAppendCtrl)
+	imgs := []mem.Line{lineImg(0x31), lineImg(0x42)}
+	if _, halted := c.SubmitCross([]int{0, 1}, func(k int, th *sim.Thread) []LineWrite {
+		return []LineWrite{{Addr: las[k], Img: imgs[k]}}
+	}, nil); !halted || !in.Fired() {
+		t.Fatalf("crash at the decision's control-block update never fired (halted=%v)", halted)
+	}
+	in.Disarm()
+	if rec := c.RecoverServing(); rec.DecidedCommit[1] {
+		t.Fatalf("recovery 1: orphan decision counted as durable: %v", rec.DecidedCommit)
+	}
+
+	// Seq 2 writes a second line per shard and halts before one apply
+	// mark, so recovery 2 has a decided transaction to complete.
+	for _, sh := range c.Shards() {
+		sh.Restart()
+	}
+	in = armShard(c, 1, PointApplyMark)
+	imgs2 := []mem.Line{lineImg(0x53), lineImg(0x64)}
+	if _, halted := c.SubmitCross([]int{0, 1}, func(k int, th *sim.Thread) []LineWrite {
+		return []LineWrite{{Addr: las[k] + mem.LineSize, Img: imgs2[k]}}
+	}, nil); !halted || !in.Fired() {
+		t.Fatalf("halt before the apply mark never fired (halted=%v)", halted)
+	}
+	in.Disarm()
+	rec := c.RecoverServing()
+	if rec.DecidedCommit[1] || !rec.DecidedCommit[2] {
+		t.Fatalf("recovery 2: DecidedCommit = %v, want seq 2 only", rec.DecidedCommit)
+	}
+	for k, sh := range c.Shards() {
+		if inCommitLog(sh, GIDBase|1) {
+			t.Errorf("shard %d: recovery 2 applied seq 1", k)
+		}
+		if got := sh.Machine().Store().ReadU64(las[k]); got != 0xBA5E+uint64(k) {
+			t.Errorf("shard %d: seq 1's line = %#x, want the baseline %#x", k, got, 0xBA5E+uint64(k))
+		}
+		if got := sh.Machine().Store().PeekLine(las[k] + mem.LineSize); got != imgs2[k] {
+			t.Errorf("shard %d: seq 2 not completed (line=%x)", k, got)
+		}
+		if d := crash.VerifyRecovered(sh.Machine(), 3, baselines[k]); d != "" {
+			t.Errorf("shard %d: %s", k, d)
+		}
 	}
 }

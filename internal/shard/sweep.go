@@ -99,13 +99,7 @@ func (r *sweepRun) Recover() wal.ReplayStats {
 	r.rec = r.c.RecoverServing()
 	var out wal.ReplayStats
 	for _, rs := range r.rec.PerShard {
-		out.CommittedTx += rs.CommittedTx
-		out.AppliedLines += rs.AppliedLines
-		out.DiscardedTx += rs.DiscardedTx
-		out.DiscardedRecs += rs.DiscardedRecs
-		out.TornRecs += rs.TornRecs
-		out.StaleTx += rs.StaleTx
-		out.StaleRecs += rs.StaleRecs
+		out.Add(rs.ReplayStats)
 	}
 	return out
 }

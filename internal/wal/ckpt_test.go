@@ -24,28 +24,26 @@ func sameCkpt(a, b Checkpoint) bool {
 	return true
 }
 
-// TestCheckpointRoundTrip: a checkpoint group decodes back exactly, from
-// both the live and the durable image, via the cell-style direct lookup
-// and the scanning fallback.
+// TestCheckpointRoundTrip: a checkpoint group decodes back exactly from
+// the durable window, via the cell-style direct lookup and the scanning
+// fallback.
 func TestCheckpointRoundTrip(t *testing.T) {
 	s := newStore()
 	l := NewLog(s, mem.NVMLogBase, 1<<20, true)
 	want := ckpt(1, 42, CkptActive{TxID: 7, CommitLSN: 43}, CkptActive{TxID: 9})
 	begin := l.AppendCheckpoint(want)
 
-	for _, durable := range []bool{false, true} {
-		got, ok := l.CheckpointAt(begin, durable)
-		if !ok || !sameCkpt(got, want) || got.BeginSeq != begin {
-			t.Errorf("CheckpointAt(durable=%v) = %+v, %v; want %+v", durable, got, ok, want)
-		}
-		got, ok = l.LatestCheckpoint(durable)
-		if !ok || !sameCkpt(got, want) {
-			t.Errorf("LatestCheckpoint(durable=%v) = %+v, %v; want %+v", durable, got, ok, want)
-		}
+	got, ok := l.Window().CheckpointAt(begin)
+	if !ok || !sameCkpt(got, want) || got.BeginSeq != begin {
+		t.Errorf("CheckpointAt = %+v, %v; want %+v", got, ok, want)
+	}
+	got, ok = l.Window().LatestCheckpoint()
+	if !ok || !sameCkpt(got, want) {
+		t.Errorf("LatestCheckpoint = %+v, %v; want %+v", got, ok, want)
 	}
 
 	// CheckpointAt on a non-begin record must fail, not mis-decode.
-	if _, ok := l.CheckpointAt(begin+1, false); ok {
+	if _, ok := l.Window().CheckpointAt(begin + 1); ok {
 		t.Error("CheckpointAt on a RecCkptActive record succeeded")
 	}
 }
@@ -59,12 +57,12 @@ func TestLatestCheckpointPicksNewest(t *testing.T) {
 	want := ckpt(2, 20, CkptActive{TxID: 5, CommitLSN: 21})
 	l.AppendCheckpoint(want)
 
-	got, ok := l.LatestCheckpoint(true)
+	got, ok := l.Window().LatestCheckpoint()
 	if !ok || !sameCkpt(got, want) {
 		t.Fatalf("LatestCheckpoint = %+v, %v; want %+v", got, ok, want)
 	}
 	l.Reclaim(b1 + 2) // drop group 1 (begin + end, no actives)
-	if got, ok := l.LatestCheckpoint(true); !ok || !sameCkpt(got, want) {
+	if got, ok := l.Window().LatestCheckpoint(); !ok || !sameCkpt(got, want) {
 		t.Errorf("after truncating group 1: LatestCheckpoint = %+v, %v", got, ok)
 	}
 }
@@ -92,10 +90,10 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 			corruptDurable(s, l.slotAddr(b2+tc.record)+16)
 			s.Crash()
 
-			if _, ok := l.CheckpointAt(b2, true); ok {
+			if _, ok := l.Window().CheckpointAt(b2); ok {
 				t.Error("CheckpointAt on the torn group succeeded")
 			}
-			got, ok := l.LatestCheckpoint(true)
+			got, ok := l.Window().LatestCheckpoint()
 			if !ok || !sameCkpt(got, prev) {
 				t.Errorf("LatestCheckpoint = %+v, %v; want fallback to %+v", got, ok, prev)
 			}
@@ -119,10 +117,10 @@ func TestTruncatedCheckpointFallsBack(t *testing.T) {
 	b2 := l.Append(Record{Type: RecCkptBegin, TxID: 2, LSN: 20, Data: data})
 	s.Crash()
 
-	if _, ok := l.CheckpointAt(b2, true); ok {
+	if _, ok := l.Window().CheckpointAt(b2); ok {
 		t.Error("CheckpointAt on the truncated group succeeded")
 	}
-	got, ok := l.LatestCheckpoint(true)
+	got, ok := l.Window().LatestCheckpoint()
 	if !ok || !sameCkpt(got, prev) {
 		t.Errorf("LatestCheckpoint = %+v, %v; want fallback to %+v", got, ok, prev)
 	}

@@ -14,8 +14,9 @@
 package wal
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"uhtm/internal/mem"
 	"uhtm/internal/trace"
@@ -196,6 +197,12 @@ const ctrlSize = mem.LineSize
 // (internal/core.ReclaimLogs) decides what to truncate without reading
 // or checksumming a single slot — the transaction table of ARIES kept
 // per ring.
+//
+// Head and tail are memory-controller registers that a power failure
+// loses; only the durable control block survives. Recover, a persistent
+// ring's one recovery entry, re-reads them from it, decodes the durable
+// window once and rebuilds the group index, so an append that never
+// reached the control block is forgotten, not published by the next.
 type Log struct {
 	store   *mem.Store
 	base    mem.Addr // control block address
@@ -252,10 +259,11 @@ const (
 	// FatePrepared: a RecPrepare closed the group; the outcome rests
 	// with the 2PC coordinator until a mark arrives.
 	FatePrepared
-	// FateAborted: a RecAbort marked the transaction aborted.
+	// FateAborted: a RecAbort marked the transaction aborted. It
+	// overrides a commit mark.
 	FateAborted
 	// FateCommitted: a RecCommit marked the transaction committed at
-	// Group.LSN. It overrides an abort mark.
+	// Group.LSN.
 	FateCommitted
 )
 
@@ -270,12 +278,13 @@ type Group struct {
 	Fate Fate
 }
 
-// mark applies a RecCommit or RecAbort to g's fate.
+// mark applies a RecCommit or RecAbort to g's fate: the one rule that
+// reclamation and replay share.
 func (g *Group) mark(r *Record) {
-	if r.Type == RecCommit {
-		g.Fate, g.LSN = FateCommitted, r.LSN
-	} else if g.Fate != FateCommitted {
+	if r.Type == RecAbort {
 		g.Fate = FateAborted
+	} else if g.Fate != FateAborted {
+		g.Fate, g.LSN = FateCommitted, r.LSN
 	}
 }
 
@@ -566,8 +575,8 @@ type Checkpoint struct {
 // AppendCheckpoint writes ck as a record group (begin, one active entry
 // per in-flight transaction, end) and returns the begin record's ring
 // sequence number. The group spans multiple records, so a power failure
-// can persist a prefix of it; CheckpointAt and LatestCheckpoint treat
-// any group without a validated end record as torn.
+// can persist a prefix of it; Window.CheckpointAt and LatestCheckpoint
+// treat any group without a validated end record as torn.
 func (l *Log) AppendCheckpoint(ck Checkpoint) uint64 {
 	var data mem.Line
 	putU64(data[0:8], uint64(len(ck.Active)))
@@ -579,26 +588,69 @@ func (l *Log) AppendCheckpoint(ck Checkpoint) uint64 {
 	return begin
 }
 
-// CheckpointAt decodes the checkpoint group whose begin record sits at
-// ring sequence seq, from the durable image when durable is set. It
-// fails (ok=false) when seq is outside the window, any record of the
-// group is torn or of the wrong type, or the end record does not echo
-// the begin — exactly the cases where recovery must fall back to the
-// previous complete checkpoint.
-func (l *Log) CheckpointAt(seq uint64, durable bool) (Checkpoint, bool) {
-	head, tail := l.head, l.tail
-	if durable {
-		head, tail = l.RecoverWindow()
+// Window is a persistent ring's durable window decoded slot by slot:
+// Recs[i] holds slot Tail+i, or the zero Record (Type 0, which no
+// record carries) where the slot failed validation.
+type Window struct {
+	Tail uint64
+	Recs []Record
+	Torn int // slots that failed validation
+}
+
+// Window decodes the ring's durable window from the durable image and
+// leaves the ring's registers and group index alone (see Recover).
+func (l *Log) Window() Window {
+	head, tail := l.RecoverWindow()
+	w := Window{Tail: tail, Recs: make([]Record, head-tail)}
+	for i := range w.Recs {
+		var ok bool
+		if w.Recs[i], ok = l.readRecord(tail+uint64(i), true); !ok {
+			w.Torn++
+		}
 	}
-	if seq < tail || seq >= head {
+	return w
+}
+
+// Recover is a persistent ring's recovery entry: it decodes the durable
+// window once, resets the head and tail registers to the control block,
+// and rebuilds the group index by feeding each validated record through
+// indexAppend, as Append does. A record whose append crashed before its
+// control-block update is thus forgotten; the next append overwrites it.
+func (l *Log) Recover() Window {
+	w := l.Window()
+	l.tail, l.head = w.Tail, w.Tail+uint64(len(w.Recs))
+	l.groups, l.first, l.popped = l.groups[:0], 0, 0
+	clear(l.unmarked)
+	for i := range w.Recs {
+		if w.Recs[i].Type != 0 {
+			l.indexAppend(&w.Recs[i], w.Tail+uint64(i))
+		}
+	}
+	return w
+}
+
+// Records returns every validated record of the durable window, in ring
+// order (torn slots are skipped). Like Window it leaves the ring alone.
+func (l *Log) Records() []Record {
+	return slices.DeleteFunc(l.Window().Recs, func(r Record) bool { return r.Type == 0 })
+}
+
+// CheckpointAt decodes the checkpoint group whose begin record sits at
+// ring sequence seq. It fails (ok=false) when seq is outside the
+// window, any record of the group is torn or of the wrong type, or the
+// end record does not echo the begin — exactly the cases where recovery
+// must fall back to the previous complete checkpoint.
+func (w Window) CheckpointAt(seq uint64) (Checkpoint, bool) {
+	if seq < w.Tail || seq-w.Tail >= uint64(len(w.Recs)) {
 		return Checkpoint{}, false
 	}
-	begin, ok := l.readRecord(seq, durable)
-	if !ok || begin.Type != RecCkptBegin {
+	recs := w.Recs[seq-w.Tail:]
+	begin := recs[0]
+	if begin.Type != RecCkptBegin {
 		return Checkpoint{}, false
 	}
 	n := getU64(begin.Data[0:8])
-	if n > head-seq || seq+n+2 > head {
+	if n+2 < n || n+2 > uint64(len(recs)) {
 		return Checkpoint{}, false
 	}
 	ck := Checkpoint{
@@ -607,66 +659,30 @@ func (l *Log) CheckpointAt(seq uint64, durable bool) (Checkpoint, bool) {
 		DirtyLines: int(begin.Addr),
 		BeginSeq:   seq,
 	}
-	for i := uint64(0); i < n; i++ {
-		r, ok := l.readRecord(seq+1+i, durable)
-		if !ok || r.Type != RecCkptActive {
+	for _, r := range recs[1 : 1+n] {
+		if r.Type != RecCkptActive {
 			return Checkpoint{}, false
 		}
 		ck.Active = append(ck.Active, CkptActive{TxID: r.TxID, CommitLSN: r.LSN})
 	}
-	end, ok := l.readRecord(seq+1+n, durable)
-	if !ok || end.Type != RecCkptEnd || end.TxID != begin.TxID || end.LSN != begin.LSN {
+	if end := recs[1+n]; end.Type != RecCkptEnd || end.TxID != begin.TxID || end.LSN != begin.LSN {
 		return Checkpoint{}, false
 	}
 	return ck, true
 }
 
-// LatestCheckpoint scans the ring's window and returns the newest
-// complete checkpoint group (highest Seq), if any. Recovery uses it as
-// the fallback when the checkpoint cell points at a torn group.
-func (l *Log) LatestCheckpoint(durable bool) (Checkpoint, bool) {
-	head, tail := l.head, l.tail
-	if durable {
-		head, tail = l.RecoverWindow()
-	}
+// LatestCheckpoint returns the window's newest complete checkpoint
+// group (highest Seq), if any. Recovery uses it as the fallback when
+// the checkpoint cell points at a torn group.
+func (w Window) LatestCheckpoint() (Checkpoint, bool) {
 	var best Checkpoint
 	found := false
-	for seq := tail; seq < head; seq++ {
-		if ck, ok := l.CheckpointAt(seq, durable); ok && (!found || ck.Seq >= best.Seq) {
+	for i := range w.Recs {
+		if ck, ok := w.CheckpointAt(w.Tail + uint64(i)); ok && (!found || ck.Seq >= best.Seq) {
 			best, found = ck, true
 		}
 	}
 	return best, found
-}
-
-// Records returns all live records in order, reading from the durable
-// image when durable is set (post-crash recovery) or the live image
-// otherwise. After a crash the control block itself must be read from
-// the durable image, which RecoverWindow does. Torn or corrupt records
-// are skipped; use records to also learn how many.
-func (l *Log) Records(durable bool) []Record {
-	out, _ := l.records(durable)
-	return out
-}
-
-// records is Records plus a count of slots inside the window whose
-// contents failed validation (torn/truncated/corrupt writes).
-func (l *Log) records(durable bool) (out []Record, torn int) {
-	head, tail := l.head, l.tail
-	if durable {
-		head, tail = l.RecoverWindow()
-	}
-	out = make([]Record, 0, head-tail)
-	for seq := tail; seq < head; seq++ {
-		var buf [RecordSize]byte
-		l.readBytes(l.slotAddr(seq), buf[:], durable)
-		if r, ok := decode(&buf); ok {
-			out = append(out, r)
-		} else {
-			torn++
-		}
-	}
-	return out, torn
 }
 
 // RecoverWindow reads the durable control block and returns the live
@@ -690,49 +706,23 @@ type ReplayStats struct {
 	ScannedRecs   int // in-window slots examined, including torn ones
 }
 
-// Replay performs redo-log crash recovery against the store's durable
-// image: every RecWrite whose transaction has a later RecCommit mark is
-// applied (written to the live image and persisted); records of
-// transactions without a commit mark — or with an abort mark — are
-// discarded, exactly as Section IV-C describes.
+// Add sums o into s, field by field.
+func (s *ReplayStats) Add(o ReplayStats) {
+	s.CommittedTx += o.CommittedTx
+	s.AppliedLines += o.AppliedLines
+	s.DiscardedTx += o.DiscardedTx
+	s.DiscardedRecs += o.DiscardedRecs
+	s.TornRecs += o.TornRecs
+	s.StaleTx += o.StaleTx
+	s.StaleRecs += o.StaleRecs
+	s.ScannedRecs += o.ScannedRecs
+}
+
+// Replay performs redo-log crash recovery (Section IV-C) of this one
+// ring: Recover, then apply every committed group's writes and discard
+// the rest. It is Rings.Recover's replay with no checkpoint filter.
 func (l *Log) Replay() ReplayStats {
-	recs, torn := l.records(true)
-	committed := map[uint64]bool{}
-	aborted := map[uint64]bool{}
-	for _, r := range recs {
-		switch r.Type {
-		case RecCommit:
-			committed[r.TxID] = true
-		case RecAbort:
-			aborted[r.TxID] = true
-		}
-	}
-	var st ReplayStats
-	st.TornRecs = torn
-	st.ScannedRecs = len(recs) + torn
-	seenDiscard := map[uint64]bool{}
-	seenApply := map[uint64]bool{}
-	for _, r := range recs {
-		if r.Type != RecWrite {
-			continue
-		}
-		if committed[r.TxID] && !aborted[r.TxID] {
-			l.store.WriteLine(r.Addr, &r.Data)
-			l.store.PersistLine(r.Addr, &r.Data)
-			st.AppliedLines++
-			if !seenApply[r.TxID] {
-				seenApply[r.TxID] = true
-				st.CommittedTx++
-			}
-		} else {
-			st.DiscardedRecs++
-			if !seenDiscard[r.TxID] {
-				seenDiscard[r.TxID] = true
-				st.DiscardedTx++
-			}
-		}
-	}
-	return st
+	return replay([]*Log{l}, []Window{l.Recover()}, 0)
 }
 
 // Rings partitions a log area into per-core rings.
@@ -782,82 +772,91 @@ func (r *Rings) Appends() uint64 {
 	return n
 }
 
-// ReplayAll performs crash recovery across all cores' rings. Committed
-// transactions are applied in global commit order (the LSN on their
-// commit marks), so cross-core writes to the same line resolve to the
-// newest committed value — as they would with the paper's single
-// serialized log area.
-//
-// Commit records with LSN at or below ckpt are stale truncation
-// leftovers: their data is already persisted in place, and ring
-// truncation is not atomic across cores, so a crash mid-truncation can
-// leave them on some rings while newer commits' records are gone.
-// Applying one would regress its lines, so they are skipped (counted as
-// StaleTx/StaleRecs).
+// ReplayAll is Recover without the decoded windows.
 func (r *Rings) ReplayAll(ckpt uint64) ReplayStats {
-	type txGroup struct {
-		writes    []Record
-		commitLSN uint64
-		committed bool
-		aborted   bool
+	st, _ := r.Recover(ckpt)
+	return st
+}
+
+// Recover performs crash recovery across all cores' rings: each ring is
+// recovered once (Log.Recover) and replayed. It returns the replay
+// counts and each ring's decoded window (ring i's at index i).
+//
+// Groups committed at or below ckpt are stale truncation leftovers:
+// their data is already persisted in place, and ring truncation is not
+// atomic across cores, so a crash mid-truncation can leave them on some
+// rings while newer commits' records are gone. Applying one would
+// regress its lines, so they are skipped (counted as StaleTx/StaleRecs).
+func (r *Rings) Recover(ckpt uint64) (ReplayStats, []Window) {
+	wins := make([]Window, len(r.logs))
+	for i, l := range r.logs {
+		wins[i] = l.Recover()
 	}
-	var store *mem.Store
-	groups := map[uint64]*txGroup{}
-	order := []uint64{} // txIDs with commit marks, to sort by LSN
-	torn, scanned := 0, 0
-	for _, l := range r.logs {
-		store = l.store
-		recs, t := l.records(true)
-		torn += t
-		scanned += len(recs) + t
-		for _, rec := range recs {
-			g := groups[rec.TxID]
-			if g == nil {
-				g = &txGroup{}
-				groups[rec.TxID] = g
-			}
-			switch rec.Type {
-			case RecWrite:
-				g.writes = append(g.writes, rec)
-			case RecCommit:
-				if !g.committed {
-					g.committed = true
-					g.commitLSN = rec.LSN
-					order = append(order, rec.TxID)
-				}
-			case RecAbort:
-				g.aborted = true
-			}
-		}
+	return replay(r.logs, wins, ckpt+1), wins
+}
+
+// replay is the one redo replay, over rings just recovered into wins.
+// It applies the RecWrite records of every committed group with LSN at
+// least from in global commit (LSN) order, so cross-core writes to a
+// line resolve to the newest value, as with the paper's single log
+// area. Committed groups below from are stale; the rest are discarded,
+// and a still-open one — a transaction the crash killed, whose ID no
+// later mark can carry — is closed as aborted so reclamation drops it.
+// StaleTx counts the group holding the commit mark, so a 2PC prepare
+// group and its later apply mark count once.
+func replay(logs []*Log, wins []Window, from uint64) ReplayStats {
+	type commit struct {
+		recs []Record
+		lsn  uint64
 	}
-	sort.Slice(order, func(i, j int) bool {
-		return groups[order[i]].commitLSN < groups[order[j]].commitLSN
-	})
 	var st ReplayStats
-	st.TornRecs = torn
-	st.ScannedRecs = scanned
-	for _, id := range order {
-		g := groups[id]
-		if g.committed && g.commitLSN <= ckpt {
-			st.StaleTx++
-			st.StaleRecs += len(g.writes)
-			continue
-		}
-		if g.aborted || len(g.writes) == 0 {
-			continue
-		}
-		st.CommittedTx++
-		for _, w := range g.writes {
-			store.WriteLine(w.Addr, &w.Data)
-			store.PersistLine(w.Addr, &w.Data)
-			st.AppliedLines++
+	var apply []commit
+	for i, l := range logs {
+		w := wins[i]
+		st.ScannedRecs += len(w.Recs)
+		st.TornRecs += w.Torn
+		start := w.Tail
+		for j := range l.groups[l.first:] {
+			g := &l.groups[l.first+j]
+			recs := w.Recs[start-w.Tail : g.End-w.Tail]
+			start = g.End
+			writes, marked := 0, false
+			for k := range recs {
+				switch recs[k].Type {
+				case RecWrite:
+					writes++
+				case RecCommit:
+					marked = true
+				}
+			}
+			if g.Fate == FateOpen {
+				g.Fate = FateAborted // the crash killed it: no mark can follow
+			}
+			switch {
+			case g.Fate != FateCommitted:
+				if writes > 0 {
+					st.DiscardedTx++
+					st.DiscardedRecs += writes
+				}
+			case g.LSN < from:
+				if marked {
+					st.StaleTx++
+				}
+				st.StaleRecs += writes
+			case writes > 0:
+				apply = append(apply, commit{recs, g.LSN})
+			}
 		}
 	}
-	for id, g := range groups {
-		if (!g.committed || g.aborted) && len(g.writes) > 0 {
-			_ = id
-			st.DiscardedTx++
-			st.DiscardedRecs += len(g.writes)
+	slices.SortStableFunc(apply, func(a, b commit) int { return cmp.Compare(a.lsn, b.lsn) })
+	for _, c := range apply {
+		st.CommittedTx++
+		for k := range c.recs {
+			if r := &c.recs[k]; r.Type == RecWrite {
+				logs[0].store.WriteLine(r.Addr, &r.Data)
+				logs[0].store.PersistLine(r.Addr, &r.Data)
+				st.AppliedLines++
+			}
 		}
 	}
 	return st

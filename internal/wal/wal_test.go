@@ -267,7 +267,7 @@ func TestUndoRingNotDurable(t *testing.T) {
 	l := NewLog(s, mem.DRAMLogBase, 1<<20, false)
 	l.Append(Record{Type: RecWrite, TxID: 9, Addr: mem.DRAMBase, Data: lineWith(0x99)})
 	s.Crash()
-	if recs := l.Records(true); len(recs) != 0 {
+	if recs := l.Records(); len(recs) != 0 {
 		t.Errorf("DRAM log yielded %d records after crash", len(recs))
 	}
 }
