@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -399,9 +400,9 @@ func (m *Machine) writeCheckpoint(low uint64, dirty int) {
 		Active:     act,
 	})
 	m.hit(PointReclaimCell)
-	m.store.WriteU64(m.ckptAddr, begin+1)
-	l := m.store.PeekLine(m.ckptAddr)
-	m.store.PersistLine(m.ckptAddr, &l)
+	var cell [8]byte
+	binary.LittleEndian.PutUint64(cell[:], begin+1)
+	m.store.WriteThrough(m.ckptAddr, cell[:])
 	m.emit(trace.EvWALCheckpoint, -1, 0, 0, low, 0)
 	m.lastCkptBegin = begin
 }

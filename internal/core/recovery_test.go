@@ -313,3 +313,46 @@ func TestRecoveryForgetsOrphanCommitMark(t *testing.T) {
 		t.Errorf("committed transaction lost: line = %d, want 1", got)
 	}
 }
+
+// TestHaltAfterCrashLeavesSharedRingDurable: after a crash the live and
+// durable images share their pages, and the redo rings write through
+// them in place. A power failure at the persist of a commit mark's
+// control-block update must still leave the mark outside the durable
+// window, so the write-through may not change a shared line before the
+// line's injection point fires; recovery then keeps the previous value.
+func TestHaltAfterCrashLeavesSharedRingDurable(t *testing.T) {
+	eng, m := newTestMachine(DefaultOptions())
+	a := mem.NewAllocator(mem.NVM).AllocLines(1)
+	commit := func(v uint64) {
+		eng.Spawn("w", func(th *sim.Thread) {
+			m.NewCtx(th, 0).Run(func(tx *Tx) { tx.WriteU64(a, v) })
+		})
+		eng.Run()
+	}
+	commit(1)
+	m.Crash()
+	m.Recover()
+
+	stage := 0
+	m.SetCrashpoint(func(p string) {
+		switch {
+		case p == PointCommitMark:
+			stage = 1
+		case stage == 1 && p == "wal.redo."+wal.PointAppendCtrl:
+			stage = 2
+		case stage == 2 && p == mem.PointPersistLine:
+			eng.HaltNow()
+		}
+	})
+	eng.Recycle()
+	commit(2)
+	if !eng.Halted() {
+		t.Fatal("crash at the commit mark's control-block persist never fired")
+	}
+	m.SetCrashpoint(nil)
+	m.Crash()
+	m.Recover()
+	if got := m.Store().ReadU64(a); got != 1 {
+		t.Errorf("line = %d after recovery, want 1: the halted control-block write reached the durable image", got)
+	}
+}

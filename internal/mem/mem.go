@@ -207,7 +207,8 @@ func AddrOfLineIndex(idx uint64) Addr {
 // linePage is one page of a memory image: the line contents plus a
 // bitmap of which lines have materialized (been touched). The bitmap
 // preserves the exact key set the old map-based image exposed through
-// the snapshot functions.
+// the snapshot functions. After a Crash the live and the durable image
+// hold the same pages (Store.shared) until one of them changes one.
 type linePage struct {
 	lines [PageLines]Line
 	mat   [PageLines / 64]uint64
@@ -219,18 +220,6 @@ type image struct {
 }
 
 func newImage() image { return image{pages: make([]*linePage, PageCount)} }
-
-// line returns a pointer to the line at idx, materializing it.
-func (im *image) line(idx uint64) *Line {
-	p := im.pages[idx>>PageShift]
-	if p == nil {
-		p = new(linePage)
-		im.pages[idx>>PageShift] = p
-	}
-	off := idx & (PageLines - 1)
-	p.mat[off/64] |= 1 << (off % 64)
-	return &p.lines[off]
-}
 
 // read returns the line at idx without materializing it.
 func (im *image) read(idx uint64) Line {
@@ -279,6 +268,10 @@ type Store struct {
 	cfg     Config
 	live    image
 	durable image // NVM lines only
+
+	// shared has bit pi set while page pi of the live and the durable
+	// image is one linePage, held by both since a Crash (see Crash).
+	shared [PageCount / 64]uint64
 
 	// crashpoint, when set, is invoked with the injection-point name
 	// immediately before each durability transition (see PointPersistLine
@@ -344,14 +337,55 @@ func (s *Store) WriteLatency(a Addr) sim.Time {
 	return s.cfg.NVMWriteLatency
 }
 
-func (s *Store) lineLive(a Addr) *Line {
-	return s.live.line(LineIndex(a))
+// isShared reports whether page pi is held by both images.
+func (s *Store) isShared(pi uint64) bool { return s.shared[pi/64]&(1<<(pi%64)) != 0 }
+
+// at returns a pointer to im's line at idx for reading, materializing
+// it. Reading a line the page already holds copies nothing, even when
+// the page is shared with the other image, so callers must not write
+// through the pointer (see mut). Materializing a new line of a shared
+// page copies the page first: the bitmap is part of the page.
+func (s *Store) at(im *image, idx uint64) *Line {
+	pi, w, bit := idx>>PageShift, idx%PageLines/64, uint64(1)<<(idx%64)
+	p := im.pages[pi]
+	if p == nil || p.mat[w]&bit == 0 && s.isShared(pi) {
+		p = s.own(im, pi)
+	}
+	p.mat[w] |= bit
+	return &p.lines[idx%PageLines]
+}
+
+// mut is at for writing: a page the other image still shares is
+// copied first.
+func (s *Store) mut(im *image, idx uint64) *Line {
+	pi := idx >> PageShift
+	p := im.pages[pi]
+	if p == nil || s.isShared(pi) {
+		p = s.own(im, pi)
+	}
+	p.mat[idx%PageLines/64] |= 1 << (idx % 64)
+	return &p.lines[idx%PageLines]
+}
+
+// own gives im a page pi of its own: a fresh one on first use, or a copy
+// of the page it shares with the other image. It is the slow path of at
+// and mut, kept out of line so that they stay one call deep.
+//
+//go:noinline
+func (s *Store) own(im *image, pi uint64) *linePage {
+	p := new(linePage)
+	if s.isShared(pi) {
+		*p = *im.pages[pi]
+		s.shared[pi/64] &^= 1 << (pi % 64)
+	}
+	im.pages[pi] = p
+	return p
 }
 
 // ReadLine copies the live contents of the line containing a into dst
 // and bumps the read counter for the medium.
 func (s *Store) ReadLine(a Addr, dst *Line) {
-	*dst = *s.lineLive(a)
+	*dst = *s.at(&s.live, LineIndex(a))
 	if KindOf(a) == DRAM {
 		s.DRAMReads++
 	} else {
@@ -361,9 +395,9 @@ func (s *Store) ReadLine(a Addr, dst *Line) {
 
 // WriteLine stores src as the live contents of the line containing a.
 // For NVM it does NOT advance the durable image: durability happens only
-// via PersistLine (log writes, DRAM-cache drains).
+// via PersistLine or WriteThrough (log writes, DRAM-cache drains).
 func (s *Store) WriteLine(a Addr, src *Line) {
-	*s.lineLive(a) = *src
+	*s.mut(&s.live, LineIndex(a)) = *src
 	if KindOf(a) == DRAM {
 		s.DRAMWrites++
 	} else {
@@ -373,10 +407,10 @@ func (s *Store) WriteLine(a Addr, src *Line) {
 
 // PeekLine returns the live contents without charging an access; used by
 // checkers and statistics, never by the simulated hardware.
-func (s *Store) PeekLine(a Addr) Line { return *s.lineLive(a) }
+func (s *Store) PeekLine(a Addr) Line { return *s.at(&s.live, LineIndex(a)) }
 
 // PokeLine sets live contents without charging an access (checker use).
-func (s *Store) PokeLine(a Addr, src *Line) { *s.lineLive(a) = *src }
+func (s *Store) PokeLine(a Addr, src *Line) { *s.mut(&s.live, LineIndex(a)) = *src }
 
 // ReadU64 reads the 8-byte word at a from the live image (a must be
 // 8-byte aligned). Checker/convenience access: no latency accounting.
@@ -385,7 +419,7 @@ func (s *Store) ReadU64(a Addr) uint64 {
 		panic("mem: unaligned ReadU64")
 	}
 	off := LineOffset(a)
-	return binary.LittleEndian.Uint64(s.lineLive(a)[off : off+8])
+	return binary.LittleEndian.Uint64(s.at(&s.live, LineIndex(a))[off : off+8])
 }
 
 // DurableU64 reads the 8-byte word at a from the durable NVM image
@@ -407,7 +441,7 @@ func (s *Store) WriteU64(a Addr, v uint64) {
 		panic("mem: unaligned WriteU64")
 	}
 	off := LineOffset(a)
-	binary.LittleEndian.PutUint64(s.lineLive(a)[off:off+8], v)
+	binary.LittleEndian.PutUint64(s.mut(&s.live, LineIndex(a))[off:off+8], v)
 }
 
 // ReadBytes copies n bytes starting at a from the live image (checker
@@ -422,7 +456,24 @@ func (s *Store) ReadBytes(a Addr, n int) []byte {
 // time: ReadBytes into a caller's buffer.
 func (s *Store) ReadInto(a Addr, dst []byte) {
 	for len(dst) > 0 {
-		n := copy(dst, s.lineLive(a)[LineOffset(a):])
+		n := copy(dst, s.at(&s.live, LineIndex(a))[LineOffset(a):])
+		dst = dst[n:]
+		a += Addr(n)
+	}
+}
+
+// DurableInto fills dst from the durable NVM image starting at a, one
+// line at a time, without materializing anything: the recovery-side
+// ReadInto.
+func (s *Store) DurableInto(a Addr, dst []byte) {
+	for len(dst) > 0 {
+		idx := LineIndex(a)
+		n := min(len(dst), LineSize-LineOffset(a))
+		if p := s.durable.pages[idx>>PageShift]; p != nil {
+			copy(dst, p.lines[idx%PageLines][LineOffset(a):])
+		} else {
+			clear(dst[:n])
+		}
 		dst = dst[n:]
 		a += Addr(n)
 	}
@@ -432,9 +483,24 @@ func (s *Store) ReadInto(a Addr, dst []byte) {
 // time (checker and setup use — no latency accounting).
 func (s *Store) WriteBytes(a Addr, b []byte) {
 	for len(b) > 0 {
-		n := copy(s.lineLive(a)[LineOffset(a):], b)
+		n := copy(s.mut(&s.live, LineIndex(a))[LineOffset(a):], b)
 		b = b[n:]
 		a += Addr(n)
+	}
+}
+
+// persisting runs the bookkeeping of one durable update of the NVM line
+// at la: the injection point, then the trace event. It panics for DRAM
+// addresses.
+func (s *Store) persisting(la Addr) {
+	if KindOf(la) != NVM {
+		panic("mem: persist on DRAM address")
+	}
+	if s.crashpoint != nil {
+		s.crashpoint(PointPersistLine)
+	}
+	if s.tracer != nil {
+		s.tracer.Emit(s.traceNow(), -1, trace.EvNVMPersist, 0, uint64(la), 0, 0)
 	}
 }
 
@@ -442,16 +508,38 @@ func (s *Store) WriteBytes(a Addr, b []byte) {
 // given contents. It models an in-place NVM update that has drained past
 // the ADR boundary. Panics for DRAM addresses.
 func (s *Store) PersistLine(a Addr, src *Line) {
-	if KindOf(a) != NVM {
-		panic("mem: PersistLine on DRAM address")
+	s.persisting(LineOf(a))
+	*s.mut(&s.durable, LineIndex(a)) = *src
+}
+
+// WriteThrough copies b into NVM starting at a, into the live and the
+// durable image alike, one line at a time: per line, exactly WriteLine
+// of the live line with b's bytes patched in, then PersistLine of the
+// same bytes. It is the one call for writes that are durable as soon as
+// they land — persistent log rings, redo replay, 2PC applies, and the
+// single-line cells. A line whose page both images still share (after
+// a Crash) is written once, in place. The injection point fires before
+// any byte of the line changes, so a crash there leaves both images as
+// they were. Panics for DRAM addresses.
+func (s *Store) WriteThrough(a Addr, b []byte) {
+	for len(b) > 0 {
+		la, off := LineOf(a), LineOffset(a)
+		s.NVMWrites++
+		s.persisting(la)
+		idx := LineIndex(la)
+		var n int
+		if s.isShared(idx >> PageShift) {
+			p, pl := s.live.pages[idx>>PageShift], idx%PageLines
+			p.mat[pl/64] |= 1 << (pl % 64)
+			n = copy(p.lines[pl][off:], b)
+		} else {
+			l := s.mut(&s.live, idx)
+			n = copy(l[off:], b)
+			*s.mut(&s.durable, idx) = *l
+		}
+		b = b[n:]
+		a += Addr(n)
 	}
-	if s.crashpoint != nil {
-		s.crashpoint(PointPersistLine)
-	}
-	if s.tracer != nil {
-		s.tracer.Emit(s.traceNow(), -1, trace.EvNVMPersist, 0, uint64(LineOf(a)), 0, 0)
-	}
-	*s.durable.line(LineIndex(a)) = *src
 }
 
 // DurableLine returns the durable NVM contents of the line containing a.
@@ -467,7 +555,7 @@ func (s *Store) PersistLiveNVM() {
 	s.live.forEach(func(idx uint64, l *Line) {
 		a := AddrOfLineIndex(idx)
 		if KindOf(a) == NVM && !InLogArea(a) {
-			*s.durable.line(idx) = *l
+			*s.mut(&s.durable, idx) = *l
 		}
 	})
 }
@@ -475,12 +563,18 @@ func (s *Store) PersistLiveNVM() {
 // Crash simulates an instantaneous power failure: the live image is
 // discarded and replaced by the durable NVM image; DRAM reads as zero.
 // The caller (recovery) then replays committed redo-log records.
+//
+// Crash copies no page: the live image takes the durable image's pages
+// and both hold them (Store.shared) until one image copies a page to
+// change it (own). Pages the discarded live image still shared go back
+// to the durable image alone. The cost is one pass over the page table,
+// whatever the size of the image, and nothing is allocated.
 func (s *Store) Crash() {
-	s.live = newImage()
+	copy(s.live.pages, s.durable.pages)
+	clear(s.shared[:])
 	for pi, p := range s.durable.pages {
 		if p != nil {
-			cp := *p
-			s.live.pages[pi] = &cp
+			s.shared[pi/64] |= 1 << (pi % 64)
 		}
 	}
 }

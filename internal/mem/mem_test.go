@@ -1,6 +1,10 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -264,5 +268,224 @@ func TestQuickAllocatorNoOverlap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refStore is a deep-copy reference for Store: maps of line images, a
+// line materializing when first touched, and a Crash that copies every
+// durable line into a fresh live image. Store must be indistinguishable
+// from it through every accessor and counter.
+type refStore struct {
+	live, durable         map[Addr]Line
+	dramReads, dramWrites uint64
+	nvmReads, nvmWrites   uint64
+}
+
+func newRefStore() *refStore {
+	return &refStore{live: map[Addr]Line{}, durable: map[Addr]Line{}}
+}
+
+func (r *refStore) count(a Addr, write bool) {
+	switch {
+	case KindOf(a) == DRAM && write:
+		r.dramWrites++
+	case KindOf(a) == DRAM:
+		r.dramReads++
+	case write:
+		r.nvmWrites++
+	default:
+		r.nvmReads++
+	}
+}
+
+// patch writes b into the live image from a on, line by line, and
+// returns the touched line addresses.
+func (r *refStore) patch(a Addr, b []byte) []Addr {
+	var lines []Addr
+	for len(b) > 0 {
+		la := LineOf(a)
+		l := r.live[la]
+		n := copy(l[LineOffset(a):], b)
+		r.live[la] = l
+		lines = append(lines, la)
+		b, a = b[n:], a+Addr(n)
+	}
+	return lines
+}
+
+// peek reads n bytes of the live image from a on, materializing lines.
+func (r *refStore) peek(a Addr, n int) []byte {
+	out := make([]byte, n)
+	for dst := out; len(dst) > 0; {
+		la := LineOf(a)
+		l := r.live[la]
+		r.live[la] = l
+		k := copy(dst, l[LineOffset(a):])
+		dst, a = dst[k:], a+Addr(k)
+	}
+	return out
+}
+
+func (r *refStore) crash() {
+	r.live = make(map[Addr]Line, len(r.durable))
+	for a, l := range r.durable {
+		r.live[a] = l
+	}
+}
+
+// TestStoreMatchesDeepCopyReference drives Store and refStore through
+// one seeded sequence of every accessor, with repeated crashes, over a
+// few pages of DRAM, NVM and the NVM log area. After every step the
+// live and durable snapshots, every durable line and the four access
+// counters must agree: pages shared by a crash must behave exactly as
+// the deep copies they replace.
+func TestStoreMatchesDeepCopyReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s, ref := NewStore(DefaultConfig()), newRefStore()
+	page := Addr(PageLines * LineSize)
+	bases := []Addr{DRAMBase + 2*page, NVMBase, NVMBase + 7*page, NVMLogBase}
+	nvmBases := bases[1:]
+	// addr picks a line-aligned address in one of a few lines of the
+	// given pages (few enough that lines are revisited often); the
+	// second page of each region keeps some lines untouched.
+	addr := func(from []Addr) Addr {
+		return from[rng.Intn(len(from))] + Addr(rng.Intn(2))*page + Addr(rng.Intn(24))*LineSize
+	}
+	line := func() Line {
+		var l Line
+		rng.Read(l[:])
+		return l
+	}
+	span := func() (Addr, []byte) {
+		b := make([]byte, 1+rng.Intn(3*LineSize))
+		rng.Read(b)
+		return addr(nvmBases) + Addr(rng.Intn(LineSize)), b
+	}
+	crashes := 0
+	for step := 0; step < 1200; step++ {
+		var what string
+		switch op := rng.Intn(15); op {
+		case 0, 1:
+			what = "WriteLine"
+			a, l := addr(bases), line()
+			s.WriteLine(a, &l)
+			ref.live[a] = l
+			ref.count(a, true)
+		case 2, 3:
+			what = "PersistLine"
+			a, l := addr(nvmBases), line()
+			s.PersistLine(a, &l)
+			ref.durable[a] = l
+		case 4, 5:
+			what = "WriteThrough"
+			a, b := span()
+			s.WriteThrough(a, b)
+			for _, la := range ref.patch(a, b) {
+				ref.durable[la] = ref.live[la]
+				ref.count(la, true)
+			}
+		case 6:
+			what = "PokeLine"
+			a, l := addr(bases), line()
+			s.PokeLine(a, &l)
+			ref.live[a] = l
+		case 7:
+			what = "WriteU64"
+			a, v := addr(bases)+Addr(rng.Intn(8))*8, rng.Uint64()
+			s.WriteU64(a, v)
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], v)
+			ref.patch(a, b[:])
+		case 8:
+			what = "WriteBytes"
+			a, b := span()
+			s.WriteBytes(a, b)
+			ref.patch(a, b)
+		case 9:
+			what = "ReadLine"
+			a := addr(bases)
+			var got Line
+			s.ReadLine(a, &got)
+			if want := ref.peek(a, LineSize); !bytes.Equal(got[:], want) {
+				t.Fatalf("step %d: ReadLine(%#x) = %x, want %x", step, uint64(a), got, want)
+			}
+			ref.count(a, false)
+		case 10:
+			what = "ReadU64/ReadBytes"
+			a := addr(bases)
+			if got, want := s.ReadU64(a+8), binary.LittleEndian.Uint64(ref.peek(a+8, 8)); got != want {
+				t.Fatalf("step %d: ReadU64(%#x) = %#x, want %#x", step, uint64(a+8), got, want)
+			}
+			a, b := span()
+			if got, want := s.ReadBytes(a, len(b)), ref.peek(a, len(b)); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: ReadBytes(%#x) differs", step, uint64(a))
+			}
+		case 11:
+			what = "DurableU64/DurableInto"
+			a := addr(nvmBases)
+			l := ref.durable[a]
+			if got, want := s.DurableU64(a+16), binary.LittleEndian.Uint64(l[16:]); got != want {
+				t.Fatalf("step %d: DurableU64(%#x) = %#x, want %#x", step, uint64(a+16), got, want)
+			}
+			got := make([]byte, 2*LineSize-8) // to the end of the next line
+			s.DurableInto(a+8, got)
+			next := ref.durable[a+LineSize]
+			if want := append(l[8:], next[:]...); !bytes.Equal(got, want) {
+				t.Fatalf("step %d: DurableInto(%#x) differs", step, uint64(a+8))
+			}
+		case 12:
+			what = "PersistLiveNVM"
+			s.PersistLiveNVM()
+			for a, l := range ref.live {
+				if KindOf(a) == NVM && !InLogArea(a) {
+					ref.durable[a] = l
+				}
+			}
+		default:
+			what = "Crash"
+			s.Crash()
+			ref.crash()
+			crashes++
+		}
+		if got := s.SnapshotLive(); !reflect.DeepEqual(got, ref.live) {
+			t.Fatalf("step %d (%s): live image differs: %d lines, want %d", step, what, len(got), len(ref.live))
+		}
+		if got := s.SnapshotDurable(); !reflect.DeepEqual(got, ref.durable) {
+			t.Fatalf("step %d (%s): durable image differs: %d lines, want %d", step, what, len(got), len(ref.durable))
+		}
+		for _, b := range nvmBases {
+			for a := b; a < b+2*page; a += 8 * LineSize {
+				if got := s.DurableLine(a); got != ref.durable[a] {
+					t.Fatalf("step %d (%s): DurableLine(%#x) differs", step, what, uint64(a))
+				}
+			}
+		}
+		if got, want := [4]uint64{s.DRAMReads, s.DRAMWrites, s.NVMReads, s.NVMWrites},
+			[4]uint64{ref.dramReads, ref.dramWrites, ref.nvmReads, ref.nvmWrites}; got != want {
+			t.Fatalf("step %d (%s): counters %v, want %v", step, what, got, want)
+		}
+	}
+	if crashes < 50 {
+		t.Fatalf("only %d crashes exercised", crashes)
+	}
+}
+
+// TestCrashAllocatesNothing: a crash shares the durable pages instead
+// of copying them, so it allocates the same (nothing) for an image of
+// one page as for one of hundreds.
+func TestCrashAllocatesNothing(t *testing.T) {
+	for _, pages := range []int{1, 300} {
+		s := NewStore(DefaultConfig())
+		var l Line
+		for p := 0; p < pages; p++ {
+			l[0] = byte(p)
+			s.PersistLine(NVMBase+Addr(p*PageLines*LineSize), &l)
+		}
+		if n := testing.AllocsPerRun(10, s.Crash); n != 0 {
+			t.Errorf("Crash of a %d-page image allocates %v times, want 0", pages, n)
+		}
+		if got := s.PeekLine(NVMBase + Addr((pages-1)*PageLines*LineSize)); got != l {
+			t.Errorf("%d-page image: last persisted line lost at the crash", pages)
+		}
 	}
 }

@@ -81,9 +81,10 @@ var errProtocol = errors.New("protocol error")
 func IsProtocolError(err error) bool { return errors.Is(err, errProtocol) }
 
 // ReadRequest reads one request — a RESP array of bulk strings or an
-// inline command line — returning the argument vector. io errors pass
-// through; framing violations return an error satisfying
-// IsProtocolError.
+// inline command line — returning the argument vector. Every argument
+// is freshly allocated, never an alias of r's buffer, so it stays valid
+// after the next read. io errors pass through; framing violations
+// return an error satisfying IsProtocolError.
 func ReadRequest(r *bufio.Reader) ([][]byte, error) {
 	first, err := r.Peek(1)
 	if err != nil {

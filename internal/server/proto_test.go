@@ -274,3 +274,30 @@ func FuzzReplyWireRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// TestParsedValueOutlivesNextRead: a PUT value parsed from one request
+// keeps its bytes after the next ReadRequest on the same reader, in
+// both request forms — ops hold values past the dispatch (MULTI queues,
+// engine batches) without copying them.
+func TestParsedValueOutlivesNextRead(t *testing.T) {
+	for _, in := range []string{
+		"*3\r\n$3\r\nPUT\r\n$1\r\n1\r\n$5\r\nfirst\r\n*3\r\n$3\r\nPUT\r\n$1\r\n2\r\n$5\r\nXXXXX\r\n",
+		"PUT 1 first\r\nPUT 2 XXXXX\r\n",
+	} {
+		r := bufio.NewReaderSize(strings.NewReader(in), 16) // the smallest buffer: every read reuses it
+		argv, err := ReadRequest(r)
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		op, err := parseOp("PUT", argv)
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if _, err := ReadRequest(r); err != nil {
+			t.Fatalf("%q: second request: %v", in, err)
+		}
+		if string(op.Val) != "first" {
+			t.Errorf("%q: value reads %q after the next request, want %q", in, op.Val, "first")
+		}
+	}
+}

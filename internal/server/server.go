@@ -411,8 +411,10 @@ func (s *Server) runWave(pending []*request) []*request {
 // powerFail models an operator-triggered power failure (the CRASH
 // command): every shard loses volatile state, the redo logs replay, the
 // coordinator's completion pass finishes decided cross-shard
-// transactions, and the DRAM indexes are rebuilt. Runs between steps,
-// so no request is in flight.
+// transactions (shard.Cluster.RecoverServing, which recovers the shards
+// in parallel), and the DRAM indexes are rebuilt, each on its shard's
+// Fanout worker: a store lives on its shard's machine alone. Runs
+// between steps, so no request is in flight.
 func (s *Server) powerFail() {
 	s.crashes++
 	rec := s.cluster.RecoverServing()
@@ -424,9 +426,10 @@ func (s *Server) powerFail() {
 			s.recPS = ps // shards recover in parallel: slowest dominates
 		}
 	}
-	for _, st := range s.stores {
-		st.Recover()
-	}
+	s.cluster.Fanout(s.shards, func(sh *shard.Shard) bool {
+		s.stores[sh.ID()].Recover()
+		return false
+	})
 }
 
 // recoverAfterHalt is powerFail for a failure that struck mid-wave: the
@@ -555,28 +558,51 @@ type connState struct {
 	multiErr bool // a queued command failed to parse; EXEC must refuse
 }
 
+// flushingConn is a connection as its request reader sees it: before
+// each read from the socket it flushes the replies buffered so far.
+// The reader reads only when its buffer holds no complete request, so
+// the replies to a pipelined burst leave in one write, and a client
+// still gets every reply before the server would wait on it, even one
+// that sent a partial request or half-closed after sending.
+type flushingConn struct {
+	net.Conn
+	w *bufio.Writer
+}
+
+// Read flushes the buffered replies, then reads from the socket.
+func (c flushingConn) Read(p []byte) (int, error) {
+	if c.w.Buffered() > 0 {
+		if err := c.w.Flush(); err != nil {
+			return 0, err
+		}
+	}
+	return c.Conn.Read(p)
+}
+
 // handleConn runs one connection's request loop. Errors are isolated
 // to the connection: parse errors get -ERR replies (framing errors
 // additionally close the connection, since the stream position is
 // lost), and a panic in command handling closes this connection only.
+// Replies are flushed once per read burst (flushingConn) and before
+// the connection closes.
 func (s *Server) handleConn(conn net.Conn) {
+	w := bufio.NewWriter(conn)
+	r := bufio.NewReader(flushingConn{conn, w})
 	defer s.connWG.Done()
 	defer func() {
-		recover() // isolate: a handler bug kills the connection, not the server
+		recover()     // isolate: a handler bug kills the connection, not the server
+		_ = w.Flush() // best effort: the connection closes either way
 		s.connMu.Lock()
 		delete(s.conns, conn)
 		s.connMu.Unlock()
 		conn.Close()
 	}()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
 	st := &connState{}
 	for {
 		argv, err := ReadRequest(r)
 		if err != nil {
 			if IsProtocolError(err) {
 				WriteReply(w, Errf("%v", err))
-				w.Flush()
 			}
 			return // io error (client gone, shutdown) or unsyncable stream
 		}
@@ -584,13 +610,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			continue // blank inline line
 		}
 		rep, quit := s.dispatch(st, argv)
-		if err := WriteReply(w, rep); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		if quit {
+		if err := WriteReply(w, rep); err != nil || quit {
 			return
 		}
 	}
@@ -719,10 +739,10 @@ func parseOp(name string, argv [][]byte) (Op, error) {
 		if len(argv[2]) > MaxBulk {
 			return Op{}, fmt.Errorf("value exceeds %d bytes", MaxBulk)
 		}
-		// Copy: argv aliases the read buffer only within one request,
-		// but ops outlive the dispatch (MULTI queues, engine batches).
-		v := append([]byte(nil), argv[2]...)
-		return Op{Kind: OpPut, Key: k, Val: v}, nil
+		// ReadRequest hands out fresh argument slices, so the op may
+		// keep the value past the dispatch (MULTI queues, engine
+		// batches) without a copy.
+		return Op{Kind: OpPut, Key: k, Val: argv[2]}, nil
 	case "SCAN":
 		if len(argv) != 3 {
 			return Op{}, fmt.Errorf("wrong number of arguments for SCAN (want: SCAN start count)")

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 
 	"uhtm/internal/core"
@@ -44,6 +45,15 @@ type Recovery struct {
 // (SweepTarget) holds the result to the canned driver's ground truth,
 // including every registered apply image.
 //
+// Host side: each shard's Crash shares its durable pages with the new
+// live image instead of copying them (mem.Store.Crash), and its local
+// recovery writes through those shared pages (mem.Store.WriteThrough),
+// so a shard's recovery costs about what its log window costs. The
+// shards crash and recover in parallel through Fanout, which honours
+// Config.Par (the crash sweep runs at Par 1, so its shared injector
+// sees the same serial order). The coordinator's cell read, the
+// decision-log recovery and the completion pass run after, serially.
+//
 // Correctness leans on the protocol's phase ordering: a durable
 // decision implies every participant's prepare records were durable
 // first; an absent decision implies no participant ever logged an apply
@@ -55,30 +65,19 @@ func (c *Cluster) RecoverServing() Recovery {
 		DecidedAbort:  make(map[uint64]bool),
 	}
 
-	// Power failure on every shard.
-	for _, sh := range c.shards {
-		sh.m.Crash()
-	}
-
-	rec.Cell = c.shards[0].m.Store().ReadU64(c.cellAddr)
-	maxSeq := max(c.seq, rec.Cell)
-	for _, r := range c.decLog.Recover().Recs {
-		switch r.Type {
-		case wal.RecCommit:
-			rec.DecidedCommit[r.LSN] = true
-		case wal.RecAbort:
-			rec.DecidedAbort[r.LSN] = true
-		}
-		maxSeq = max(maxSeq, r.LSN)
-	}
-
-	// Local replay per shard completes every transaction whose
-	// commit/apply mark was durable; its decoded windows give the apply
-	// marks and prepare images per GID (a later image of a line wins).
+	// Power failure and local replay on every shard. Local replay
+	// completes every transaction whose commit/apply mark was durable;
+	// its decoded windows give the apply marks and prepare images per GID
+	// (a later image of a line wins). Shards share no state, so they
+	// recover in parallel through Fanout, up to Config.Par at once.
 	durMark := make([]map[uint64]bool, len(c.shards))
 	intents := make([]map[uint64][]LineWrite, len(c.shards))
-	for k, sh := range c.shards {
-		rec.PerShard = append(rec.PerShard, sh.m.Recover())
+	topSeq := make([]uint64, len(c.shards)) // highest GID sequence per shard
+	rec.PerShard = make([]core.RecoveryStats, len(c.shards))
+	c.Fanout(c.shards, func(sh *Shard) bool {
+		k := sh.id
+		sh.m.Crash()
+		rec.PerShard[k] = sh.m.Recover()
 		durMark[k] = make(map[uint64]bool)
 		intents[k] = make(map[uint64][]LineWrite)
 		for _, w := range rec.PerShard[k].Redo {
@@ -86,7 +85,7 @@ func (c *Cluster) RecoverServing() Recovery {
 				if r.TxID < GIDBase {
 					continue
 				}
-				maxSeq = max(maxSeq, r.TxID&^GIDBase)
+				topSeq[k] = max(topSeq[k], r.TxID&^GIDBase)
 				switch r.Type {
 				case wal.RecCommit:
 					durMark[k][r.TxID] = true
@@ -95,6 +94,20 @@ func (c *Cluster) RecoverServing() Recovery {
 				}
 			}
 		}
+		return false
+	})
+
+	// The coordinator's durable state lives on shard 0, crashed above.
+	rec.Cell = c.shards[0].m.Store().ReadU64(c.cellAddr)
+	maxSeq := max(c.seq, rec.Cell, slices.Max(topSeq))
+	for _, r := range c.decLog.Recover().Recs {
+		switch r.Type {
+		case wal.RecCommit:
+			rec.DecidedCommit[r.LSN] = true
+		case wal.RecAbort:
+			rec.DecidedAbort[r.LSN] = true
+		}
+		maxSeq = max(maxSeq, r.LSN)
 	}
 
 	// Completion pass over decided commits above the cell, in sequence
@@ -128,11 +141,8 @@ func (c *Cluster) RecoverServing() Recovery {
 				rec.Noted++
 			} else {
 				sh.m.RedoLog(0).Append(wal.Record{Type: wal.RecCommit, TxID: gid, LSN: sh.m.NextLSN()})
-				st := sh.m.Store()
 				for _, w := range ws {
-					img := w.Img
-					st.WriteLine(w.Addr, &img)
-					st.PersistLine(w.Addr, &img)
+					sh.m.Store().WriteThrough(w.Addr, w.Img[:])
 				}
 				rec.Completed++
 			}

@@ -328,10 +328,8 @@ func (c *Cluster) apply(sh *Shard, wave []*crossTx, tdec sim.Time) bool {
 			writes := make(map[mem.Addr]mem.Line, len(ws))
 			for _, w := range ws {
 				sh.hit(PointApplyLine)
-				img := w.Img
-				st.WriteLine(w.Addr, &img)
-				st.PersistLine(w.Addr, &img)
-				writes[w.Addr] = img
+				st.WriteThrough(w.Addr, w.Img[:])
+				writes[w.Addr] = w.Img
 				th.Advance(applyLatPerLine)
 			}
 			sh.m.NoteCommit(tx.gid, 0, writes)
@@ -354,11 +352,10 @@ func (c *Cluster) reclaim(sh *Shard) bool {
 // records are now redundant with the cell.
 func (c *Cluster) resolve(sh *Shard, seq uint64) bool {
 	return sh.Do("2pc.resolve", func(th *sim.Thread) {
-		st := sh.m.Store()
 		sh.hit(PointResolveCkpt)
-		st.WriteU64(c.cellAddr, seq)
-		ln := st.PeekLine(c.cellAddr)
-		st.PersistLine(c.cellAddr, &ln)
+		var cell [8]byte
+		binary.LittleEndian.PutUint64(cell[:], seq)
+		sh.m.Store().WriteThrough(c.cellAddr, cell[:])
 		th.Advance(decisionLatPerTx)
 		c.decLog.Reclaim(c.decLog.Head())
 		c.resolvedSeq = seq

@@ -15,7 +15,9 @@ package wal
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"uhtm/internal/mem"
@@ -107,32 +109,43 @@ const payloadSize = RecordSize - 8
 // recMagic guards against replaying garbage after a torn ring wrap.
 const recMagic uint32 = 0x55AA17C3
 
-// checksum is FNV-1a over the record payload. A memory controller would
-// use ECC-grade CRC; any whole-buffer hash gives the property recovery
-// needs — a record assembled from lines of two different writes (torn)
-// or never fully written (truncated) fails verification.
-func checksum(b []byte) uint64 {
+// checksum hashes the record payload a word at a time: each
+// little-endian word is multiplied into the running state, which is
+// rotated and remixed, and a final avalanche spreads every input bit
+// over the result. A memory controller would use ECC-grade CRC; any
+// whole-buffer hash gives the property recovery needs — a record
+// assembled from lines of two different writes (torn) or never fully
+// written (truncated) fails verification. Every step is a bijection of
+// the state for a fixed word, so two payloads that differ in a single
+// word always hash apart.
+func checksum(b *[RecordSize]byte) uint64 {
 	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
+		prime1 = 0x9E3779B185EBCA87
+		prime2 = 0xC2B2AE3D27D4EB4F
 	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
+	h := uint64(prime1)
+	for i := 0; i < payloadSize; i += 8 {
+		h ^= binary.LittleEndian.Uint64(b[i:]) * prime2
+		h = bits.RotateLeft64(h, 31) * prime1
 	}
+	h ^= h >> 33
+	h *= 0xFF51AFD7ED558CCD
+	h ^= h >> 33
+	h *= 0xC4CEB9FE1A85EC53
+	h ^= h >> 33
 	return h
 }
 
 // encode serializes r into a RecordSize-byte buffer.
 func encode(r Record, buf *[RecordSize]byte) {
-	putU32(buf[0:], recMagic)
+	le := binary.LittleEndian
+	le.PutUint32(buf[0:], recMagic)
 	buf[4] = byte(r.Type)
-	putU64(buf[8:], r.TxID)
-	putU64(buf[16:], uint64(r.Addr))
+	le.PutUint64(buf[8:], r.TxID)
+	le.PutUint64(buf[16:], uint64(r.Addr))
 	copy(buf[24:24+mem.LineSize], r.Data[:])
-	putU64(buf[24+mem.LineSize:], r.LSN)
-	putU64(buf[payloadSize:], checksum(buf[:payloadSize]))
+	le.PutUint64(buf[24+mem.LineSize:], r.LSN)
+	le.PutUint64(buf[payloadSize:], checksum(buf))
 }
 
 // decode parses a RecordSize-byte buffer; ok is false when the magic is
@@ -141,46 +154,16 @@ func encode(r Record, buf *[RecordSize]byte) {
 // lines reached durability, or the slot holds a stale mix of two ring
 // generations).
 func decode(buf *[RecordSize]byte) (r Record, ok bool) {
-	if getU32(buf[0:]) != recMagic {
-		return Record{}, false
-	}
-	if getU64(buf[payloadSize:]) != checksum(buf[:payloadSize]) {
+	le := binary.LittleEndian
+	if le.Uint32(buf[0:]) != recMagic || le.Uint64(buf[payloadSize:]) != checksum(buf) {
 		return Record{}, false
 	}
 	r.Type = RecordType(buf[4])
-	r.TxID = getU64(buf[8:])
-	r.Addr = mem.Addr(getU64(buf[16:]))
+	r.TxID = le.Uint64(buf[8:])
+	r.Addr = mem.Addr(le.Uint64(buf[16:]))
 	copy(r.Data[:], buf[24:24+mem.LineSize])
-	r.LSN = getU64(buf[24+mem.LineSize:])
+	r.LSN = le.Uint64(buf[24+mem.LineSize:])
 	return r, true
-}
-
-func putU32(b []byte, v uint32) {
-	for i := 0; i < 4; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU32(b []byte) uint32 {
-	var v uint32
-	for i := 3; i >= 0; i-- {
-		v = v<<8 | uint32(b[i])
-	}
-	return v
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }
 
 // ctrlSize is the control block at the base of each ring: head and tail
@@ -379,44 +362,19 @@ func (l *Log) slotAddr(seq uint64) mem.Addr {
 	return l.data + mem.Addr((seq%l.slots)*RecordSize)
 }
 
-// writeBytes copies b into simulated memory at a, persisting touched
-// lines when the ring is durable.
+// writeBytes copies b into simulated memory at a: into the live and
+// the durable image at once when the ring is durable (mem.WriteThrough),
+// else into the live image alone.
 func (l *Log) writeBytes(a mem.Addr, b []byte) {
-	for len(b) > 0 {
-		la := mem.LineOf(a)
-		off := mem.LineOffset(a)
-		n := mem.LineSize - off
-		if n > len(b) {
-			n = len(b)
-		}
-		line := l.store.PeekLine(la)
-		copy(line[off:off+n], b[:n])
-		l.store.WriteLine(la, &line)
-		if l.persist {
-			l.store.PersistLine(la, &line)
-		}
-		a += mem.Addr(n)
-		b = b[n:]
+	if l.persist {
+		l.store.WriteThrough(a, b)
+		return
 	}
-}
-
-// readBytes fills b from simulated memory at a. When durable is set it
-// reads the durable image (crash recovery); otherwise the live image.
-func (l *Log) readBytes(a mem.Addr, b []byte, durable bool) {
 	for len(b) > 0 {
 		la := mem.LineOf(a)
-		off := mem.LineOffset(a)
-		n := mem.LineSize - off
-		if n > len(b) {
-			n = len(b)
-		}
-		var line mem.Line
-		if durable {
-			line = l.store.DurableLine(la)
-		} else {
-			line = l.store.PeekLine(la)
-		}
-		copy(b[:n], line[off:off+n])
+		line := l.store.PeekLine(la)
+		n := copy(line[mem.LineOffset(a):], b)
+		l.store.WriteLine(la, &line)
 		a += mem.Addr(n)
 		b = b[n:]
 	}
@@ -424,8 +382,8 @@ func (l *Log) readBytes(a mem.Addr, b []byte, durable bool) {
 
 func (l *Log) writeCtrl() {
 	var buf [16]byte
-	putU64(buf[0:], l.head)
-	putU64(buf[8:], l.tail)
+	binary.LittleEndian.PutUint64(buf[0:], l.head)
+	binary.LittleEndian.PutUint64(buf[8:], l.tail)
 	l.writeBytes(l.base, buf[:])
 }
 
@@ -539,14 +497,8 @@ func (l *Log) Read(seq uint64) (Record, bool) {
 	if seq < l.tail || seq >= l.head {
 		return Record{}, false
 	}
-	return l.readRecord(seq, false)
-}
-
-// readRecord decodes the slot at seq without bounds checks; callers
-// supply the window.
-func (l *Log) readRecord(seq uint64, durable bool) (Record, bool) {
 	var buf [RecordSize]byte
-	l.readBytes(l.slotAddr(seq), buf[:], durable)
+	l.store.ReadInto(l.slotAddr(seq), buf[:])
 	return decode(&buf)
 }
 
@@ -579,7 +531,7 @@ type Checkpoint struct {
 // treat any group without a validated end record as torn.
 func (l *Log) AppendCheckpoint(ck Checkpoint) uint64 {
 	var data mem.Line
-	putU64(data[0:8], uint64(len(ck.Active)))
+	binary.LittleEndian.PutUint64(data[0:8], uint64(len(ck.Active)))
 	begin := l.Append(Record{Type: RecCkptBegin, TxID: ck.Seq, Addr: mem.Addr(ck.DirtyLines), Data: data, LSN: ck.LowWater})
 	for _, a := range ck.Active {
 		l.Append(Record{Type: RecCkptActive, TxID: a.TxID, LSN: a.CommitLSN})
@@ -602,9 +554,12 @@ type Window struct {
 func (l *Log) Window() Window {
 	head, tail := l.RecoverWindow()
 	w := Window{Tail: tail, Recs: make([]Record, head-tail)}
+	var buf [RecordSize]byte
 	for i := range w.Recs {
+		// The slot's bytes come straight out of the durable lines.
+		l.store.DurableInto(l.slotAddr(tail+uint64(i)), buf[:])
 		var ok bool
-		if w.Recs[i], ok = l.readRecord(tail+uint64(i), true); !ok {
+		if w.Recs[i], ok = decode(&buf); !ok {
 			w.Torn++
 		}
 	}
@@ -649,7 +604,7 @@ func (w Window) CheckpointAt(seq uint64) (Checkpoint, bool) {
 	if begin.Type != RecCkptBegin {
 		return Checkpoint{}, false
 	}
-	n := getU64(begin.Data[0:8])
+	n := binary.LittleEndian.Uint64(begin.Data[0:8])
 	if n+2 < n || n+2 > uint64(len(recs)) {
 		return Checkpoint{}, false
 	}
@@ -689,9 +644,7 @@ func (w Window) LatestCheckpoint() (Checkpoint, bool) {
 // window (tail, head) as of the crash. Only meaningful for persistent
 // rings.
 func (l *Log) RecoverWindow() (head, tail uint64) {
-	var buf [16]byte
-	l.readBytes(l.base, buf[:], true)
-	return getU64(buf[0:]), getU64(buf[8:])
+	return l.store.DurableU64(l.base), l.store.DurableU64(l.base + 8)
 }
 
 // ReplayStats reports what a redo-log replay did.
@@ -853,8 +806,7 @@ func replay(logs []*Log, wins []Window, from uint64) ReplayStats {
 		st.CommittedTx++
 		for k := range c.recs {
 			if r := &c.recs[k]; r.Type == RecWrite {
-				logs[0].store.WriteLine(r.Addr, &r.Data)
-				logs[0].store.PersistLine(r.Addr, &r.Data)
+				logs[0].store.WriteThrough(r.Addr, r.Data[:])
 				st.AppliedLines++
 			}
 		}
