@@ -93,6 +93,42 @@ func (r *OpRing) Len(m txds.Mem) int {
 	return int(m.ReadU64(r.base) - m.ReadU64(r.base+8))
 }
 
+// publish pushes every pair of batch onto r outside any transaction and
+// returns how many did not fit.
+func publish(c *core.Ctx, r *OpRing, batch []KV) (dropped int) {
+	nt := c.NT()
+	for _, p := range batch {
+		if !r.TryPush(nt, p) {
+			dropped++
+		}
+	}
+	return dropped
+}
+
+// drain pops up to max pairs from r outside any transaction and puts
+// them into table in one durable transaction; it returns the number
+// applied.
+func drain(c *core.Ctx, r *OpRing, table *txds.HashMap, max int) int {
+	nt := c.NT()
+	var pending []KV
+	for len(pending) < max {
+		p, ok := r.TryPop(nt)
+		if !ok {
+			break
+		}
+		pending = append(pending, p)
+	}
+	if len(pending) == 0 {
+		return 0
+	}
+	c.Run(func(tx *core.Tx) {
+		for _, p := range pending {
+			table.Put(tx, p.Key, p.Val)
+		}
+	})
+	return len(pending)
+}
+
 // HybridPart is one partition of the HiKV-style store: a DRAM B-Tree
 // index for scans and an NVM HashMap for point operations.
 type HybridPart struct {
@@ -107,6 +143,13 @@ func NewHybridPart(setup txds.Mem, dal, nal *mem.Allocator, buckets int) HybridP
 		Index: txds.NewBTree(setup, dal),
 		Table: txds.NewHashMap(setup, nal, buckets),
 	}
+}
+
+// Put inserts or updates k in the NVM table and records its presence
+// in the DRAM index for scans.
+func (p HybridPart) Put(m txds.Mem, k uint64, v []byte) {
+	p.Table.Put(m, k, v)
+	p.Index.Put(m, k, nil)
 }
 
 // RebuildIndex replaces the partition's DRAM index with a fresh one on
@@ -160,8 +203,7 @@ func (h *HybridIndex) PutBatch(c *core.Ctx, part int, batch []KV) {
 	p := h.Parts[part]
 	c.Run(func(tx *core.Tx) {
 		for _, kvp := range batch {
-			p.Table.Put(tx, kvp.Key, kvp.Val)
-			p.Index.Put(tx, kvp.Key, nil) // index entry: key presence for scans
+			p.Put(tx, kvp.Key, kvp.Val)
 		}
 	})
 }
@@ -226,13 +268,7 @@ func (d *Dual) FrontPut(c *core.Ctx, part int, batch []KV) (dropped int) {
 			sh.Front.Put(tx, p.Key, p.Val)
 		}
 	})
-	nt := c.NT()
-	for _, p := range batch {
-		if !sh.XLog.TryPush(nt, p) {
-			dropped++
-		}
-	}
-	return dropped
+	return publish(c, sh.XLog, batch)
 }
 
 // FrontGet serves a read from shard part's foreground map in one
@@ -248,25 +284,7 @@ func (d *Dual) FrontGet(c *core.Ctx, part int, key uint64) (val []byte, found bo
 // them to its NVM background map in one durable transaction. It returns
 // the number applied.
 func (d *Dual) BackendStep(c *core.Ctx, part, max int) int {
-	sh := d.Parts[part]
-	nt := c.NT()
-	var pending []KV
-	for len(pending) < max {
-		p, ok := sh.XLog.TryPop(nt)
-		if !ok {
-			break
-		}
-		pending = append(pending, p)
-	}
-	if len(pending) == 0 {
-		return 0
-	}
-	c.Run(func(tx *core.Tx) {
-		for _, p := range pending {
-			sh.Back.Put(tx, p.Key, p.Val)
-		}
-	})
-	return len(pending)
+	return drain(c, d.Parts[part].XLog, d.Parts[part].Back, max)
 }
 
 // Echo is the WHISPER Echo store: clients enqueue batched updates on
@@ -289,36 +307,13 @@ func NewEcho(setup txds.Mem, dal, nal *mem.Allocator, buckets, nClients, ringSlo
 // ClientSend enqueues a batch on client id's ring (out of transaction),
 // returning how many entries did not fit.
 func (e *Echo) ClientSend(c *core.Ctx, id int, batch []KV) (dropped int) {
-	nt := c.NT()
-	for _, p := range batch {
-		if !e.Rings[id].TryPush(nt, p) {
-			dropped++
-		}
-	}
-	return dropped
+	return publish(c, e.Rings[id], batch)
 }
 
 // MasterStep drains up to max updates from one client ring and applies
 // them in a single durable transaction; it returns the number applied.
 func (e *Echo) MasterStep(c *core.Ctx, id, max int) int {
-	nt := c.NT()
-	var pending []KV
-	for len(pending) < max {
-		p, ok := e.Rings[id].TryPop(nt)
-		if !ok {
-			break
-		}
-		pending = append(pending, p)
-	}
-	if len(pending) == 0 {
-		return 0
-	}
-	c.Run(func(tx *core.Tx) {
-		for _, p := range pending {
-			e.Table.Put(tx, p.Key, p.Val)
-		}
-	})
-	return len(pending)
+	return drain(c, e.Rings[id], e.Table, max)
 }
 
 // ReadOnlyBatch performs one long-running read-only transaction getting

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"uhtm/internal/mem"
@@ -27,8 +28,9 @@ import (
 // captureMem is a txds.Mem over a store that serves reads through its
 // pending write set and buffers writes as full line images, in
 // first-write order. It mirrors mem.Store's accessor semantics exactly
-// (little-endian U64, 8-byte alignment panic, byte-at-a-time spanning
-// reads/writes) so data-structure code behaves identically under it.
+// (little-endian U64 within one line image, 8-byte alignment panic,
+// byte reads and writes that span lines) so data-structure code behaves
+// identically under it.
 type captureMem struct {
 	st    *mem.Store
 	imgs  map[mem.Addr]*mem.Line
@@ -69,11 +71,7 @@ func (c *captureMem) ReadU64(a mem.Addr) uint64 {
 	}
 	ln := c.line(mem.LineOf(a))
 	off := mem.LineOffset(a)
-	var v uint64
-	for b := 0; b < 8; b++ {
-		v |= uint64(ln[off+b]) << (8 * b)
-	}
-	return v
+	return binary.LittleEndian.Uint64(ln[off : off+8])
 }
 
 // WriteU64 writes a little-endian u64 (8-byte aligned, like mem.Store).
@@ -81,27 +79,18 @@ func (c *captureMem) WriteU64(a mem.Addr, v uint64) {
 	if a%8 != 0 {
 		panic("server: unaligned WriteU64 through captureMem")
 	}
-	img := c.dirty(mem.LineOf(a))
 	off := mem.LineOffset(a)
-	for b := 0; b < 8; b++ {
-		img[off+b] = byte(v >> (8 * b))
-	}
+	binary.LittleEndian.PutUint64(c.dirty(mem.LineOf(a))[off:off+8], v)
 }
 
 // ReadBytes reads n bytes starting at a, spanning lines.
 func (c *captureMem) ReadBytes(a mem.Addr, n int) []byte {
 	out := make([]byte, n)
-	for i := 0; i < n; {
-		la := mem.LineOf(a)
-		off := mem.LineOffset(a)
-		ln := c.line(la)
-		take := mem.LineSize - off
-		if take > n-i {
-			take = n - i
-		}
-		copy(out[i:i+take], ln[off:off+take])
-		i += take
-		a += mem.Addr(take)
+	for dst := out; len(dst) > 0; {
+		ln := c.line(mem.LineOf(a))
+		k := copy(dst, ln[mem.LineOffset(a):])
+		dst = dst[k:]
+		a += mem.Addr(k)
 	}
 	return out
 }
@@ -109,14 +98,7 @@ func (c *captureMem) ReadBytes(a mem.Addr, n int) []byte {
 // WriteBytes writes b starting at a, spanning lines.
 func (c *captureMem) WriteBytes(a mem.Addr, b []byte) {
 	for len(b) > 0 {
-		la := mem.LineOf(a)
-		off := mem.LineOffset(a)
-		img := c.dirty(la)
-		n := mem.LineSize - off
-		if n > len(b) {
-			n = len(b)
-		}
-		copy(img[off:off+n], b[:n])
+		n := copy(c.dirty(mem.LineOf(a))[mem.LineOffset(a):], b)
 		a += mem.Addr(n)
 		b = b[n:]
 	}

@@ -119,8 +119,7 @@ func (s *Store) PrepopulateOne(k uint64, valSize int) {
 	for i := range v {
 		v[i] = byte(k + uint64(i))
 	}
-	s.part.Table.Put(st, k, v)
-	s.part.Index.Put(st, k, nil)
+	s.part.Put(st, k, v)
 }
 
 // Apply executes ops as one durable transaction on the given context
@@ -139,8 +138,7 @@ func (s *Store) Apply(c *core.Ctx, ops []Op) []OpResult {
 				v, ok := s.part.Table.Get(tx, op.Key)
 				results[i] = OpResult{Val: v, Found: ok}
 			case OpPut:
-				s.part.Table.Put(tx, op.Key, op.Val)
-				s.part.Index.Put(tx, op.Key, nil)
+				s.part.Put(tx, op.Key, op.Val)
 				results[i] = OpResult{Written: true}
 			case OpDel:
 				ok := s.part.Table.Delete(tx, op.Key)

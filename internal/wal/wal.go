@@ -725,12 +725,6 @@ func (r *Rings) Appends() uint64 {
 	return n
 }
 
-// ReplayAll is Recover without the decoded windows.
-func (r *Rings) ReplayAll(ckpt uint64) ReplayStats {
-	st, _ := r.Recover(ckpt)
-	return st
-}
-
 // Recover performs crash recovery across all cores' rings: each ring is
 // recovered once (Log.Recover) and replayed. It returns the replay
 // counts and each ring's decoded window (ring i's at index i).

@@ -248,7 +248,7 @@ func TestReplayAllCountsTorn(t *testing.T) {
 	corruptDurable(s, rs.ForCore(0).slotAddr(seq))
 	s.Crash()
 
-	st := rs.ReplayAll(0)
+	st, _ := rs.Recover(0)
 	if st.TornRecs != 1 {
 		t.Errorf("TornRecs = %d, want 1", st.TornRecs)
 	}
@@ -302,9 +302,9 @@ func TestRings(t *testing.T) {
 		t.Errorf("Appends = %d", rs.Appends())
 	}
 	s.Crash()
-	st := rs.ReplayAll(0)
+	st, _ := rs.Recover(0)
 	if st.CommittedTx != 16 || st.AppliedLines != 16 {
-		t.Errorf("ReplayAll = %+v", st)
+		t.Errorf("Recover = %+v", st)
 	}
 }
 
@@ -324,7 +324,7 @@ func TestReplayAllCrossRingOrder(t *testing.T) {
 	rs.ForCore(0).Append(Record{Type: RecWrite, TxID: 2, Addr: a, Data: lineWith(0x22)})
 	rs.ForCore(0).Append(Record{Type: RecCommit, TxID: 2, LSN: 2})
 	s.Crash()
-	st := rs.ReplayAll(0)
+	st, _ := rs.Recover(0)
 	if st.CommittedTx != 2 {
 		t.Fatalf("replay stats = %+v", st)
 	}

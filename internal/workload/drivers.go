@@ -203,22 +203,102 @@ func makeDS(b Bench, setup txds.Mem, al *mem.Allocator, keySpace int) dsKV {
 	}
 }
 
-// defaultGeometry returns the Table III machine configuration.
-func defaultGeometry() mem.Config { return mem.DefaultConfig() }
+// driver is one run's engine and machine plus the bookkeeping every
+// Table IV driver shares: it records each benchmark thread for the
+// elapsed-time measurement and tells the memory apps to stop once the
+// last benchmark thread has finished.
+type driver struct {
+	eng     *sim.Engine
+	m       *core.Machine
+	cfg     Config
+	threads []*sim.Thread
+	running int
+	done    bool
+}
 
-// machineFor builds the engine+machine pair with enough cores for the
-// run.
-func machineFor(spec SystemSpec, cfg Config, extraThreads int) (*sim.Engine, *core.Machine) {
-	mc := defaultGeometry()
+// machineFor builds the run's driver, with a core for every benchmark
+// thread and memory app.
+func machineFor(spec SystemSpec, cfg Config) *driver {
+	mc := mem.DefaultConfig()
 	if cfg.Geometry != nil {
 		mc = *cfg.Geometry
 	}
-	mc.Cores = cfg.Instances*cfg.ThreadsPerInstance + cfg.MemApps + extraThreads
+	mc.Cores = cfg.Instances*cfg.ThreadsPerInstance + cfg.MemApps
 	eng := sim.NewEngine(cfg.Seed)
 	if cfg.Trace {
 		eng.SetTracer(trace.NewRecorder())
 	}
-	return eng, core.NewMachine(eng, mc, spec.Opts)
+	return &driver{eng: eng, m: core.NewMachine(eng, mc, spec.Opts), cfg: cfg}
+}
+
+// spawn starts benchmark thread name, whose body runs on a context in
+// conflict domain domain.
+func (d *driver) spawn(name string, domain int, body func(th *sim.Thread, c *core.Ctx)) {
+	d.running++
+	th := d.eng.Spawn(name, func(th *sim.Thread) {
+		body(th, d.m.NewCtx(th, domain))
+		d.running--
+		if d.running == 0 {
+			d.done = true
+		}
+	})
+	d.threads = append(d.threads, th)
+}
+
+// rng returns benchmark thread t of instance inst's random source.
+func (d *driver) rng(inst, t int) *rand.Rand {
+	return rand.New(rand.NewSource(d.cfg.Seed + int64(inst*100+t)))
+}
+
+// finish spawns the memory apps, runs the engine to completion and
+// aggregates stats over the first domains conflict domains, measuring
+// elapsed time as the slowest benchmark thread.
+func (d *driver) finish(spec SystemSpec, b Bench, domains int) Result {
+	d.spawnMemApps()
+	d.eng.Run()
+	var agg stats.Stats
+	for dom := 0; dom < domains; dom++ {
+		agg.Add(d.m.DomainStats(dom))
+	}
+	var elapsed sim.Time
+	for _, th := range d.threads {
+		if th.Clock() > elapsed {
+			elapsed = th.Clock()
+		}
+	}
+	agg.Elapsed = elapsed
+	return Result{
+		System:      spec.Name,
+		Bench:       b,
+		FootprintKB: d.cfg.FootprintKB,
+		Seed:        d.cfg.Seed,
+		Stats:       agg,
+		Elapsed:     elapsed,
+		TraceEvents: d.m.TraceEvents(),
+	}
+}
+
+// drawKey draws one key uniformly from the instance key space.
+func (c Config) drawKey(rng *rand.Rand) uint64 {
+	return uint64(rng.Intn(c.KeySpace)) + 1
+}
+
+// drawPairs draws n keys, each paired with its deterministic value.
+func (c Config) drawPairs(rng *rand.Rand, n int) []kv.KV {
+	pairs := make([]kv.KV, n)
+	for i := range pairs {
+		k := c.drawKey(rng)
+		pairs[i] = kv.KV{Key: k, Val: valueFor(c.ValueSize, k)}
+	}
+	return pairs
+}
+
+// prepopulate hands put keys 1..Prepopulate in order, each with its
+// deterministic prepopulation value.
+func (c Config) prepopulate(put func(k uint64, v []byte)) {
+	for k := uint64(1); k <= uint64(c.Prepopulate); k++ {
+		put(k, valueFor(c.prepopValue(), k))
+	}
 }
 
 // valueFor builds a deterministic value payload.
@@ -230,11 +310,13 @@ func valueFor(size int, k uint64) []byte {
 	return v
 }
 
-// spawnMemApps launches the LLC-hungry background applications: each
-// sweeps random lines of a private DRAM window non-transactionally until
-// done reports true, evicting everyone else's LLC lines along the way
-// (Section III-C's graph500 observation).
-func spawnMemApps(eng *sim.Engine, m *core.Machine, cfg Config, domainBase int, done *bool) {
+// spawnMemApps launches the LLC-hungry background applications, each in
+// its own conflict domain after the benchmark instances': each sweeps
+// random lines of a private DRAM window non-transactionally until the
+// last benchmark thread finishes, evicting everyone else's LLC lines
+// along the way (Section III-C's graph500 observation).
+func (d *driver) spawnMemApps() {
+	cfg := d.cfg
 	// Windows are carved from the top of usable DRAM (just below the log
 	// area), far above the arenas the benchmarks draw from.
 	cost := cfg.MemAppCost
@@ -243,11 +325,11 @@ func spawnMemApps(eng *sim.Engine, m *core.Machine, cfg Config, domainBase int, 
 	}
 	for i := 0; i < cfg.MemApps; i++ {
 		app := i
-		eng.Spawn(fmt.Sprintf("memapp%d", app), func(th *sim.Thread) {
-			c := m.NewCtx(th, domainBase+app)
+		d.eng.Spawn(fmt.Sprintf("memapp%d", app), func(th *sim.Thread) {
+			c := d.m.NewCtx(th, cfg.Instances+app)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(1000+app)))
 			base := mem.DRAMLogBase - mem.Addr((app+1)*cfg.MemAppWindow)
-			for !*done {
+			for !d.done {
 				c.PolluteLLC(base, cfg.MemAppWindow, 4096, cost, rng)
 			}
 		})
@@ -289,86 +371,61 @@ func putBatch(c *core.Ctx, ds dsKV, keys []uint64, valueSize int) {
 	})
 }
 
+// BenchMixed consolidates one instance of each PMDK structure — the
+// Figure 7 configuration ("we consolidated four benchmarks with four
+// threads").
+const BenchMixed Bench = "Mixed"
+
 // runPMDK runs the consolidated PMDK micro-benchmark: cfg.Instances
 // copies of structure b (each its own conflict domain and key space),
 // cfg.ThreadsPerInstance threads per copy doing batched puts of
-// cfg.FootprintKB per transaction, plus memory-intensive apps.
+// cfg.FootprintKB per transaction, plus memory-intensive apps. For
+// BenchMixed, instance i hosts PMDK structure i mod 4.
 func runPMDK(spec SystemSpec, b Bench, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
+	d := machineFor(spec, cfg)
+	st := d.m.Store()
 	arenas := dataArenas(cfg)
+	prefix := string(b)
+	if b == BenchMixed {
+		prefix = "mix"
+	}
 
 	// Per-instance structures, prepopulated outside the measured run.
 	dss := make([]dsKV, cfg.Instances)
 	for i := range dss {
-		dss[i] = makeDS(b, st, arenas[i], cfg.KeySpace)
-		for k := 1; k <= cfg.Prepopulate; k++ {
-			dss[i].Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
+		ib := b
+		if b == BenchMixed {
+			ib = PMDKBenches()[i%4]
 		}
+		dss[i] = makeDS(ib, st, arenas[i], cfg.KeySpace)
+		cfg.prepopulate(func(k uint64, v []byte) { dss[i].Put(st, k, v) })
 	}
 
 	ops := cfg.opsPerBatch()
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
 	for inst := 0; inst < cfg.Instances; inst++ {
 		for t := 0; t < cfg.ThreadsPerInstance; t++ {
 			inst, t := inst, t
-			th := eng.Spawn(fmt.Sprintf("%s%d.%d", b, inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+t)))
-				ds := dss[inst]
+			d.spawn(fmt.Sprintf("%s%d.%d", prefix, inst, t), inst, func(_ *sim.Thread, c *core.Ctx) {
+				rng := d.rng(inst, t)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
 					keys := make([]uint64, ops)
 					for i := range keys {
-						keys[i] = uint64(rng.Intn(cfg.KeySpace)) + 1
+						keys[i] = cfg.drawKey(rng)
 					}
-					putBatch(c, ds, keys, cfg.ValueSize)
-				}
-				remaining--
-				if remaining == 0 {
-					done = true
+					putBatch(c, dss[inst], keys, cfg.ValueSize)
 				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
 	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, b, m, cfg, benchThreads)
-}
-
-// collect aggregates per-domain stats over the benchmark instances and
-// measures elapsed time as the slowest benchmark thread.
-func collect(spec SystemSpec, b Bench, m *core.Machine, cfg Config, threads []*sim.Thread) Result {
-	var agg stats.Stats
-	for d := 0; d < cfg.Instances; d++ {
-		agg.Add(m.DomainStats(d))
-	}
-	var elapsed sim.Time
-	for _, th := range threads {
-		if th.Clock() > elapsed {
-			elapsed = th.Clock()
-		}
-	}
-	agg.Elapsed = elapsed
-	return Result{
-		System:      spec.Name,
-		Bench:       b,
-		FootprintKB: cfg.FootprintKB,
-		Seed:        cfg.Seed,
-		Stats:       agg,
-		Elapsed:     elapsed,
-		TraceEvents: m.TraceEvents(),
-	}
+	return d.finish(spec, b, cfg.Instances)
 }
 
 // runEcho runs consolidated Echo instances: one master + N-1 clients per
 // instance; clients batch updates through rings, the master applies each
 // drained batch in one durable transaction.
 func runEcho(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
+	d := machineFor(spec, cfg)
+	st := d.m.Store()
 	dArenas, nArenas := arenasFor(cfg)
 
 	ops := cfg.opsPerBatch()
@@ -376,27 +433,20 @@ func runEcho(spec SystemSpec, cfg Config) Result {
 	stores := make([]*kv.Echo, cfg.Instances)
 	for i := range stores {
 		stores[i] = kv.NewEcho(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), clients, 4*ops, cfg.ValueSize)
-		for k := 1; k <= cfg.Prepopulate; k++ {
-			stores[i].Table.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-		}
+		cfg.prepopulate(func(k uint64, v []byte) { stores[i].Table.Put(st, k, v) })
 	}
 
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
 	for inst := 0; inst < cfg.Instances; inst++ {
 		inst := inst
 		clientsLeft := clients
-		// Clients.
 		for cl := 0; cl < clients; cl++ {
 			cl := cl
-			th := eng.Spawn(fmt.Sprintf("echo%d.c%d", inst, cl), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+cl)))
+			d.spawn(fmt.Sprintf("echo%d.c%d", inst, cl), inst, func(th *sim.Thread, c *core.Ctx) {
+				rng := d.rng(inst, cl)
 				nt := c.NT()
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
 					for i := 0; i < ops; i++ {
-						k := uint64(rng.Intn(cfg.KeySpace)) + 1
+						k := cfg.drawKey(rng)
 						p := kv.KV{Key: k, Val: valueFor(cfg.ValueSize, k)}
 						for !stores[inst].Rings[cl].TryPush(nt, p) {
 							th.Advance(5 * sim.Microsecond)
@@ -405,16 +455,9 @@ func runEcho(spec SystemSpec, cfg Config) Result {
 					}
 				}
 				clientsLeft--
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
-		// Master.
-		th := eng.Spawn(fmt.Sprintf("echo%d.m", inst), func(th *sim.Thread) {
-			c := m.NewCtx(th, inst)
+		d.spawn(fmt.Sprintf("echo%d.m", inst), inst, func(th *sim.Thread, c *core.Ctx) {
 			for {
 				total := 0
 				for cl := 0; cl < clients; cl++ {
@@ -428,16 +471,9 @@ func runEcho(spec SystemSpec, cfg Config) Result {
 					th.Sync()
 				}
 			}
-			remaining--
-			if remaining == 0 {
-				done = true
-			}
 		})
-		benchThreads = append(benchThreads, th)
 	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, BenchEcho, m, cfg, benchThreads)
+	return d.finish(spec, BenchEcho, cfg.Instances)
 }
 
 func ringsEmpty(e *kv.Echo, c *core.Ctx) bool {
@@ -453,24 +489,20 @@ func ringsEmpty(e *kv.Echo, c *core.Ctx) bool {
 // runEchoLongRO is the Figure 8 workload: one Echo table, every thread
 // issuing single-put transactions (1 KB values), with every
 // LongROEvery-th operation replaced by a long-running read-only get
-// batch of LongROBytes.
+// batch of LongROBytes. All threads belong to one application, so to
+// one conflict domain.
 func runEchoLongRO(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
+	d := machineFor(spec, cfg)
+	st := d.m.Store()
 	dal, nal := mem.NewAllocator(mem.DRAM), mem.NewAllocator(mem.NVM)
 	store := kv.NewEcho(st, dal, nal, 1<<15, 1, 8, cfg.ValueSize)
-	for k := 1; k <= cfg.Prepopulate; k++ {
-		store.Table.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-	}
+	cfg.prepopulate(func(k uint64, v []byte) { store.Table.Put(st, k, v) })
 	roKeys := cfg.LongROBytes / cfg.ValueSize
 
-	threads := cfg.Instances * cfg.ThreadsPerInstance
-	var benchThreads []*sim.Thread
-	for t := 0; t < threads; t++ {
+	for t := 0; t < cfg.Instances*cfg.ThreadsPerInstance; t++ {
 		t := t
-		th := eng.Spawn(fmt.Sprintf("echoLR.%d", t), func(th *sim.Thread) {
-			c := m.NewCtx(th, 0) // one application, one domain
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)))
+		d.spawn(fmt.Sprintf("echoLR.%d", t), 0, func(_ *sim.Thread, c *core.Ctx) {
+			rng := d.rng(0, t)
 			for op := 0; op < cfg.BatchesPerThread; op++ {
 				if cfg.LongROEvery > 0 && op%cfg.LongROEvery == cfg.LongROEvery-1 {
 					// A contiguous slice of the keyspace at a random
@@ -484,127 +516,85 @@ func runEchoLongRO(spec SystemSpec, cfg Config) Result {
 					store.ReadOnlyBatch(c, keys)
 					continue
 				}
-				k := uint64(rng.Intn(cfg.KeySpace)) + 1
+				k := cfg.drawKey(rng)
 				v := valueFor(cfg.ValueSize, k)
 				c.Run(func(tx *core.Tx) {
 					store.Table.Put(tx, k, v)
 				})
 			}
 		})
-		benchThreads = append(benchThreads, th)
 	}
-	eng.Run()
-	ccfg := cfg
-	ccfg.Instances = 1 // one application, one conflict domain
-	return collect(spec, BenchEcho, m, ccfg, benchThreads)
+	return d.finish(spec, BenchEcho, 1)
 }
 
 // runHybridIndex is the Figure 9a workload: consolidated Hybrid-Index
 // stores, threads inserting batches that touch the DRAM B-Tree and the
 // NVM HashMap in one transaction.
 func runHybridIndex(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
+	d := machineFor(spec, cfg)
+	st := d.m.Store()
 	dArenas, nArenas := arenasFor(cfg)
 	stores := make([]*kv.HybridIndex, cfg.Instances)
 	for i := range stores {
 		stores[i] = kv.NewHybridIndex(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), cfg.ThreadsPerInstance)
 		for _, p := range stores[i].Parts {
-			for k := 1; k <= cfg.Prepopulate; k++ {
-				p.Table.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-				p.Index.Put(st, uint64(k), nil)
-			}
+			cfg.prepopulate(func(k uint64, v []byte) { p.Put(st, k, v) })
 		}
 	}
 	ops := cfg.opsPerBatch()
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
 	for inst := 0; inst < cfg.Instances; inst++ {
 		for t := 0; t < cfg.ThreadsPerInstance; t++ {
 			inst, t := inst, t
-			th := eng.Spawn(fmt.Sprintf("hikv%d.%d", inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+t)))
+			d.spawn(fmt.Sprintf("hikv%d.%d", inst, t), inst, func(_ *sim.Thread, c *core.Ctx) {
+				rng := d.rng(inst, t)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					pairs := make([]kv.KV, ops)
-					for i := range pairs {
-						k := uint64(rng.Intn(cfg.KeySpace)) + 1
-						pairs[i] = kv.KV{Key: k, Val: valueFor(cfg.ValueSize, k)}
-					}
-					stores[inst].PutBatch(c, t, pairs)
-				}
-				remaining--
-				if remaining == 0 {
-					done = true
+					stores[inst].PutBatch(c, t, cfg.drawPairs(rng, ops))
 				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
 	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, BenchHybridIndex, m, cfg, benchThreads)
+	return d.finish(spec, BenchHybridIndex, cfg.Instances)
 }
 
 // runDual is the Figure 9b workload: consolidated Dual stores, half the
 // threads serving foreground puts on the DRAM map, half draining the
 // cross-referencing log into the NVM map.
 func runDual(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
+	d := machineFor(spec, cfg)
+	st := d.m.Store()
 	dArenas, nArenas := arenasFor(cfg)
 	ops := cfg.opsPerBatch()
-	stores := make([]*kv.Dual, cfg.Instances)
-	for i := range stores {
-		fgParts := cfg.ThreadsPerInstance / 2
-		if fgParts == 0 {
-			fgParts = 1
-		}
-		stores[i] = kv.NewDual(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), fgParts, 8*ops, cfg.ValueSize)
-		for _, p := range stores[i].Parts {
-			for k := 1; k <= cfg.Prepopulate; k++ {
-				p.Front.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-				p.Back.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-			}
-		}
-	}
 	fg := cfg.ThreadsPerInstance / 2
 	if fg == 0 {
 		fg = 1
 	}
 	bg := cfg.ThreadsPerInstance - fg
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
+	stores := make([]*kv.Dual, cfg.Instances)
+	for i := range stores {
+		stores[i] = kv.NewDual(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), fg, 8*ops, cfg.ValueSize)
+		for _, p := range stores[i].Parts {
+			cfg.prepopulate(func(k uint64, v []byte) {
+				p.Front.Put(st, k, v)
+				p.Back.Put(st, k, v)
+			})
+		}
+	}
 	for inst := 0; inst < cfg.Instances; inst++ {
 		inst := inst
 		fgLeft := fg
 		for t := 0; t < fg; t++ {
 			t := t
-			th := eng.Spawn(fmt.Sprintf("dual%d.f%d", inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+t)))
+			d.spawn(fmt.Sprintf("dual%d.f%d", inst, t), inst, func(_ *sim.Thread, c *core.Ctx) {
+				rng := d.rng(inst, t)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					pairs := make([]kv.KV, ops)
-					for i := range pairs {
-						k := uint64(rng.Intn(cfg.KeySpace)) + 1
-						pairs[i] = kv.KV{Key: k, Val: valueFor(cfg.ValueSize, k)}
-					}
-					stores[inst].FrontPut(c, t, pairs)
+					stores[inst].FrontPut(c, t, cfg.drawPairs(rng, ops))
 				}
 				fgLeft--
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
 		for t := 0; t < bg; t++ {
 			t := t
-			th := eng.Spawn(fmt.Sprintf("dual%d.b%d", inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
+			d.spawn(fmt.Sprintf("dual%d.b%d", inst, t), inst, func(th *sim.Thread, c *core.Ctx) {
 				for {
 					n := stores[inst].BackendStep(c, t%fg, ops)
 					if n == 0 {
@@ -615,76 +605,17 @@ func runDual(spec SystemSpec, cfg Config) Result {
 						th.Sync()
 					}
 				}
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
 	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, BenchDual, m, cfg, benchThreads)
-}
-
-// BenchMixed consolidates one instance of each PMDK structure — the
-// Figure 7 configuration ("we consolidated four benchmarks with four
-// threads").
-const BenchMixed Bench = "Mixed"
-
-// runMixed runs the consolidated mix: instance i hosts PMDK structure
-// i mod 4.
-func runMixed(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
-	arenas := dataArenas(cfg)
-	benches := PMDKBenches()
-	dss := make([]dsKV, cfg.Instances)
-	for i := range dss {
-		dss[i] = makeDS(benches[i%len(benches)], st, arenas[i], cfg.KeySpace)
-		for k := 1; k <= cfg.Prepopulate; k++ {
-			dss[i].Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-		}
-	}
-	ops := cfg.opsPerBatch()
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
-	for inst := 0; inst < cfg.Instances; inst++ {
-		for t := 0; t < cfg.ThreadsPerInstance; t++ {
-			inst, t := inst, t
-			th := eng.Spawn(fmt.Sprintf("mix%d.%d", inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+t)))
-				ds := dss[inst]
-				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					keys := make([]uint64, ops)
-					for i := range keys {
-						keys[i] = uint64(rng.Intn(cfg.KeySpace)) + 1
-					}
-					putBatch(c, ds, keys, cfg.ValueSize)
-				}
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
-			})
-			benchThreads = append(benchThreads, th)
-		}
-	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, BenchMixed, m, cfg, benchThreads)
+	return d.finish(spec, BenchDual, cfg.Instances)
 }
 
 // Run dispatches a benchmark family.
 func Run(spec SystemSpec, b Bench, cfg Config) Result {
 	switch b {
-	case BenchHashMap, BenchBTree, BenchRBTree, BenchSkipList:
+	case BenchHashMap, BenchBTree, BenchRBTree, BenchSkipList, BenchMixed:
 		return runPMDK(spec, b, cfg)
-	case BenchMixed:
-		return runMixed(spec, cfg)
 	case BenchEcho:
 		if cfg.LongROEvery > 0 {
 			return runEchoLongRO(spec, cfg)

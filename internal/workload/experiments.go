@@ -5,6 +5,7 @@ import (
 
 	"uhtm/internal/core"
 	"uhtm/internal/harness"
+	"uhtm/internal/mem"
 	"uhtm/internal/signature"
 	"uhtm/internal/stats"
 )
@@ -351,9 +352,7 @@ func fig10Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 
 // TableIII returns the simulation configuration table.
 func TableIII() *stats.Table {
-	c := DefaultConfig()
-	_ = c
-	mc := defaultGeometry()
+	mc := mem.DefaultConfig()
 	tbl := &stats.Table{Header: []string{"parameter", "value"}}
 	tbl.AddRow("Processor", fmt.Sprintf("%d-core, in-order (event-driven model)", mc.Cores))
 	tbl.AddRow("L1 I/D Cache", fmt.Sprintf("Private %dKB, %d-way", mc.L1Size>>10, mc.L1Ways))

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"uhtm/internal/harness"
+	"uhtm/internal/mem"
+	"uhtm/internal/signature"
 	"uhtm/internal/stats"
 	"uhtm/internal/trace"
 )
@@ -135,5 +137,83 @@ func TestSchedulerGoldenFig7(t *testing.T) {
 		checkGolden(t, "golden_fig7.table", snap.table)
 		checkGolden(t, "golden_fig7.jsonl", snap.records)
 		checkGolden(t, "golden_fig7.trace", snap.chrome)
+	}
+}
+
+// TestDriverGoldens pins the fig8, fig9a and fig9b drivers — Echo with
+// long read-only batches, Hybrid-Index and Dual — to goldens on shrunken
+// grids at -par 1 and -par 8, the way TestSchedulerGoldenFig7 pins the
+// consolidated PMDK mix. A driver refactor that moves a spawn, a seed,
+// an allocation or a prepopulation step shows up here as a diff.
+func TestDriverGoldens(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reduced driver grids skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("grid too slow under the race detector (see race_on_test.go)")
+	}
+	// A 128 KB LLC makes the reduced footprints overflow, so the
+	// bounded, signature and ideal systems part ways.
+	geo := mem.DefaultConfig()
+	geo.LLCSize = 128 << 10
+	longRO := Config{
+		Seed:               7,
+		Instances:          1,
+		ThreadsPerInstance: 4,
+		ValueSize:          1024,
+		FootprintKB:        1,
+		BatchesPerThread:   8,
+		KeySpace:           1024,
+		Prepopulate:        1024,
+		Persistent:         true,
+		LongROEvery:        4,
+		LongROBytes:        512 << 10,
+		Geometry:           &geo,
+		Trace:              true,
+	}
+	hybrid := DefaultConfig()
+	hybrid.Seed = 7
+	hybrid.Instances = 2
+	hybrid.ThreadsPerInstance = 2
+	hybrid.FootprintKB = 64
+	hybrid.KeySpace = 512
+	hybrid.Prepopulate = 256
+	hybrid.BatchesPerThread = 2
+	hybrid.MemApps = 0
+	hybrid.Geometry = &geo
+	hybrid.Trace = true
+	dual := hybrid
+	dual.Instances = 1
+	dual.ThreadsPerInstance = 4 // two foreground, two background
+	fig9 := []SystemSpec{LLCBounded(), UHTM(signature.Bits512, false), UHTM(signature.Bits4K, true), Ideal()}
+	cases := []struct {
+		name    string
+		bench   Bench
+		cfg     Config
+		systems []SystemSpec
+	}{
+		{"fig8", BenchEcho, longRO, []SystemSpec{LLCBounded(), UHTM(signature.Bits4K, true), Ideal()}},
+		{"fig9a", BenchHybridIndex, hybrid, fig9},
+		{"fig9b", BenchDual, dual, fig9},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, par := range []int{1, 8} {
+				var specs []harness.Spec[Result]
+				for _, s := range tc.systems {
+					specs = append(specs, spec(tc.name, s, tc.bench, tc.cfg))
+				}
+				rs := harness.Execute(specs, par)
+				tbl := &stats.Table{Header: []string{"system", "commits", "tx/s", "abort-rate", "overflowedTx"}}
+				for _, r := range rs {
+					tbl.AddRow(r.System, fmt.Sprintf("%d", r.Stats.Commits), f2(r.Throughput()),
+						pct(r.Stats.AbortRate()), fmt.Sprintf("%d", r.Stats.Overflows))
+				}
+				snap := snapshotResults(t, tbl, rs)
+				checkGolden(t, "golden_"+tc.name+".table", snap.table)
+				checkGolden(t, "golden_"+tc.name+".jsonl", snap.records)
+				checkGolden(t, "golden_"+tc.name+".trace", snap.chrome)
+			}
+		})
 	}
 }
