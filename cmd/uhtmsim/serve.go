@@ -73,7 +73,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 1, "key-hashed shards; >1 runs cross-shard MULTI batches through 2PC")
 	cores := fs.Int("cores", 4, "simulated cores per shard = requests executing concurrently")
 	buckets := fs.Int("buckets", 1<<15, "NVM hash-table buckets")
-	seed := fs.Int64("seed", 42, "engine RNG seed")
+	seed := fs.Int64("seed", 42, "engine RNG seed (nonzero)")
 	prepop := fs.Int("prepopulate", 0, "insert keys 1..n before serving")
 	valsize := fs.Int("valsize", 64, "prepopulated value size in bytes")
 	if err := fs.Parse(args); err != nil {
@@ -81,6 +81,9 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 0 {
 		fs.Usage()
+		return 2
+	}
+	if zeroSeed(*seed, stderr) {
 		return 2
 	}
 	s := server.New(server.Config{
@@ -117,6 +120,17 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// zeroSeed reports (on stderr) an explicit -seed 0. The server and the
+// load generator read a zero seed as unset and would silently run
+// their default seed instead, so 0 is not a seed they accept.
+func zeroSeed(seed int64, stderr io.Writer) bool {
+	if seed != 0 {
+		return false
+	}
+	fmt.Fprintln(stderr, "uhtmsim: -seed 0 is not accepted (0 selects the default seed); pass a nonzero seed")
+	return true
+}
+
 // loadgenCmd runs the open-loop load generator against a live server
 // and reports the latency/throughput summary (human-readable to stdout,
 // one JSON line to -out).
@@ -135,13 +149,16 @@ func loadgenCmd(args []string, stdout, stderr io.Writer) int {
 	crossfrac := fs.Float64("crossfrac", 0, "fraction of requests forced onto >=2 shards as MULTI..EXEC (sharded server only)")
 	scancount := fs.Int("scancount", 10, "SCAN count argument")
 	batch := fs.Int("batch", 1, "ops per request; >1 wraps them in MULTI..EXEC")
-	seed := fs.Int64("seed", 1, "workload RNG seed")
+	seed := fs.Int64("seed", 1, "workload RNG seed (nonzero)")
 	outPath := fs.String("out", "", "append the JSON record to this file (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 0 {
 		fs.Usage()
+		return 2
+	}
+	if zeroSeed(*seed, stderr) {
 		return 2
 	}
 	if *dist != server.DistZipf && *dist != server.DistUniform {

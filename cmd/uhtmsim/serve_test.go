@@ -170,6 +170,28 @@ func TestLoadgenRejectsBadDist(t *testing.T) {
 	}
 }
 
+// TestZeroSeedRejected: an explicit -seed 0 would silently run the
+// default seed (the server and the load generator read 0 as unset), so
+// both subcommands reject it at flag parsing, before binding a port or
+// dialing.
+func TestZeroSeedRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"serve", "-addr", "127.0.0.1:0", "-seed", "0"},
+		{"loadgen", "-addr", "127.0.0.1:1", "-duration", "50ms", "-seed", "0"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), "-seed 0") {
+			t.Errorf("%v: stderr does not name the rejected seed: %q", args, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote to stdout: %q", args, out.String())
+		}
+	}
+}
+
 // TestLoadgenUnreachableServer: a dead address is a clean error, not a
 // hang or panic.
 func TestLoadgenUnreachableServer(t *testing.T) {

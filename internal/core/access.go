@@ -174,54 +174,36 @@ func (m *Machine) probeOffChip(core int, la mem.Addr, tx *Tx, write bool, scope 
 			continue
 		}
 		other.domainStats.SigChecks++
-		var kind signature.CheckKind
-		switch m.opts.Detect {
-		case DetectIdeal:
-			kind = m.idealCheck(other, la, write)
-			// Sticky on any precise membership: a read that hits another
+		var conflict, hit bool
+		if m.opts.Detect == DetectIdeal {
+			// Perfect detection: the precise footprint decides. Any
+			// membership is sticky: a read that hits another
 			// transaction's read-set is not a conflict, but the line must
 			// keep being checked once resident (a later write would be).
-			if other.sig.PreciseRead.Contains(la) || other.sig.PreciseWrite.Contains(la) {
-				matched = true
-			}
-		default:
+			conflict, hit = other.sigConflict(la, write)
+		} else {
 			// Same sticky rule at filter granularity: read-filter hits on
 			// a read request set the check bit without aborting anyone.
-			var hit bool
-			if kind, hit = other.sig.Probe(&key, write); hit {
-				matched = true
+			conflict, hit = other.sig.Probe(&key, write)
+		}
+		matched = matched || hit
+		// One rule labels every conflict: true when the precise
+		// footprint confirms it, a false positive otherwise.
+		var verdict uint64 // trace: 0 none, 1 true, 2 false positive
+		if conflict {
+			cause := stats.CauseFalsePositive
+			verdict = 2
+			if precise, _ := other.sigConflict(la, write); precise {
+				cause, verdict = stats.CauseTrueConflict, 1
 			}
+			out = append(out, victim{tx: other, cause: cause})
 		}
-		if m.tr != nil {
-			var verdict uint64
-			switch kind {
-			case signature.TrueConflict:
-				verdict = 1
-			case signature.FalsePositive:
-				verdict = 2
-			}
-			m.emit(trace.EvSigProbe, core, reqID, la, verdict, other.id)
+		if r := m.sigRef; r != nil {
+			r.probed(tx, other, la, write, verdict, hit)
 		}
-		switch kind {
-		case signature.TrueConflict:
-			out = append(out, victim{tx: other, cause: stats.CauseTrueConflict})
-		case signature.FalsePositive:
-			out = append(out, victim{tx: other, cause: stats.CauseFalsePositive})
-		}
+		m.emit(trace.EvSigProbe, core, reqID, la, verdict, other.id)
 	}
 	return out, matched
-}
-
-// idealCheck consults the precise overflow shadows — perfect detection.
-func (m *Machine) idealCheck(other *Tx, la mem.Addr, write bool) signature.CheckKind {
-	if write {
-		if other.sig.PreciseRead.Contains(la) || other.sig.PreciseWrite.Contains(la) {
-			return signature.TrueConflict
-		}
-	} else if other.sig.PreciseWrite.Contains(la) {
-		return signature.TrueConflict
-	}
-	return signature.NoConflict
 }
 
 // activeInOrder returns live transactions in core order. Conflict
@@ -523,7 +505,8 @@ func (m *Machine) overflowRead(t *Tx, la mem.Addr, requester *Tx) {
 		return
 	}
 	m.markOverflowed(t)
-	t.sig.AddRead(la)
+	p, o := t.slot(la)
+	t.addSig(p, o, la, false)
 }
 
 // overflowWrite moves a transactional write of la off-chip: into the
@@ -545,8 +528,8 @@ func (m *Machine) overflowWrite(t *Tx, la mem.Addr, requester *Tx) {
 		return
 	}
 	m.markOverflowed(t)
-	t.sig.AddWrite(la)
 	p, o := t.slot(la)
+	t.addSig(p, o, la, true)
 	if p.flags[o]&fOvfDRAM != 0 {
 		return
 	}
@@ -633,7 +616,7 @@ func (m *Machine) track(tx *Tx, la mem.Addr, write bool) {
 			m.dir.AddWrite(la, tx.id)
 		}
 		if m.opts.Detect == DetectSignatureOnly && !tx.slowPath {
-			tx.sig.AddWrite(la)
+			tx.addSig(p, o, la, true)
 		}
 	} else {
 		p, o := tx.slot(la)
@@ -645,7 +628,7 @@ func (m *Machine) track(tx *Tx, la mem.Addr, write bool) {
 			m.dir.AddRead(la, tx.id)
 		}
 		if m.opts.Detect == DetectSignatureOnly && !tx.slowPath {
-			tx.sig.AddRead(la)
+			tx.addSig(p, o, la, false)
 		}
 	}
 }

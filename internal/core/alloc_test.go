@@ -133,3 +133,34 @@ func TestRollbackPathZeroAllocs(t *testing.T) {
 		t.Errorf("rollback+retry cycle allocates %.4f times per transaction, want 0", perTx)
 	}
 }
+
+// TestOverflowPathZeroAllocs pins the overflow path: transactions that
+// read 1,600 NVM lines (more than the 1,024-line LLC of the test
+// machine) and write 4 or all 1,600 of them overflow on every attempt,
+// which runs overflowRead and overflowWrite, the signature inserts and
+// their tracking flags, and the DRAM-cache insert of early-evicted NVM
+// lines. In steady state none of it may allocate. The windows are
+// short (an overflowing transaction makes thousands of accesses), so
+// the stray-allocation budget is the same handful per window.
+func TestOverflowPathZeroAllocs(t *testing.T) {
+	const lines, measured = 1600, 64
+	na := mem.NewAllocator(mem.NVM).AllocLines(lines)
+	for _, writes := range []int{4, lines} {
+		var overflowed bool
+		perTx := measureTxAllocs(t, 150, measured, func(tx *Tx, i int) {
+			for l := 0; l < lines; l++ {
+				tx.ReadU64(na + mem.Addr(l)*mem.LineSize)
+			}
+			for l := 0; l < writes; l++ {
+				tx.WriteU64(na+mem.Addr(l)*mem.LineSize, uint64(i))
+			}
+			overflowed = tx.Overflowed()
+		})
+		if !overflowed {
+			t.Fatalf("%d-write transaction did not overflow", writes)
+		}
+		if perTx > strayAllocBudget*2048/measured {
+			t.Errorf("%d-write overflow path allocates %.4f times per transaction, want 0", writes, perTx)
+		}
+	}
+}

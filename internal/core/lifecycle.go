@@ -196,9 +196,11 @@ func (m *Machine) finishCommit(tx *Tx) {
 
 // rollback reverts every written line to its pre-transaction image
 // (modeling cache invalidation on-chip, the undo-log walk for overflowed
-// DRAM lines, and the DRAM-cache invalidate bit for NVM lines), clears
-// the transaction's hardware tracking, and returns the latency the abort
-// protocol costs its core.
+// DRAM lines, and the DRAM-cache invalidate bit for NVM lines), drops
+// the transaction's directory entries, and returns the latency the
+// abort protocol costs its core. Its signatures and tracking flags reset
+// at the next begin; the finished attempt is out of every probe scope
+// until then.
 func (m *Machine) rollback(tx *Tx) (cost sim.Time) {
 	if tx.rolledBack {
 		return 0
@@ -246,7 +248,6 @@ func (m *Machine) rollback(tx *Tx) (cost sim.Time) {
 
 	m.dir.ClearTx(tx.id)
 	m.undoRings.ForCore(tx.core).Reclaim(m.undoRings.ForCore(tx.core).Head())
-	tx.sig.Clear()
 	m.clearSticky()
 
 	if m.byCore[tx.core] == tx {

@@ -323,8 +323,23 @@ type Machine struct {
 	// crash framework (internal/crash) to kill the machine mid-protocol.
 	crashpoint func(point string)
 
+	// sigRef, when set, sees every signature insertion and every
+	// per-transaction probe outcome. Nil outside tests, which check the
+	// precise tracking flags against a map-based shadow with it.
+	sigRef sigObserver
+
 	// syncCount drives the SyncEvery yield granularity, per core.
 	syncCount []int
+}
+
+// sigObserver is the interface of Machine.sigRef: inserted runs at each
+// signature insertion; probed runs once per transaction a probe checks
+// (req is the requester, nil when non-transactional), with the trace
+// verdict (0 none, 1 true, 2 false positive) and whether the line
+// matched for the sticky bit.
+type sigObserver interface {
+	inserted(t *Tx, la mem.Addr, write bool)
+	probed(req, other *Tx, la mem.Addr, write bool, verdict uint64, matched bool)
 }
 
 // NewMachine builds a node with the given engine, configuration,

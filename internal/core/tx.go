@@ -17,6 +17,8 @@ const (
 	fOvfList                    // on the hardware overflow list
 	fOvfDRAM                    // overflowed DRAM line (hybrid versioning)
 	fNVMWrite                   // in the NVM write-set
+	fSigRead                    // inserted into the read signature
+	fSigWrite                   // inserted into the write signature
 )
 
 // trackPage is one page of a transaction's per-line tracking table.
@@ -61,7 +63,9 @@ type Tx struct {
 
 	// sig carries the hardware read/write signatures: overflowed lines
 	// only under staged detection, every access under signature-only.
-	// Its precise shadows double as the Ideal detector's overflow sets.
+	// The filters only say "maybe"; the fSigRead/fSigWrite tracking
+	// flags record the same insertions precisely, and double as the
+	// Ideal detector's overflow sets (see addSig and probeOffChip).
 	sig *signature.Pair
 
 	// gen/pages hold the per-line tracking table (footprints, undo
@@ -140,6 +144,31 @@ func (tx *Tx) flagsOf(la mem.Addr) uint8 {
 		return 0
 	}
 	return p.flags[o]
+}
+
+// addSig inserts la, whose tracking slot is p[o], into the read or
+// write signature and marks it in the precise footprint. The flag
+// resets with the rest of the slot at the next attempt; until then a
+// finished attempt is out of every probe scope.
+func (tx *Tx) addSig(p *trackPage, o uint64, la mem.Addr, write bool) {
+	if write {
+		p.flags[o] |= fSigWrite
+		tx.sig.AddWrite(la)
+	} else {
+		p.flags[o] |= fSigRead
+		tx.sig.AddRead(la)
+	}
+	if r := tx.m.sigRef; r != nil {
+		r.inserted(tx, la, write)
+	}
+}
+
+// sigConflict reports whether la is in the precise signature footprint
+// in a way a request conflicts with — any membership for a write, the
+// write set for a read — and whether it is in the footprint at all.
+func (tx *Tx) sigConflict(la mem.Addr, write bool) (conflict, member bool) {
+	f := tx.flagsOf(la)
+	return f&fSigWrite != 0 || write && f&fSigRead != 0, f&(fSigRead|fSigWrite) != 0
 }
 
 // resetTracking prepares the pooled Tx for a new attempt: bump the

@@ -792,8 +792,9 @@ func opReply(op Op, res OpResult) Reply {
 	}
 }
 
-// Dial is a minimal protocol client used by the load generator, the
-// CLI and tests: one connection, synchronous request/reply.
+// Client is a minimal protocol client: one connection, synchronous
+// request/reply. The load generator, perfbench's serving workloads and
+// the tests use it; Dial opens one.
 type Client struct {
 	conn net.Conn
 	r    *bufio.Reader

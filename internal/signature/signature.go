@@ -5,11 +5,10 @@
 // hashing), so their false-positive behaviour — the phenomenon Figures
 // 6–9 revolve around — is reproduced rather than approximated.
 //
-// The package also provides precise shadow sets. The simulated hardware
-// *behaves* according to the filters; the shadow sets supply ground
-// truth so the statistics layer can classify each signature-detected
-// conflict as true or false-positive, and so tests can verify that
-// filters never produce false negatives.
+// Like the hardware, the package keeps no precise set: a filter match
+// only says "maybe". The simulator labels a match as a true or
+// false-positive conflict from its own per-line tracking table, outside
+// this package.
 package signature
 
 import (
@@ -61,7 +60,6 @@ func bitOf(h uint64, nbits int) uint64 {
 type Filter struct {
 	words []uint64
 	nbits int
-	count int // insertions since last Clear (including duplicates)
 }
 
 // NewFilter returns an empty filter with nbits bits. nbits must be a
@@ -72,9 +70,6 @@ func NewFilter(nbits int) *Filter {
 	}
 	return &Filter{words: make([]uint64, nbits/64), nbits: nbits}
 }
-
-// Bits returns the filter's size in bits.
-func (f *Filter) Bits() int { return f.nbits }
 
 // Key is a line's bit positions in every filter of one size: probing
 // many same-sized filters for one line hashes it at most once per hash
@@ -98,7 +93,6 @@ func (f *Filter) Insert(a mem.Addr) {
 		b := bitOf(hash(a, i), f.nbits)
 		f.words[b/64] |= 1 << (b % 64)
 	}
-	f.count++
 }
 
 // MayContain reports whether a's line may have been inserted. False
@@ -124,25 +118,9 @@ func (f *Filter) has(k *Key) bool {
 	return true
 }
 
-// Clear empties the filter (done when a transaction commits or aborts).
+// Clear empties the filter (done when a transaction begins).
 func (f *Filter) Clear() {
-	for i := range f.words {
-		f.words[i] = 0
-	}
-	f.count = 0
-}
-
-// Count returns the number of Insert calls since the last Clear.
-func (f *Filter) Count() int { return f.count }
-
-// Empty reports whether no bits are set.
-func (f *Filter) Empty() bool {
-	for _, w := range f.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
+	clear(f.words)
 }
 
 // FillRatio reports the fraction of set bits — a direct proxy for the
@@ -155,137 +133,51 @@ func (f *Filter) FillRatio() float64 {
 	return float64(set) / float64(f.nbits)
 }
 
-// Set is a precise shadow set of line addresses: what an ideal
-// (false-positive-free) conflict detector would track.
-type Set map[mem.Addr]struct{}
-
-// NewSet returns an empty precise set.
-func NewSet() Set { return make(Set) }
-
-// Insert adds the line containing a.
-func (s Set) Insert(a mem.Addr) { s[mem.LineOf(a)] = struct{}{} }
-
-// Contains reports whether a's line is in the set.
-func (s Set) Contains(a mem.Addr) bool {
-	_, ok := s[mem.LineOf(a)]
-	return ok
-}
-
-// Clear empties the set in place.
-func (s Set) Clear() {
-	for k := range s {
-		delete(s, k)
-	}
-}
-
-// Len returns the number of distinct lines.
-func (s Set) Len() int { return len(s) }
-
-// Pair bundles the read and write signatures of one transaction, each
-// with its precise shadow.
+// Pair bundles the read and write signatures of one transaction.
 type Pair struct {
-	Read, Write               *Filter
-	PreciseRead, PreciseWrite Set
+	Read, Write *Filter
 }
 
 // NewPair returns empty read/write signatures of nbits bits each.
 func NewPair(nbits int) *Pair {
-	return &Pair{
-		Read:         NewFilter(nbits),
-		Write:        NewFilter(nbits),
-		PreciseRead:  NewSet(),
-		PreciseWrite: NewSet(),
-	}
+	return &Pair{Read: NewFilter(nbits), Write: NewFilter(nbits)}
 }
 
 // AddRead records an overflowed transactional read of a.
-func (p *Pair) AddRead(a mem.Addr) {
-	p.Read.Insert(a)
-	p.PreciseRead.Insert(a)
-}
+func (p *Pair) AddRead(a mem.Addr) { p.Read.Insert(a) }
 
 // AddWrite records an overflowed transactional write of a.
-func (p *Pair) AddWrite(a mem.Addr) {
-	p.Write.Insert(a)
-	p.PreciseWrite.Insert(a)
-}
+func (p *Pair) AddWrite(a mem.Addr) { p.Write.Insert(a) }
 
-// Clear empties both filters and shadows (transaction end).
+// Clear empties both filters (transaction begin).
 func (p *Pair) Clear() {
 	p.Read.Clear()
 	p.Write.Clear()
-	p.PreciseRead.Clear()
-	p.PreciseWrite.Clear()
 }
 
-// CheckKind classifies the outcome of checking an address against a
-// signature.
-type CheckKind int
-
-const (
-	// NoConflict: the filter rules the address out.
-	NoConflict CheckKind = iota
-	// TrueConflict: the filter matches and the precise shadow confirms.
-	TrueConflict
-	// FalsePositive: the filter matches but the precise shadow refutes —
-	// the transaction will still be aborted (hardware cannot tell), but
-	// statistics record the abort as false.
-	FalsePositive
-)
-
-// String names the signature-check outcome for stats and logs.
-func (k CheckKind) String() string {
-	switch k {
-	case NoConflict:
-		return "none"
-	case TrueConflict:
-		return "true"
-	default:
-		return "false-positive"
-	}
-}
-
-// CheckWrite classifies an incoming *write* (exclusive) request against
-// this transaction's signatures: it conflicts if the line may be in
-// either the read or the write set.
-func (p *Pair) CheckWrite(a mem.Addr) CheckKind {
+// CheckWrite reports whether an incoming *write* (exclusive) request
+// for a conflicts with this transaction's signatures: whether a's line
+// may be in either the read or the write set.
+func (p *Pair) CheckWrite(a mem.Addr) bool {
 	k := NewKey(a, p.Read.nbits)
-	return p.check(&k, true)
+	conflict, _ := p.Probe(&k, true)
+	return conflict
 }
 
-// CheckRead classifies an incoming *read* (shared) request: it conflicts
-// only if the line may be in the write set.
-func (p *Pair) CheckRead(a mem.Addr) CheckKind {
-	k := NewKey(a, p.Read.nbits)
-	return p.check(&k, false)
-}
-
-// Probe classifies a write (or read) request for key k like CheckWrite
-// (or CheckRead) and also reports whether either filter matched at all,
-// conflict or not — the hardware's signal to keep checking the line.
-func (p *Pair) Probe(k *Key, write bool) (kind CheckKind, matched bool) {
-	kind = p.check(k, write)
-	// Without a conflict a write missed both filters, but a read only
-	// missed the write filter: its read-filter hit still counts.
-	return kind, kind != NoConflict || (!write && p.Read.has(k))
-}
-
-// check is the classification behind CheckWrite, CheckRead and Probe.
-func (p *Pair) check(k *Key, write bool) CheckKind {
+// Probe checks a write (or read) request for key k against the
+// signatures. A write conflicts when either filter matches; a read
+// conflicts only when the write filter matches. matched reports whether
+// either filter matched at all, conflict or not — the hardware's signal
+// to keep checking the line.
+func (p *Pair) Probe(k *Key, write bool) (conflict, matched bool) {
 	if write {
-		if !p.Read.has(k) && !p.Write.has(k) {
-			return NoConflict
-		}
-		if p.PreciseRead.Contains(k.line) || p.PreciseWrite.Contains(k.line) {
-			return TrueConflict
-		}
-		return FalsePositive
+		conflict = p.Read.has(k) || p.Write.has(k)
+		return conflict, conflict
 	}
-	if !p.Write.has(k) {
-		return NoConflict
+	// A read that misses the write filter still counts a read-filter
+	// hit as a match.
+	if p.Write.has(k) {
+		return true, true
 	}
-	if p.PreciseWrite.Contains(k.line) {
-		return TrueConflict
-	}
-	return FalsePositive
+	return false, p.Read.has(k)
 }

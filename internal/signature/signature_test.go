@@ -35,9 +35,6 @@ func TestInsertContain(t *testing.T) {
 	if !f.MayContain(a + 63) {
 		t.Error("sub-line alias not matched")
 	}
-	if f.Count() != 1 {
-		t.Errorf("Count = %d", f.Count())
-	}
 }
 
 func TestClear(t *testing.T) {
@@ -46,7 +43,7 @@ func TestClear(t *testing.T) {
 		f.Insert(mem.Addr(i * mem.LineSize))
 	}
 	f.Clear()
-	if !f.Empty() || f.Count() != 0 || f.FillRatio() != 0 {
+	if f.FillRatio() != 0 {
 		t.Error("Clear left state")
 	}
 }
@@ -121,53 +118,41 @@ func TestFillRatio(t *testing.T) {
 	}
 }
 
-func TestPreciseSet(t *testing.T) {
-	s := NewSet()
-	s.Insert(0x1001) // line 0x1000
-	if !s.Contains(0x103F) {
-		t.Error("same line not contained")
-	}
-	if s.Contains(0x1040) {
-		t.Error("next line contained")
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	s.Clear()
-	if s.Len() != 0 {
-		t.Error("Clear failed")
-	}
-}
-
 func TestPairChecks(t *testing.T) {
 	p := NewPair(Bits16K) // large: negligible false positives here
 	rd, wr := mem.Addr(0x10000), mem.Addr(0x20000)
 	p.AddRead(rd)
 	p.AddWrite(wr)
 
+	probe := func(a mem.Addr, write bool) (bool, bool) {
+		k := NewKey(a, Bits16K)
+		return p.Probe(&k, write)
+	}
 	// Incoming write vs our read => conflict; vs our write => conflict.
-	if k := p.CheckWrite(rd); k != TrueConflict {
-		t.Errorf("write vs read-set = %v", k)
+	if c, m := probe(rd, true); !c || !m || !p.CheckWrite(rd) {
+		t.Errorf("write vs read-set = (%v,%v)", c, m)
 	}
-	if k := p.CheckWrite(wr); k != TrueConflict {
-		t.Errorf("write vs write-set = %v", k)
+	if c, m := probe(wr, true); !c || !m || !p.CheckWrite(wr) {
+		t.Errorf("write vs write-set = (%v,%v)", c, m)
 	}
-	// Incoming read vs our read => no conflict; vs our write => conflict.
-	if k := p.CheckRead(rd); k != NoConflict {
-		t.Errorf("read vs read-set = %v", k)
+	// Incoming read vs our read => no conflict, but a match (the sticky
+	// signal); vs our write => conflict.
+	if c, m := probe(rd, false); c || !m {
+		t.Errorf("read vs read-set = (%v,%v)", c, m)
 	}
-	if k := p.CheckRead(wr); k != TrueConflict {
-		t.Errorf("read vs write-set = %v", k)
+	if c, m := probe(wr, false); !c || !m {
+		t.Errorf("read vs write-set = (%v,%v)", c, m)
 	}
-	// Unrelated address: no conflict.
-	if k := p.CheckWrite(0x900000); k != NoConflict {
-		t.Errorf("unrelated = %v", k)
+	// Unrelated address: no conflict, no match.
+	if c, m := probe(0x900000, true); c || m || p.CheckWrite(0x900000) {
+		t.Errorf("unrelated = (%v,%v)", c, m)
 	}
 }
 
 // TestPairFalsePositiveClassification drives a small filter to
-// saturation and confirms matches without precise membership classify as
-// FalsePositive, never as NoConflict (behaviour must follow hardware).
+// saturation and confirms that lines never inserted still conflict —
+// the matches the simulator labels false positives, whose aborts follow
+// the hardware regardless — and that Clear empties both filters.
 func TestPairFalsePositiveClassification(t *testing.T) {
 	p := NewPair(Bits512)
 	rng := rand.New(rand.NewSource(3))
@@ -177,58 +162,47 @@ func TestPairFalsePositiveClassification(t *testing.T) {
 	sawFP := false
 	for i := 0; i < 1000 && !sawFP; i++ {
 		a := mem.Addr(rng.Uint64()%(1<<28)) | (1 << 35) // disjoint range
-		switch p.CheckRead(a) {
-		case TrueConflict:
-			t.Fatalf("true conflict reported for never-inserted %#x", uint64(a))
-		case FalsePositive:
-			sawFP = true
-		}
+		k := NewKey(a, Bits512)
+		sawFP, _ = p.Probe(&k, false)
 	}
 	if !sawFP {
 		t.Error("saturated 512-bit filter produced no false positives in 1000 probes")
 	}
 	p.Clear()
-	if !p.Read.Empty() || !p.Write.Empty() || p.PreciseRead.Len() != 0 || p.PreciseWrite.Len() != 0 {
+	if p.Read.FillRatio() != 0 || p.Write.FillRatio() != 0 {
 		t.Error("Pair.Clear incomplete")
 	}
 }
 
-func TestCheckKindString(t *testing.T) {
-	if NoConflict.String() != "none" || TrueConflict.String() != "true" || FalsePositive.String() != "false-positive" {
-		t.Error("CheckKind strings wrong")
-	}
-}
-
-// Property: classification never contradicts ground truth — an inserted
-// line is always reported as a conflict of the right kind.
+// Property: the filters never contradict ground truth — a line inserted
+// into either set always conflicts with a write request, and a line in
+// the write set always conflicts with a read request. The ground truth
+// is a map of the inserted lines.
 func TestQuickCheckAgreesWithShadow(t *testing.T) {
 	f := func(seeds []uint32, probe uint32) bool {
 		p := NewPair(Bits512)
+		inR, inW := map[mem.Addr]bool{}, map[mem.Addr]bool{}
 		for i, s := range seeds {
 			a := mem.Addr(s) * mem.LineSize
 			if i%2 == 0 {
 				p.AddWrite(a)
+				inW[a] = true
 			} else {
 				p.AddRead(a)
+				inR[a] = true
 			}
 		}
 		a := mem.Addr(probe) * mem.LineSize
-		kw, kr := p.CheckWrite(a), p.CheckRead(a)
-		inW := p.PreciseWrite.Contains(a)
-		inR := p.PreciseRead.Contains(a)
-		if (inW || inR) && kw != TrueConflict {
-			return false // false negative on write check
+		k := NewKey(a, Bits512)
+		cw, mw := p.Probe(&k, true)
+		cr, mr := p.Probe(&k, false)
+		if (inW[a] || inR[a]) && (!cw || !mw || !mr) {
+			return false // false negative on a write check or a match
 		}
-		if inW && kr != TrueConflict {
-			return false // false negative on read check
+		if inW[a] && !cr {
+			return false // false negative on a read check
 		}
-		if !inW && !inR && kw == TrueConflict {
-			return false // fabricated true conflict
-		}
-		if !inW && kr == TrueConflict {
-			return false
-		}
-		return true
+		return cw == p.CheckWrite(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -236,9 +210,10 @@ func TestQuickCheckAgreesWithShadow(t *testing.T) {
 }
 
 // TestProbeMatchesFilterRule: one key probed against several pairs
-// gives, for each, the CheckWrite/CheckRead verdict plus the sticky
-// rule "either filter matched", exactly as a fresh hash per call would.
-// 576 bits exercises the non-power-of-two bit mapping.
+// gives, for each, the per-filter rule — a write conflicts on either
+// filter, a read on the write filter, and either filter's match is
+// reported — exactly as a fresh hash per call would. 576 bits exercises
+// the non-power-of-two bit mapping.
 func TestProbeMatchesFilterRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, nbits := range []int{Bits512, 576, Bits4K} {
@@ -250,26 +225,30 @@ func TestProbeMatchesFilterRule(t *testing.T) {
 				pairs[i].AddWrite(mem.Addr(rng.Intn(4096)) * mem.LineSize)
 			}
 		}
-		var kinds [3]int
+		var outcomes [3]int // no match, match without conflict, conflict
 		for n := 0; n < 20000; n++ {
 			a := mem.Addr(rng.Intn(4096))*mem.LineSize + mem.Addr(rng.Intn(mem.LineSize))
 			write := rng.Intn(2) == 0
 			k := NewKey(a, nbits)
 			for _, p := range pairs {
-				want := p.CheckRead(a)
-				if write {
-					want = p.CheckWrite(a)
-				}
-				wantHit := want != NoConflict || p.Read.MayContain(a) || p.Write.MayContain(a)
+				inR, inW := p.Read.MayContain(a), p.Write.MayContain(a)
+				want := inW || (write && inR)
 				got, hit := p.Probe(&k, write)
-				if got != want || hit != wantHit {
-					t.Fatalf("%d bits: Probe(%#x, write=%v) = (%v,%v), want (%v,%v)", nbits, uint64(a), write, got, hit, want, wantHit)
+				if got != want || hit != (inR || inW) {
+					t.Fatalf("%d bits: Probe(%#x, write=%v) = (%v,%v), want (%v,%v)", nbits, uint64(a), write, got, hit, want, inR || inW)
 				}
-				kinds[got]++
+				switch {
+				case got:
+					outcomes[2]++
+				case hit:
+					outcomes[1]++
+				default:
+					outcomes[0]++
+				}
 			}
 		}
-		if kinds[TrueConflict] == 0 || kinds[FalsePositive] == 0 {
-			t.Fatalf("%d bits: probe mix produced %v (none/true/false-positive); want every kind", nbits, kinds)
+		if outcomes[0] == 0 || outcomes[1] == 0 || outcomes[2] == 0 {
+			t.Fatalf("%d bits: probe mix produced %v (no match/match/conflict); want every outcome", nbits, outcomes)
 		}
 	}
 }

@@ -144,7 +144,10 @@ func TestSchedulerGoldenFig7(t *testing.T) {
 // long read-only batches, Hybrid-Index and Dual — to goldens on shrunken
 // grids at -par 1 and -par 8, the way TestSchedulerGoldenFig7 pins the
 // consolidated PMDK mix. A driver refactor that moves a spawn, a seed,
-// an allocation or a prepopulation step shows up here as a diff.
+// an allocation or a prepopulation step shows up here as a diff. The
+// sigonly case pins Signature-Only detection, which no figure golden
+// runs: every access of every transaction goes into its signatures, so
+// a change to how signature hits are classified shows up there first.
 func TestDriverGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reduced driver grids skipped in -short mode")
@@ -195,6 +198,7 @@ func TestDriverGoldens(t *testing.T) {
 		{"fig8", BenchEcho, longRO, []SystemSpec{LLCBounded(), UHTM(signature.Bits4K, true), Ideal()}},
 		{"fig9a", BenchHybridIndex, hybrid, fig9},
 		{"fig9b", BenchDual, dual, fig9},
+		{"sigonly", BenchMixed, hybrid, []SystemSpec{SignatureOnly(signature.Bits512), SignatureOnly(signature.Bits4K)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
