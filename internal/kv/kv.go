@@ -14,6 +14,8 @@
 package kv
 
 import (
+	"slices"
+
 	"uhtm/internal/core"
 	"uhtm/internal/mem"
 	"uhtm/internal/txds"
@@ -155,12 +157,14 @@ func (p HybridPart) Put(m txds.Mem, k uint64, v []byte) {
 // RebuildIndex replaces the partition's DRAM index with a fresh one on
 // dal holding every key of the NVM table — the recovery bootstrap once
 // a power failure has erased DRAM. Recovery-relevant data lives in
-// NVM; the volatile index is reconstructable from it.
+// NVM; the volatile index is reconstructable from it. The table's keys
+// are sorted and bulk-loaded (txds.LoadBTree): one pass that writes
+// each node once and leaves no node full, so a served PUT of a
+// recovered key updates the index without splitting it.
 func (p *HybridPart) RebuildIndex(setup txds.Mem, dal *mem.Allocator) {
-	p.Index = txds.NewBTree(setup, dal)
-	for _, k := range p.Table.Keys(setup) {
-		p.Index.Put(setup, k, nil)
-	}
+	keys := p.Table.Keys(setup)
+	slices.Sort(keys)
+	p.Index = txds.LoadBTree(setup, dal, keys)
 }
 
 // Scan walks up to n keys in ascending order from `from` via the DRAM

@@ -157,8 +157,9 @@ func (s *Store) Apply(c *core.Ctx, ops []Op) []OpResult {
 // Recover brings the store back after a power failure: the machine has
 // already replayed its redo logs (core.Machine.Recover), which restored
 // the NVM table; the DRAM index is gone — DRAM does not survive — so it
-// is rebuilt from the table's keys on a fresh DRAM arena
-// (kv.HybridPart.RebuildIndex).
+// is rebuilt on a fresh DRAM arena by one sorted bulk load of the
+// table's keys (kv.HybridPart.RebuildIndex), which leaves no index node
+// full, so served PUTs of recovered keys split nothing.
 func (s *Store) Recover() {
 	s.part.RebuildIndex(s.m.Store(), mem.NewAllocator(mem.DRAM))
 }

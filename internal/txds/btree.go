@@ -1,6 +1,10 @@
 package txds
 
-import "uhtm/internal/mem"
+import (
+	"encoding/binary"
+
+	"uhtm/internal/mem"
+)
 
 // BTree is a B-tree with minimum degree 4 (up to 7 keys / 8 children per
 // node), the PMDK btree benchmark shape. It supports insert/update, point
@@ -35,6 +39,77 @@ func NewBTree(m Mem, al *mem.Allocator) *BTree {
 	return t
 }
 
+// btLoadFill is the most keys LoadBTree puts in one node: one short of
+// full, because Put splits every full node on its way down, even when
+// it only updates a key that node already holds.
+const btLoadFill = btMaxKeys - 1
+
+// LoadBTree builds a tree holding keys, which must be ascending and
+// distinct, each with the empty value blob Put(k, nil) would give it.
+// It builds bottom-up and writes each node once: a level of n keys
+// becomes ceil((n+1)/(btLoadFill+1)) nodes that share the level's keys
+// evenly, and the key between two neighbours moves up to the next
+// level, until one node — the root — is left. Every non-root node thus
+// holds 3–6 keys, all leaves sit at one depth, and no node is full, so
+// a later Put of a loaded key splits nothing.
+func LoadBTree(m Mem, al *mem.Allocator, keys []uint64) *BTree {
+	t := &BTree{head: al.Alloc(8, mem.LineSize), al: al}
+	vals := make([]uint64, len(keys))
+	for i := range vals {
+		vals[i] = uint64(writeValue(m, al, nil))
+	}
+	var kids []mem.Addr // the level below's nodes; nil at the leaves
+	for {
+		nodes := (len(keys) + btLoadFill + 1) / (btLoadFill + 1)
+		if nodes <= 1 {
+			m.WriteU64(t.head, uint64(t.writeNode(m, keys, vals, kids)))
+			return t
+		}
+		held := len(keys) - (nodes - 1) // the rest move up
+		upKeys := make([]uint64, 0, nodes-1)
+		upVals := make([]uint64, 0, nodes-1)
+		upKids := make([]mem.Addr, 0, nodes)
+		for i := 0; i < nodes; i++ {
+			c := held / nodes
+			if i < held%nodes {
+				c++
+			}
+			var below []mem.Addr
+			if kids != nil {
+				below, kids = kids[:c+1], kids[c+1:]
+			}
+			upKids = append(upKids, t.writeNode(m, keys[:c], vals[:c], below))
+			keys, vals = keys[c:], vals[c:]
+			if i < nodes-1 {
+				upKeys, upVals = append(upKeys, keys[0]), append(upVals, vals[0])
+				keys, vals = keys[1:], vals[1:]
+			}
+		}
+		keys, vals, kids = upKeys, upVals, upKids
+	}
+}
+
+// writeNode allocates one node holding keys and vals (and kids, one
+// more than keys, for an inner node) and writes it in a single call.
+func (t *BTree) writeNode(m Mem, keys, vals []uint64, kids []mem.Addr) mem.Addr {
+	var b [btSize]byte
+	le := binary.LittleEndian
+	le.PutUint64(b[btNKeys:], uint64(len(keys)))
+	if kids == nil {
+		le.PutUint64(b[btLeaf:], 1)
+	}
+	for i := range keys {
+		le.PutUint64(b[btKeys+8*i:], keys[i])
+		le.PutUint64(b[btVals+8*i:], vals[i])
+	}
+	for i, c := range kids {
+		le.PutUint64(b[btKids+8*i:], uint64(c))
+	}
+	n := t.al.Alloc(btSize, mem.LineSize)
+	m.WriteBytes(n, b[:])
+	return n
+}
+
 // AttachBTree re-binds an existing tree by its header address.
 func AttachBTree(head mem.Addr, al *mem.Allocator) *BTree {
 	return &BTree{head: head, al: al}
@@ -42,6 +117,10 @@ func AttachBTree(head mem.Addr, al *mem.Allocator) *BTree {
 
 // Head returns the header address.
 func (t *BTree) Head() mem.Addr { return t.head }
+
+// Allocator returns the allocator the tree's nodes and value blobs
+// come from.
+func (t *BTree) Allocator() *mem.Allocator { return t.al }
 
 func (t *BTree) newNode(m Mem, leaf bool) mem.Addr {
 	n := t.al.Alloc(btSize, mem.LineSize)

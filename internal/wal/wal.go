@@ -154,16 +154,24 @@ func encode(r Record, buf *[RecordSize]byte) {
 // lines reached durability, or the slot holds a stale mix of two ring
 // generations).
 func decode(buf *[RecordSize]byte) (r Record, ok bool) {
+	ok = decodeInto(buf, &r)
+	return r, ok
+}
+
+// decodeInto is decode writing the record through r, which it leaves
+// untouched when the slot fails validation: recovery decodes a whole
+// window into place without copying each record out.
+func decodeInto(buf *[RecordSize]byte, r *Record) bool {
 	le := binary.LittleEndian
 	if le.Uint32(buf[0:]) != recMagic || le.Uint64(buf[payloadSize:]) != checksum(buf) {
-		return Record{}, false
+		return false
 	}
 	r.Type = RecordType(buf[4])
 	r.TxID = le.Uint64(buf[8:])
 	r.Addr = mem.Addr(le.Uint64(buf[16:]))
 	copy(r.Data[:], buf[24:24+mem.LineSize])
 	r.LSN = le.Uint64(buf[24+mem.LineSize:])
-	return r, true
+	return true
 }
 
 // ctrlSize is the control block at the base of each ring: head and tail
@@ -558,8 +566,7 @@ func (l *Log) Window() Window {
 	for i := range w.Recs {
 		// The slot's bytes come straight out of the durable lines.
 		l.store.DurableInto(l.slotAddr(tail+uint64(i)), buf[:])
-		var ok bool
-		if w.Recs[i], ok = decode(&buf); !ok {
+		if !decodeInto(&buf, &w.Recs[i]) {
 			w.Torn++
 		}
 	}
