@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"uhtm/internal/sim"
 )
 
 func intSpecs(n int, run func(i int) int) []Spec[int] {
@@ -87,24 +89,34 @@ func catchPanic(fn func()) (msg string) {
 
 // TestPanicCarriesSpecIdentity: a panicking spec must surface which
 // grid cell died — a raw panic from one of dozens of identical-looking
-// simulations is undebuggable. Both the serial and parallel paths wrap.
+// simulations is undebuggable. Both the serial and parallel paths wrap,
+// whether the spec panics itself or a lone simulated body it runs does
+// (that body runs on the spec's own goroutine).
 func TestPanicCarriesSpecIdentity(t *testing.T) {
-	mk := func() []Spec[int] {
-		specs := intSpecs(6, func(i int) int { return i })
-		specs[3] = Spec[int]{
-			Experiment: "fig6", System: "UHTM", Bench: "Echo", FootprintKB: 100, Seed: 7,
-			Run: func() int { panic("store exhausted") },
-		}
-		return specs
+	lone := func() int {
+		eng := sim.NewEngine(1)
+		eng.Spawn("bomb", func(th *sim.Thread) { th.Sync(); panic("store exhausted") })
+		eng.Run()
+		return 0
 	}
-	for _, par := range []int{1, 4} {
-		msg := catchPanic(func() { Execute(mk(), par) })
-		if msg == "" {
-			t.Fatalf("par=%d: panic did not propagate", par)
+	for _, run := range []func() int{func() int { panic("store exhausted") }, lone} {
+		mk := func() []Spec[int] {
+			specs := intSpecs(6, func(i int) int { return i })
+			specs[3] = Spec[int]{
+				Experiment: "fig6", System: "UHTM", Bench: "Echo", FootprintKB: 100, Seed: 7,
+				Run: run,
+			}
+			return specs
 		}
-		for _, want := range []string{"spec 3", "fig6", "UHTM", "Echo", "100", "seed=7", "store exhausted"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("par=%d: panic message missing %q:\n%s", par, want, msg)
+		for _, par := range []int{1, 4} {
+			msg := catchPanic(func() { Execute(mk(), par) })
+			if msg == "" {
+				t.Fatalf("par=%d: panic did not propagate", par)
+			}
+			for _, want := range []string{"spec 3", "fig6", "UHTM", "Echo", "100", "seed=7", "store exhausted"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("par=%d: panic message missing %q:\n%s", par, want, msg)
+				}
 			}
 		}
 	}

@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"fmt"
-
-	"uhtm/internal/sim"
-)
+import "uhtm/internal/sim"
 
 // Session decouples engine lifetime from the one-shot run: where
 // Execute builds a fresh engine per spec and runs it to completion
@@ -51,15 +47,15 @@ func (s *Session) Do(name string, bodies ...func(*sim.Thread)) (end sim.Time, ha
 	s.eng.Recycle()
 	s.batches++
 	now := s.eng.Now()
-	threads := make([]*sim.Thread, len(bodies))
 	for i, body := range bodies {
-		th := s.eng.Spawn(fmt.Sprintf("%s.%d", name, i), body)
+		th := s.eng.SpawnIndexed(name, i, body)
 		th.Bump(now - th.Clock())
-		threads[i] = th
 	}
 	end = s.eng.Run()
 	if s.eng.Halted() {
-		for _, th := range threads {
+		// Cancel skips started and finished threads, so this cancels
+		// exactly the bodies the halt left unstarted.
+		for _, th := range s.eng.Threads() {
 			th.Cancel()
 		}
 		return end, true

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 
 	"uhtm/internal/sim"
@@ -83,5 +84,42 @@ func TestSessionHaltAndRestart(t *testing.T) {
 	}
 	if leaked {
 		t.Fatal("cancelled body from the halted batch ran after restart")
+	}
+}
+
+// TestSessionDoLoneBodyAllocs pins the heap allocations of a one-body
+// Do, the shape of a served single-shard request: the body runs on the
+// caller's goroutine, with no goroutine, park channel or formatted
+// name. The ceiling is the recorded count plus 25 % and 64.
+func TestSessionDoLoneBodyAllocs(t *testing.T) {
+	s := NewSession(sim.NewEngine(1))
+	body := func(th *sim.Thread) { th.Sync(); th.Advance(sim.Nanosecond) }
+	s.Do("warm", body)
+	if allocs := testing.AllocsPerRun(1000, func() { s.Do("req", body) }); allocs > 65 {
+		t.Errorf("one-body Do allocates %v times, want <= 65 (1 recorded)", allocs)
+	}
+	if n := len(s.Engine().Threads()); n != 1 {
+		t.Errorf("%d thread slots after one-body batches, want 1", n)
+	}
+}
+
+// BenchmarkSessionDo measures one Do batch: one body runs inline on the
+// caller's goroutine; two bodies take the goroutine-per-thread path.
+func BenchmarkSessionDo(b *testing.B) {
+	body := func(th *sim.Thread) { th.Sync(); th.Advance(sim.Nanosecond) }
+	for _, n := range []int{1, 2} {
+		bodies := make([]func(*sim.Thread), n)
+		for i := range bodies {
+			bodies[i] = body
+		}
+		b.Run(fmt.Sprintf("bodies=%d", n), func(b *testing.B) {
+			s := NewSession(sim.NewEngine(1))
+			s.Do("warm", bodies...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Do("req", bodies...)
+			}
+		})
 	}
 }

@@ -118,12 +118,13 @@ type Server struct {
 	shards  []*shard.Shard
 	stores  []*Store
 
-	ln        net.Listener
-	reqCh     chan *request
-	closing   chan struct{}
-	loopDone  chan struct{}
-	closeOnce sync.Once
-	closeErr  error
+	ln         net.Listener
+	reqCh      chan *request
+	closing    chan struct{}
+	loopDone   chan struct{}
+	acceptDone chan struct{} // closed when acceptLoop returns
+	closeOnce  sync.Once
+	closeErr   error
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -160,13 +161,14 @@ func New(cfg Config) *Server {
 		Geom:          cfg.Geometry,
 	})
 	s := &Server{
-		cfg:      cfg,
-		cluster:  cl,
-		shards:   cl.Shards(),
-		reqCh:    make(chan *request, 4*cfg.Cores*cfg.Shards),
-		closing:  make(chan struct{}),
-		loopDone: make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
+		cfg:        cfg,
+		cluster:    cl,
+		shards:     cl.Shards(),
+		reqCh:      make(chan *request, 4*cfg.Cores*cfg.Shards),
+		closing:    make(chan struct{}),
+		loopDone:   make(chan struct{}),
+		acceptDone: make(chan struct{}),
+		conns:      make(map[net.Conn]struct{}),
 	}
 	for _, sh := range s.shards {
 		s.stores = append(s.stores, NewStore(sh.Machine(), cfg.Buckets))
@@ -246,6 +248,7 @@ func (s *Server) Close() error {
 		s.connWG.Wait()
 		close(s.reqCh)
 		if s.ln != nil {
+			<-s.acceptDone
 			<-s.loopDone
 		}
 	})
@@ -254,6 +257,7 @@ func (s *Server) Close() error {
 
 // acceptLoop admits connections until the listener closes.
 func (s *Server) acceptLoop() {
+	defer close(s.acceptDone)
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {

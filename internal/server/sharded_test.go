@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -130,8 +131,11 @@ func TestShardedEndToEnd(t *testing.T) {
 // TestCrossShardMultiAtomicityUnderCrash commits a stream of cross-shard
 // MULTIs, power-fails the whole cluster via CRASH, and verifies every
 // shard against the committed-prefix oracle plus read-your-acked-writes
-// — the cluster-level acked-implies-durable drill.
+// — the cluster-level acked-implies-durable drill. No goroutine the
+// server started for any of it (connections, waves, recovery) outlives
+// Close.
 func TestCrossShardMultiAtomicityUnderCrash(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	s := startServer(t, Config{Shards: 2, Cores: 2, Buckets: 64, Prepopulate: 16})
 	baselines := shardBaselines(s)
 	c := dialT(t, s)
@@ -172,6 +176,13 @@ func TestCrossShardMultiAtomicityUnderCrash(t *testing.T) {
 	mustDo(t, c, "PUT", strconv.FormatUint(k1s[0], 10), "post-crash-b")
 	if rep := mustDo(t, c, "EXEC"); rep.Kind != ReplyArray {
 		t.Fatalf("cross EXEC after recovery → %+v", rep)
+	}
+	c.Close()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after Close, %d before the server started", n, goroutines)
 	}
 }
 

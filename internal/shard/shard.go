@@ -98,12 +98,13 @@ func (cfg Config) normalized() Config {
 // Shard is one engine world: a machine, its session driver, and its
 // slice of the partitioned address space.
 type Shard struct {
-	id   int
-	eng  *sim.Engine
-	m    *core.Machine
-	sess *harness.Session
-	pool []mem.Addr // home lines (global item g = i*Shards+id at index i)
-	hook func(point string)
+	id    int
+	label string // "s<id>", the shard's harness.Spec System label
+	eng   *sim.Engine
+	m     *core.Machine
+	sess  *harness.Session
+	pool  []mem.Addr // home lines (global item g = i*Shards+id at index i)
+	hook  func(point string)
 }
 
 // ID returns the shard's index.
@@ -193,7 +194,7 @@ func newCluster(cfg Config, traced bool) *Cluster {
 		opts := cfg.Opts
 		opts.ReserveLogArea = DecisionReserve
 		m := core.NewMachine(eng, g, opts)
-		c.shards = append(c.shards, &Shard{id: k, eng: eng, m: m, sess: harness.NewSession(eng)})
+		c.shards = append(c.shards, &Shard{id: k, label: fmt.Sprintf("s%d", k), eng: eng, m: m, sess: harness.NewSession(eng)})
 	}
 	decBase := mem.NVMLogBase + mem.LogAreaSize - DecisionReserve
 	c.cellAddr = decBase
@@ -282,7 +283,7 @@ func (c *Cluster) Fanout(shards []*Shard, f func(sh *Shard) bool) bool {
 		sh := sh
 		specs[i] = harness.Spec[bool]{
 			Experiment: "shard",
-			System:     fmt.Sprintf("s%d", sh.id),
+			System:     sh.label,
 			Seed:       c.cfg.Seed + int64(sh.id),
 			Run:        func() bool { return f(sh) },
 		}
@@ -300,8 +301,9 @@ func (c *Cluster) Fanout(shards []*Shard, f func(sh *Shard) bool) bool {
 // core works the pool segment of its conflict domain, so the domain
 // count is a real contention knob: D domains split the same pool among
 // D disjoint thread groups, cutting cross-thread collisions by ~D.
-// Returns whether the shard halted.
-func (c *Cluster) localBatch(sh *Shard, round int) bool {
+// name is the batch name, "local.r<round>". Returns whether the shard
+// halted.
+func (c *Cluster) localBatch(sh *Shard, round int, name string) bool {
 	cfg := c.cfg
 	seg := cfg.LinesPerShard / cfg.Domains
 	if seg < 1 {
@@ -328,7 +330,7 @@ func (c *Cluster) localBatch(sh *Shard, round int) bool {
 			}
 		}
 	}
-	return sh.Do(fmt.Sprintf("local.r%d", round), bodies...)
+	return sh.Do(name, bodies...)
 }
 
 // Run drives the cluster to completion (or to an injected halt): per
@@ -340,7 +342,8 @@ func (c *Cluster) localBatch(sh *Shard, round int) bool {
 // nodes would keep running until they notice the coordinator is gone).
 func (c *Cluster) Run() Result {
 	for r := 0; r < c.cfg.Rounds && !c.halted; r++ {
-		if c.Fanout(c.shards, func(sh *Shard) bool { return c.localBatch(sh, r) }) || c.cfg.CrossPerRound == 0 {
+		name := fmt.Sprintf("local.r%d", r)
+		if c.Fanout(c.shards, func(sh *Shard) bool { return c.localBatch(sh, r, name) }) || c.cfg.CrossPerRound == 0 {
 			continue
 		}
 		wave := c.buildWave(r)

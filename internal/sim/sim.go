@@ -1,11 +1,15 @@
 // Package sim provides the deterministic discrete-event engine that the
 // UHTM reproduction runs on. It stands in for gem5's system-call
-// emulation mode: every simulated hardware thread is a goroutine, but
-// exactly one of them executes at any moment, and the scheduler always
-// resumes the thread with the smallest virtual clock (ties broken by
-// thread ID). Memory-system code called from a thread therefore needs no
-// locking, interleavings are reproducible, and throughput numbers are a
-// pure function of the workload, the configuration, and the seed.
+// emulation mode: every simulated hardware thread of a multi-thread run
+// is a goroutine, but exactly one of them executes at any moment, and
+// the scheduler always resumes the thread with the smallest virtual
+// clock (ties broken by thread ID). Memory-system code called from a
+// thread therefore needs no locking, interleavings are reproducible, and
+// throughput numbers are a pure function of the workload, the
+// configuration, and the seed. A run with a single live thread — a
+// served request's batch, typically — has no one to hand the token to,
+// so Run executes that thread's body on the goroutine that called Run
+// instead.
 //
 // The protocol between a thread and the scheduler is:
 //
@@ -53,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"uhtm/internal/trace"
@@ -103,9 +108,10 @@ var ErrHalted = errors.New("sim: engine halted")
 type Thread struct {
 	id        int
 	name      string
+	index     int // >= 0: the thread is the index-th of batch name (SpawnIndexed)
 	eng       *Engine
 	clock     Time
-	park      chan struct{} // capacity-1 token: one pending unpark
+	park      chan struct{} // capacity-1 token: one pending unpark; made at the first goroutine dispatch
 	qi        int           // index in the engine run queue; -1 when unqueued
 	started   bool
 	done      bool
@@ -118,8 +124,14 @@ type Thread struct {
 // simulated machine).
 func (t *Thread) ID() int { return t.id }
 
-// Name returns the descriptive name given at spawn time.
-func (t *Thread) Name() string { return t.name }
+// Name returns the descriptive name given at spawn time; a thread from
+// SpawnIndexed is named "name.index".
+func (t *Thread) Name() string {
+	if t.index < 0 {
+		return t.name
+	}
+	return t.name + "." + strconv.Itoa(t.index)
+}
 
 // Clock returns the thread's current virtual time.
 func (t *Thread) Clock() Time { return t.clock }
@@ -160,6 +172,16 @@ func (t *Thread) Sync() {
 		}
 	}
 	if e.halted {
+		panic(haltSignal{})
+	}
+	if t.park == nil {
+		// The lone thread Run executes on the caller's goroutine: nobody
+		// else can take the token, so the slow path means either a
+		// self-Suspend, which nothing can undo, or the halt deadline.
+		if t.suspended {
+			panic(e.deadlockReport())
+		}
+		e.halted = true
 		panic(haltSignal{})
 	}
 	if !t.suspended {
@@ -334,19 +356,29 @@ func (e *Engine) CurrentClock() Time {
 // Recycle — before its next Run). IDs reclaimed by Recycle are reused,
 // lowest first, before the thread table grows.
 func (e *Engine) Spawn(name string, body func(*Thread)) *Thread {
+	return e.SpawnIndexed(name, -1, body)
+}
+
+// SpawnIndexed is Spawn for the index-th body of a batch called name:
+// the thread is named "name.index", a string built only when Name or a
+// deadlock report reads it. A negative index names the thread name
+// alone, as Spawn does.
+func (e *Engine) SpawnIndexed(name string, index int, body func(*Thread)) *Thread {
 	if e.running {
 		panic("sim: Spawn after Run")
 	}
 	t := &Thread{
-		name: name,
-		eng:  e,
-		park: make(chan struct{}, 1),
-		qi:   -1,
-		body: body,
+		name:  name,
+		index: index,
+		eng:   e,
+		qi:    -1,
+		body:  body,
 	}
 	if len(e.free) > 0 {
 		t.id = e.free[0]
-		e.free = e.free[1:]
+		// Shift rather than reslice, so the list keeps its capacity and
+		// Recycle's appends stop allocating once it is warm.
+		e.free = e.free[:copy(e.free, e.free[1:])]
 		e.threads[t.id] = t
 	} else {
 		t.id = len(e.threads)
@@ -456,6 +488,13 @@ func (e *Engine) Halted() bool { return e.halted }
 // A deadlock (every live thread suspended) or a panic escaping a thread
 // body propagates as a panic from Run itself, on the caller's
 // goroutine; the simulated threads parked at that moment are abandoned.
+//
+// When exactly one thread is runnable and no other is live, Run executes
+// its body on the calling goroutine: a lone thread can never hand the
+// token on, so the run needs no goroutine and no channel. It counts as
+// one dispatch, and halts, deadlocks and body panics end it exactly as
+// they end a multi-thread run. Every other run gives each thread its own
+// goroutine.
 func (e *Engine) Run() Time {
 	if e.running {
 		panic("sim: Engine.Run is not reentrant — use one engine per concurrent simulation")
@@ -476,6 +515,8 @@ func (e *Engine) Run() Time {
 		// Nothing to run (no threads, or all already done).
 	case e.haltAt >= 0 && u.clock >= e.haltAt:
 		e.halted = true // deadline before the first dispatch: nothing to unwind
+	case len(e.runq) == 1 && e.liveCount() == 1:
+		e.runInline(e.runq.pop())
 	default:
 		e.dispatch(e.runq.pop())
 	loop:
@@ -529,7 +570,7 @@ func (e *Engine) deadlockReport() string {
 		case t.suspended:
 			state = "suspended"
 		}
-		fmt.Fprintf(&b, "\n  thread %d %q clock=%v state=%s", t.id, t.name, t.clock, state)
+		fmt.Fprintf(&b, "\n  thread %d %q clock=%v state=%s", t.id, t.Name(), t.clock, state)
 	}
 	return b.String()
 }
@@ -557,18 +598,43 @@ func (e *Engine) passToken() {
 	e.dispatch(e.runq.pop())
 }
 
-// dispatch gives the execution token to t, starting its goroutine on
-// first dispatch and unparking it otherwise.
+// dispatch gives the execution token to t in a multi-thread run,
+// starting its goroutine (and making its park channel) on first
+// dispatch and unparking it otherwise. A lone thread goes to runInline
+// instead.
 func (e *Engine) dispatch(t *Thread) {
 	e.handoffs++
 	e.now = t.clock
 	e.cur = t
 	if !t.started {
 		t.started = true
+		t.park = make(chan struct{}, 1)
 		go e.threadMain(t)
 		return
 	}
 	t.park <- struct{}{}
+}
+
+// runInline runs the body of a lone thread on Run's goroutine. The
+// thread has no park channel, which is how its Sync knows to end the
+// run itself instead of passing the token. A halt unwinds the body and
+// is recovered here; any other panic continues out of Run. Only a
+// halted engine recovers at all, so an unrecovered body panic keeps the
+// body's own frames in its stack trace.
+func (e *Engine) runInline(t *Thread) {
+	e.handoffs++
+	e.now = t.clock
+	e.cur = t
+	t.started = true
+	defer func() {
+		t.done = true
+		if e.halted {
+			if r := recover(); r != nil && r != (haltSignal{}) {
+				panic(r) // a body's defer failed while unwinding
+			}
+		}
+	}()
+	t.body(t)
 }
 
 // threadMain is the goroutine body of a simulated thread: it runs the
