@@ -153,6 +153,89 @@ func checkDeclDocumented(t *testing.T, fset *token.FileSet, fname string, decl a
 	}
 }
 
+// callerExempt are method names that satisfy interfaces of the standard
+// library (fmt.Stringer, error, json.Marshaler, sort.Interface,
+// io.Reader/Writer): they are called through the interface, never by
+// name.
+var callerExempt = map[string]bool{
+	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"Len": true, "Less": true, "Swap": true, "Read": true, "Write": true,
+}
+
+// TestExportedFuncsHaveCallers fails for an exported function or method
+// declared in a non-test file under internal/ whose name appears as an
+// identifier nowhere in the module or perfbench/ outside its own
+// declaration. Tests count as callers. The check goes by name, so a
+// method is kept alive by a use of any same-named identifier; what it
+// catches is an entry point that nothing at all refers to any more.
+// Test, benchmark and fuzz functions and the standard interface
+// methods in callerExempt are exempt.
+func TestExportedFuncsHaveCallers(t *testing.T) {
+	// One FileSet gives every file its own position range, so a use
+	// lies outside a declaration exactly when its position does.
+	fset := token.NewFileSet()
+	var decls []*ast.FuncDecl
+	uses := map[string][]token.Pos{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if strings.HasPrefix(path, "internal"+string(filepath.Separator)) && !strings.HasSuffix(path, "_test.go") {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() || strings.HasPrefix(fn.Name.Name, "Test") ||
+					strings.HasPrefix(fn.Name.Name, "Benchmark") || strings.HasPrefix(fn.Name.Name, "Fuzz") ||
+					(fn.Recv != nil && callerExempt[fn.Name.Name]) {
+					continue
+				}
+				decls = append(decls, fn)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name] = append(uses[id.Name], id.Pos())
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("no exported functions found under internal/ — run from the repo root")
+	}
+	for _, fn := range decls {
+		called := false
+		for _, pos := range uses[fn.Name.Name] {
+			if pos < fn.Pos() || pos >= fn.End() {
+				called = true
+				break
+			}
+		}
+		if !called {
+			what := "function"
+			if fn.Recv != nil {
+				what = "method"
+			}
+			t.Errorf("%s: exported %s %s is referenced nowhere outside its declaration", fset.Position(fn.Pos()), what, fn.Name.Name)
+		}
+	}
+}
+
 // referenceDocs are the top-level documents that describe the code as
 // it is. History and planning documents (CHANGES.md, ROADMAP.md) are
 // left out: they name identifiers that are gone or still to come.

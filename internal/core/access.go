@@ -21,19 +21,68 @@ type victim struct {
 	cause stats.AbortCause
 }
 
-// access is the heart of the machine: one load or store by core, inside
-// transaction tx (nil for non-transactional accesses). It performs, in
-// order: TSS abort-flag check, staged conflict detection and resolution
-// (which may unwind self or roll back victims), the cache-hierarchy walk
-// with latency accounting and eviction/overflow handling, and footprint
-// tracking (directory Tx-fields, signatures, undo capture).
-func (m *Machine) access(th *sim.Thread, core int, tx *Tx, a mem.Addr, write bool) {
-	m.accessEx(th, core, tx, a, write, false)
+// Accessor performs one core's loads and stores: inside transaction tx,
+// or non-transactionally when tx is nil. Tx embeds one; Ctx.NT hands
+// out the context's non-transactional one. Both kinds are the same
+// coherence request — a non-transactional one just carries no
+// transaction ID — so both walk the hierarchy, pollute the LLC and are
+// checked against the signatures of the core's conflict domain
+// (Section IV-D).
+type Accessor struct {
+	m    *Machine
+	th   *sim.Thread
+	core int
+	tx   *Tx // nil: non-transactional
 }
 
-// accessEx is access with a streamed flag: streamed misses (bulk value
-// transfers behind prefetchers) charge bandwidth cost instead of miss
-// latency; detection and cache state are identical.
+// ReadU64 reads the 8-byte word at a.
+func (x *Accessor) ReadU64(a mem.Addr) uint64 {
+	x.m.accessEx(x.th, x.core, x.tx, a, false, false)
+	return x.m.store.ReadU64(a)
+}
+
+// WriteU64 writes the 8-byte word at a.
+func (x *Accessor) WriteU64(a mem.Addr, v uint64) {
+	x.m.accessEx(x.th, x.core, x.tx, a, true, false)
+	x.m.store.WriteU64(a, v)
+}
+
+// ReadBytes reads n bytes starting at a into a fresh slice, touching
+// every covered line.
+func (x *Accessor) ReadBytes(a mem.Addr, n int) []byte {
+	out := make([]byte, n)
+	x.lines(a, n, false)
+	x.m.store.ReadInto(a, out)
+	return out
+}
+
+// WriteBytes writes b starting at a, touching every covered line.
+func (x *Accessor) WriteBytes(a mem.Addr, b []byte) {
+	x.lines(a, len(b), true)
+	x.m.store.WriteBytes(a, b)
+}
+
+// lines accesses each line of [a, a+n): the first as a demand access,
+// the rest streamed. A zero-length range touches no line.
+func (x *Accessor) lines(a mem.Addr, n int, write bool) {
+	if n <= 0 {
+		return
+	}
+	first := mem.LineOf(a)
+	for la := first; la < a+mem.Addr(n); la += mem.LineSize {
+		x.m.accessEx(x.th, x.core, x.tx, la, write, la != first)
+	}
+}
+
+// accessEx is the heart of the machine: one load or store by core,
+// inside transaction tx (nil for non-transactional accesses). It
+// performs, in order: TSS abort-flag check, staged conflict detection
+// and resolution (which may unwind self or roll back victims), the
+// cache-hierarchy walk with latency accounting and eviction/overflow
+// handling, and footprint tracking (directory Tx-fields, signatures,
+// undo capture). Streamed misses (bulk value transfers behind
+// prefetchers) charge bandwidth cost instead of miss latency;
+// detection and cache state are the same as for a demand access.
 func (m *Machine) accessEx(th *sim.Thread, core int, tx *Tx, a mem.Addr, write, streamed bool) {
 	m.syncCount[core]++
 	if m.syncCount[core] >= m.opts.SyncEvery {

@@ -6,6 +6,7 @@ import (
 
 	"uhtm/internal/mem"
 	"uhtm/internal/sim"
+	"uhtm/internal/txds"
 	"uhtm/internal/wal"
 )
 
@@ -164,3 +165,28 @@ func TestOverflowPathZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestNTAccessorZeroAllocs pins the non-transactional accessor: Ctx.NT
+// hands out the context's own Accessor, so fetching it and making one
+// word read through a txds.Mem must not allocate.
+func TestNTAccessorZeroAllocs(t *testing.T) {
+	eng, m := newTestMachine(DefaultOptions())
+	a := mem.NewAllocator(mem.DRAM).AllocLines(1)
+	var allocs float64
+	var sink uint64
+	eng.Spawn("nt", func(th *sim.Thread) {
+		c := m.NewCtx(th, 0)
+		c.NT().ReadU64(a) // warm the line and the store page
+		allocs = testing.AllocsPerRun(100, func() { sink += readWord(c.NT(), a) })
+	})
+	eng.Run()
+	if allocs != 0 {
+		t.Errorf("NT() plus one ReadU64 allocates %.0f times, want 0", allocs)
+	}
+}
+
+// readWord reads through a txds.Mem the way the data structures do: out
+// of line, so the compiler cannot see the accessor's concrete type.
+//
+//go:noinline
+func readWord(m txds.Mem, a mem.Addr) uint64 { return m.ReadU64(a) }

@@ -9,8 +9,8 @@ import (
 	"uhtm/internal/mem"
 )
 
-// The per-byte reference loops the line-at-a-time store accessors and
-// copyOut/copyIn must match: one line lookup per byte, words assembled
+// The per-byte reference loops the line-at-a-time store accessors must
+// match: one line lookup per byte, words assembled
 // little-endian.
 
 func refReadU64(s *mem.Store, a mem.Addr) uint64 {
@@ -51,7 +51,7 @@ func refWriteBytes(s *mem.Store, a mem.Addr, b []byte) {
 }
 
 // TestLineAccessorsMatchPerByteLoops runs ReadU64, WriteU64, ReadBytes,
-// WriteBytes, copyOut and copyIn at every offset across a line boundary
+// ReadInto and WriteBytes at every offset across a line boundary
 // and a page boundary, at the first and last line of DRAM and of NVM,
 // against the per-byte reference loops on a twin machine. Both machines
 // must hold the same bytes in the same materialized lines, and no access
@@ -93,23 +93,19 @@ func TestLineAccessorsMatchPerByteLoops(t *testing.T) {
 				}
 				check("ReadBytes", a, n)
 				got, want := make([]byte, n), make([]byte, n)
-				m.copyOut(a, got)
+				s.ReadInto(a, got)
 				for i := range want {
 					want[i] = refReadBytes(rs, a+mem.Addr(i), 1)[0]
 				}
 				if !bytes.Equal(got, want) {
-					t.Fatalf("copyOut(%#x, %d) = %x, want %x", uint64(a), n, got, want)
+					t.Fatalf("ReadInto(%#x, %d) = %x, want %x", uint64(a), n, got, want)
 				}
-				check("copyOut", a, n)
+				check("ReadInto", a, n)
 				b := make([]byte, n)
 				rng.Read(b)
 				s.WriteBytes(a, b)
 				refWriteBytes(rs, a, b)
 				check("WriteBytes", a, n)
-				rng.Read(b)
-				m.copyIn(a, b)
-				refWriteBytes(rs, a, b)
-				check("copyIn", a, n)
 			}
 			if a%8 == 0 {
 				v := rng.Uint64()

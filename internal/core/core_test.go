@@ -328,7 +328,7 @@ func TestNonTxAbortsConflictingTx(t *testing.T) {
 	eng.Spawn("nt", func(th *sim.Thread) {
 		th.Advance(1 * sim.Microsecond)
 		c := m.NewCtx(th, 0)
-		c.NTWriteU64(a, 99)
+		c.NT().WriteU64(a, 99)
 	})
 	eng.Run()
 	if m.Stats().AbortsBy[stats.CauseTrueConflict] == 0 {
@@ -351,7 +351,7 @@ func TestLogAreaAccessPanics(t *testing.T) {
 				t.Error("log-area access did not panic")
 			}
 		}()
-		c.NTReadU64(mem.DRAMLogBase)
+		c.NT().ReadU64(mem.DRAMLogBase)
 	})
 	eng.Run()
 }

@@ -10,16 +10,17 @@ import (
 
 // Ctx binds a simulated thread to the machine and a conflict domain. It
 // is the software-visible API: Run executes a durable transaction with
-// the full Algorithm-1 retry/fallback discipline, and the NT* methods
-// perform non-transactional accesses (which still travel the hierarchy,
-// pollute the LLC, and are checked against signatures — the background
-// false-conflict source of Section IV-D).
+// the full Algorithm-1 retry/fallback discipline, and NT returns the
+// accessor for non-transactional loads and stores (which still travel
+// the hierarchy, pollute the LLC, and are checked against signatures —
+// the background false-conflict source of Section IV-D).
 type Ctx struct {
 	m      *Machine
 	th     *sim.Thread
 	core   int
 	domain int
 	inTx   bool
+	nt     Accessor // tx == nil
 }
 
 // NewCtx registers a thread with the machine. The thread's ID is its
@@ -31,7 +32,7 @@ func (m *Machine) NewCtx(th *sim.Thread, domain int) *Ctx {
 		panic(fmt.Sprintf("core: thread %d exceeds %d cores", core, m.cfg.Cores))
 	}
 	m.coreDomain[core] = domain
-	return &Ctx{m: m, th: th, core: core, domain: domain}
+	return &Ctx{m: m, th: th, core: core, domain: domain, nt: Accessor{m: m, th: th, core: core}}
 }
 
 // Thread returns the underlying simulated thread.
@@ -147,60 +148,10 @@ func (m *Machine) releaseLock(c *Ctx) {
 	l.held = false
 }
 
-// NTReadU64 performs a non-transactional read of the word at a.
-func (c *Ctx) NTReadU64(a mem.Addr) uint64 {
-	c.m.access(c.th, c.core, nil, a, false)
-	return c.m.store.ReadU64(a)
-}
-
-// NTWriteU64 performs a non-transactional write of the word at a.
-func (c *Ctx) NTWriteU64(a mem.Addr, v uint64) {
-	c.m.access(c.th, c.core, nil, a, true)
-	c.m.store.WriteU64(a, v)
-}
-
-// NTReadBytes performs a non-transactional read of n bytes at a.
-func (c *Ctx) NTReadBytes(a mem.Addr, n int) []byte {
-	out := make([]byte, n)
-	first := true
-	c.m.rangeLines(a, n, func(la mem.Addr) {
-		c.m.accessEx(c.th, c.core, nil, la, false, !first)
-		first = false
-	})
-	c.m.copyOut(a, out)
-	return out
-}
-
-// NTWriteBytes performs a non-transactional write of b at a.
-func (c *Ctx) NTWriteBytes(a mem.Addr, b []byte) {
-	first := true
-	c.m.rangeLines(a, len(b), func(la mem.Addr) {
-		c.m.accessEx(c.th, c.core, nil, la, true, !first)
-		first = false
-	})
-	c.m.copyIn(a, b)
-}
-
-// NT returns a non-transactional accessor exposing the same method set
-// as Tx, so data structures parameterized over an accessor can run
-// inside or outside transactions.
-func (c *Ctx) NT() *NTAccess { return &NTAccess{c} }
-
-// NTAccess adapts a Ctx's non-transactional operations to the accessor
-// shape shared with Tx.
-type NTAccess struct{ c *Ctx }
-
-// ReadU64 performs a non-transactional word read.
-func (n *NTAccess) ReadU64(a mem.Addr) uint64 { return n.c.NTReadU64(a) }
-
-// WriteU64 performs a non-transactional word write.
-func (n *NTAccess) WriteU64(a mem.Addr, v uint64) { n.c.NTWriteU64(a, v) }
-
-// ReadBytes performs a non-transactional byte-range read.
-func (n *NTAccess) ReadBytes(a mem.Addr, ln int) []byte { return n.c.NTReadBytes(a, ln) }
-
-// WriteBytes performs a non-transactional byte-range write.
-func (n *NTAccess) WriteBytes(a mem.Addr, b []byte) { n.c.NTWriteBytes(a, b) }
+// NT returns the context's non-transactional accessor. It has the same
+// loads and stores as Tx, so data structures parameterized over an
+// accessor can run inside or outside transactions.
+func (c *Ctx) NT() *Accessor { return &c.nt }
 
 // ContextSwitchOut models descheduling the thread (Section IV-E): the
 // modified private-cache contents are flushed to the LLC (so a later

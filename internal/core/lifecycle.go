@@ -31,11 +31,11 @@ func (m *Machine) begin(c *Ctx, attempt int, slow bool) *Tx {
 	tx := m.txPool[c.core]
 	if tx == nil {
 		tx = &Tx{
-			m:     m,
-			core:  c.core,
-			sig:   signature.NewPair(m.opts.SigBits),
-			pages: make([]*trackPage, mem.PageCount),
+			Accessor: Accessor{m: m, core: c.core},
+			sig:      signature.NewPair(m.opts.SigBits),
+			pages:    make([]*trackPage, mem.PageCount),
 		}
+		tx.Accessor.tx = tx
 		m.txPool[c.core] = tx
 	}
 	tx.th = c.th
@@ -529,13 +529,6 @@ func (m *Machine) Crash() {
 	}
 	clear(m.activeCores)
 	m.stickyReset()
-}
-
-// DrainToNVM forces all committed NVM data to the durable image — a
-// clean shutdown, used by tests that compare durable images.
-func (m *Machine) DrainToNVM() {
-	m.persistPending()
-	m.dcache.DrainAll()
 }
 
 func init() {

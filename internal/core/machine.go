@@ -580,17 +580,6 @@ func (m *Machine) NoteCommit(id uint64, domain int, writes map[mem.Addr]mem.Line
 	}
 }
 
-// ActiveTxCount reports how many transactions are currently live.
-func (m *Machine) ActiveTxCount() int {
-	n := 0
-	for _, t := range m.byCore {
-		if t != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // txByID returns the live transaction with the given ID, or nil. One
 // live transaction per core makes the per-core table the authoritative
 // ID index (a retiring transaction stays visible until its finish

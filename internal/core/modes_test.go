@@ -148,7 +148,7 @@ func TestStickyRefetchSoundness(t *testing.T) {
 	eng.Spawn("B", func(th *sim.Thread) {
 		c := m.NewCtx(th, 0)
 		th.WaitUntil(func() bool { return phase == 1 }, sim.Microsecond)
-		c.NTReadU64(x) // refetches X on-chip (read vs read: no conflict)
+		c.NT().ReadU64(x) // refetches X on-chip (read vs read: no conflict)
 		phase = 2
 	})
 	aborted := false
@@ -291,7 +291,7 @@ func TestDRAMCacheReadLatency(t *testing.T) {
 			// sit in the 2048-line test DRAM cache.
 			probe := base + mem.Addr(lines-1300)*mem.LineSize
 			before := th.Clock()
-			c.NTReadU64(probe)
+			c.NT().ReadU64(probe)
 			delta = th.Clock() - before
 		})
 		eng.Run()
@@ -340,7 +340,7 @@ func TestNonIsolatedNTTrafficAbortsViaFalsePositive(t *testing.T) {
 		c := m.NewCtx(th, 1) // different domain, non-transactional
 		th.WaitUntil(func() bool { return saturated }, sim.Microsecond)
 		for i := 0; i < 512; i++ {
-			c.NTReadU64(foreign + mem.Addr(i)*mem.LineSize)
+			c.NT().ReadU64(foreign + mem.Addr(i)*mem.LineSize)
 		}
 	})
 	eng.Run()

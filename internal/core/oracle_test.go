@@ -64,8 +64,8 @@ func TestOracleAllDetections(t *testing.T) {
 	}
 }
 
-// TestNTBulkAccessors: the NTAccess adapter and bulk byte operations
-// round-trip through the hierarchy.
+// TestNTBulkAccessors: the non-transactional accessor's word and bulk
+// byte operations round-trip through the hierarchy.
 func TestNTBulkAccessors(t *testing.T) {
 	eng, m := newTestMachine(DefaultOptions())
 	al := mem.NewAllocator(mem.NVM)
@@ -87,6 +87,31 @@ func TestNTBulkAccessors(t *testing.T) {
 		nt.WriteU64(a, 77)
 		if nt.ReadU64(a) != 77 {
 			t.Error("NT word round-trip failed")
+		}
+	})
+	eng.Run()
+}
+
+// TestZeroLengthAccessTouchesNoLine: an empty byte range at an
+// unaligned address, inside or outside a transaction, brings no line
+// on-chip and costs no time.
+func TestZeroLengthAccessTouchesNoLine(t *testing.T) {
+	eng, m := newTestMachine(DefaultOptions())
+	a := mem.NewAllocator(mem.NVM).AllocLines(1) + 8
+	eng.Spawn("t", func(th *sim.Thread) {
+		c := m.NewCtx(th, 0)
+		start := th.Clock()
+		c.NT().ReadBytes(a, 0)
+		c.NT().WriteBytes(a, nil)
+		if th.Clock() != start {
+			t.Errorf("non-transactional empty range advanced the clock by %v", th.Clock()-start)
+		}
+		c.Run(func(tx *Tx) {
+			tx.ReadBytes(a, 0)
+			tx.WriteBytes(a, nil)
+		})
+		if m.l1[c.Core()].Contains(mem.LineOf(a)) || m.llc.Contains(mem.LineOf(a)) {
+			t.Error("empty range brought its line on-chip")
 		}
 	})
 	eng.Run()

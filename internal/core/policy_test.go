@@ -290,7 +290,7 @@ func TestActiveInOrderAcrossWords(t *testing.T) {
 	m := NewMachine(sim.NewEngine(1), cfg, DefaultOptions())
 	cores := []int{199, 3, 64, 130, 63, 128}
 	for _, c := range cores {
-		m.byCore[c] = &Tx{core: c}
+		m.byCore[c] = &Tx{Accessor: Accessor{core: c}}
 		m.setActive(c, true)
 	}
 	m.byCore[130].finished = true

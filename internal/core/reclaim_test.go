@@ -107,7 +107,7 @@ func TestReclaimProgressWhileMidCommit(t *testing.T) {
 	ring1.Append(wal.Record{Type: wal.RecWrite, TxID: 999, Addr: a + mem.LineSize, Data: mem.Line{1}})
 	lsn := m.NextLSN()
 	ring1.Append(wal.Record{Type: wal.RecCommit, TxID: 999, LSN: lsn})
-	tx := &Tx{id: 999, core: 1, committing: true, commitLSN: lsn}
+	tx := &Tx{Accessor: Accessor{core: 1}, id: 999, committing: true, commitLSN: lsn}
 	m.byCore[1] = tx
 
 	ring0 := m.redoRings.ForCore(0)

@@ -56,8 +56,8 @@ func TestRecoveryAppliesCommitted(t *testing.T) {
 		})
 	})
 	eng.Run()
-	// No DrainToNVM: in-place durable NVM is still stale; only the log
-	// carries the committed values.
+	// Nothing drained the write-set: in-place durable NVM is still
+	// stale; only the log carries the committed values.
 	m.Crash()
 	st := m.Recover()
 	if st.CommittedTx != 1 || st.AppliedLines != 4 {

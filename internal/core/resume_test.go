@@ -95,12 +95,12 @@ func TestSwitchOutKeepsOtherL1sSnooped(t *testing.T) {
 		th.Advance(sim.Microsecond)
 		th.Sync()
 		c := m.NewCtx(th, 0)
-		c.NTReadU64(y)
+		c.NT().ReadU64(y)
 		c.ContextSwitchOut()
 		th.Sync()
 	})
 	eng.Spawn("core1", func(th *sim.Thread) {
-		m.NewCtx(th, 0).NTReadU64(x)
+		m.NewCtx(th, 0).NT().ReadU64(x)
 	})
 	eng.Spawn("core2", func(th *sim.Thread) {
 		th.WaitUntil(func() bool { return switched.Suspended() }, 5*sim.Nanosecond)
@@ -109,7 +109,7 @@ func TestSwitchOutKeepsOtherL1sSnooped(t *testing.T) {
 		}
 		c := m.NewCtx(th, 0)
 		for _, a := range mates {
-			c.NTReadU64(a)
+			c.NT().ReadU64(a)
 		}
 		if m.llc.Contains(x) {
 			t.Fatal("setup: set-mate fills did not evict X from the LLC")

@@ -169,9 +169,9 @@ func runSigRef(t *testing.T, detect Detection, isolation bool) (*sigShadow, *sta
 		for i := 0; i < 24; i++ {
 			for k := 0; k < 8; k++ {
 				if a := pick(1, rng); rng.Intn(2) == 0 {
-					c.NTWriteU64(a, 1)
+					c.NT().WriteU64(a, 1)
 				} else {
-					c.NTReadU64(a)
+					c.NT().ReadU64(a)
 				}
 			}
 			c.PolluteLLC(polluted, window, 128, 1500*sim.Picosecond, rng)

@@ -5,7 +5,6 @@ import (
 
 	"uhtm/internal/mem"
 	"uhtm/internal/signature"
-	"uhtm/internal/sim"
 	"uhtm/internal/stats"
 )
 
@@ -49,10 +48,10 @@ type undoEnt struct {
 // begins transactions on it, so the slot is reused only after the
 // previous attempt has fully unwound.
 type Tx struct {
-	m      *Machine
-	th     *sim.Thread
+	// Accessor carries the transactional loads and stores (its tx
+	// points back at this Tx) and the machine, thread and core.
+	Accessor
 	id     uint64
-	core   int
 	domain int
 	status *txStatus
 	// domainStats caches the domain's counters (Machine.DomainStats
@@ -239,62 +238,11 @@ func (tx *Tx) checkAbortFlag() {
 	}
 }
 
-// ReadU64 performs a transactional read of the 8-byte word at a.
-func (tx *Tx) ReadU64(a mem.Addr) uint64 {
-	tx.m.access(tx.th, tx.core, tx, a, false)
-	return tx.m.store.ReadU64(a)
-}
-
-// WriteU64 performs a transactional write of the 8-byte word at a.
-func (tx *Tx) WriteU64(a mem.Addr, v uint64) {
-	tx.m.access(tx.th, tx.core, tx, a, true)
-	tx.m.store.WriteU64(a, v)
-}
-
-// ReadBytes transactionally reads n bytes starting at a into a fresh
-// slice, touching every covered line.
-func (tx *Tx) ReadBytes(a mem.Addr, n int) []byte {
-	out := make([]byte, n)
-	first := true
-	tx.m.rangeLines(a, n, func(la mem.Addr) {
-		tx.m.accessEx(tx.th, tx.core, tx, la, false, !first)
-		first = false
-	})
-	tx.m.copyOut(a, out)
-	return out
-}
-
-// WriteBytes transactionally writes b starting at a.
-func (tx *Tx) WriteBytes(a mem.Addr, b []byte) {
-	first := true
-	tx.m.rangeLines(a, len(b), func(la mem.Addr) {
-		tx.m.accessEx(tx.th, tx.core, tx, la, true, !first)
-		first = false
-	})
-	tx.m.copyIn(a, b)
-}
-
 // Abort explicitly aborts the current attempt (xabort-style). Run will
 // retry the body.
 func (tx *Tx) Abort() {
 	tx.unwind(stats.CauseExplicit, 0, -1)
 }
-
-// rangeLines invokes fn for each line of [a, a+n).
-func (m *Machine) rangeLines(a mem.Addr, n int, fn func(mem.Addr)) {
-	if n <= 0 {
-		return
-	}
-	for la := mem.LineOf(a); la < a+mem.Addr(n); la += mem.LineSize {
-		fn(la)
-	}
-}
-
-// copyOut reads bytes from the live store without access accounting.
-func (m *Machine) copyOut(a mem.Addr, dst []byte) { m.store.ReadInto(a, dst) }
-
-// copyIn writes bytes to the live store without access accounting.
-func (m *Machine) copyIn(a mem.Addr, src []byte) { m.store.WriteBytes(a, src) }
 
 // String identifies the transaction (id, core, domain) for logs.
 func (tx *Tx) String() string {

@@ -59,10 +59,6 @@ type Workload struct {
 	DRAMWritesPerTx int
 	ReadsPerTx      int
 	Seed            int64
-	// ReclaimMid makes thread 0 run a full log-reclamation pass halfway
-	// through its transactions, so the sweep also lands crashes inside
-	// ReclaimLogs (in-place image persists, ring reclamation).
-	ReclaimMid bool
 }
 
 // SmallWorkload is the exhaustive-sweep shape: every (point, visit)
@@ -78,7 +74,6 @@ func SmallWorkload() Workload {
 		DRAMWritesPerTx: 3,
 		ReadsPerTx:      2,
 		Seed:            42,
-		ReclaimMid:      true,
 	}
 }
 
@@ -95,7 +90,6 @@ func LargeWorkload() Workload {
 		DRAMWritesPerTx: 4,
 		ReadsPerTx:      3,
 		Seed:            42,
-		ReclaimMid:      true,
 	}
 }
 
@@ -182,12 +176,15 @@ func (w Workload) Start(in *Injector) Instance {
 func (w Workload) thread(st *runState, th *sim.Thread, t int) {
 	c := st.m.NewCtx(th, 0)
 	for k := 0; k < w.TxPerThread; k++ {
-		// Three passes, not one: each checkpoint keeps its predecessor
-		// as the torn-write fallback and truncates the group before
-		// that, so only the third pass actually reclaims checkpoint-ring
-		// space — the sweep needs it to land crashes in the ring's own
-		// truncation (wal.ckpt.reclaim.ctrl).
-		if w.ReclaimMid && t == 0 &&
+		// Thread 0 runs full log-reclamation passes along the way, so
+		// the sweep also lands crashes inside ReclaimLogs (in-place
+		// image persists, ring reclamation). Three passes, not one:
+		// each checkpoint keeps its predecessor as the torn-write
+		// fallback and truncates the group before that, so only the
+		// third pass actually reclaims checkpoint-ring space — the
+		// sweep needs it to land crashes in the ring's own truncation
+		// (wal.ckpt.reclaim.ctrl).
+		if t == 0 &&
 			(k == w.TxPerThread/4 || k == w.TxPerThread/2 || k == 3*w.TxPerThread/4) {
 			st.m.ReclaimLogs()
 		}

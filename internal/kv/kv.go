@@ -275,15 +275,6 @@ func (d *Dual) FrontPut(c *core.Ctx, part int, batch []KV) (dropped int) {
 	return publish(c, sh.XLog, batch)
 }
 
-// FrontGet serves a read from shard part's foreground map in one
-// transaction.
-func (d *Dual) FrontGet(c *core.Ctx, part int, key uint64) (val []byte, found bool) {
-	c.Run(func(tx *core.Tx) {
-		val, found = d.Parts[part].Front.Get(tx, key)
-	})
-	return val, found
-}
-
 // BackendStep drains up to max log entries from shard part and applies
 // them to its NVM background map in one durable transaction. It returns
 // the number applied.

@@ -56,8 +56,7 @@ type Config struct {
 	TxPerCore     int // local transactions per core per round
 	WritesPerTx   int // NVM lines written per transaction (local and cross)
 	ReadsPerTx    int // NVM lines read per local transaction
-	CrossPerRound int // cross-shard transactions per round (0 when Shards < 2)
-	CrossShards   int // participant shards per cross transaction (clamped to [2, Shards])
+	CrossPerRound int // cross-shard transactions per round (0 when Shards < 2), each over two shards
 	LinesPerShard int // NVM data pool size per shard
 
 	Seed int64 // engine seed base (shard k runs at Seed+k)
@@ -82,12 +81,6 @@ func (cfg Config) normalized() Config {
 	}
 	if cfg.Shards < 2 {
 		cfg.CrossPerRound = 0
-	}
-	if cfg.CrossShards < 2 {
-		cfg.CrossShards = 2
-	}
-	if cfg.CrossShards > cfg.Shards {
-		cfg.CrossShards = cfg.Shards
 	}
 	if cfg.LinesPerShard < 1 {
 		cfg.LinesPerShard = 1

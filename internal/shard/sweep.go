@@ -25,7 +25,6 @@ func SweepConfig() Config {
 		WritesPerTx:   2,
 		ReadsPerTx:    1,
 		CrossPerRound: 3,
-		CrossShards:   2,
 		LinesPerShard: 8,
 		Seed:          42,
 		Par:           1,

@@ -116,10 +116,11 @@ func (c *Cluster) buildWave(r int) []*crossTx {
 	cfg := c.cfg
 	var wave []*crossTx
 	taken := make(map[int]map[mem.Addr]bool, cfg.Shards)
+	parts := min(2, cfg.Shards) // participant shards per cross transaction
 	for j := 0; j < cfg.CrossPerRound; j++ {
 		base := pick(r*7+3, j, 0, cfg.Shards)
-		shards := make([]int, 0, cfg.CrossShards)
-		for i := 0; i < cfg.CrossShards; i++ {
+		shards := make([]int, 0, parts)
+		for i := 0; i < parts; i++ {
 			shards = append(shards, (base+i)%cfg.Shards)
 		}
 		sort.Ints(shards)

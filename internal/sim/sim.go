@@ -57,6 +57,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -410,19 +411,9 @@ func (e *Engine) Recycle() int {
 	}
 	if n > 0 {
 		// Reclaimed IDs are handed out lowest-first for determinism.
-		sortInts(e.free)
+		slices.Sort(e.free)
 	}
 	return n
-}
-
-// sortInts is a tiny insertion sort: the free list is short (bounded by
-// the core count) and usually already ordered.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Cancel marks a thread that has never been dispatched as finished

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -92,7 +93,7 @@ func WriteChrome(w io.Writer, runs []Run, causeName func(uint64) string) error {
 				tids = append(tids, tid)
 			}
 		}
-		sortInts(tids)
+		slices.Sort(tids)
 		for _, tid := range tids {
 			name := "machine"
 			if tid != machineTID {
@@ -248,16 +249,6 @@ func instantFor(e *Event, pid int, causeName func(uint64) string) (chromeEvent, 
 }
 
 func hexAddr(a uint64) string { return "0x" + strconv.FormatUint(a, 16) }
-
-// sortInts is a tiny insertion sort (tid lists are short) that avoids
-// importing sort just for this.
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
 
 // ChromeTx is one transaction slice read back from a Chrome trace file
 // — the rows behind the trace-summary command.

@@ -3,8 +3,8 @@
 // Tree and a SkipList — the PMDK micro-benchmark structures — all living
 // *inside the simulated address space*. Every field access goes through
 // a Mem accessor, so the same structure code runs transactionally (with
-// a *core.Tx), non-transactionally (*core.NTAccess), or directly against
-// the store in unit tests.
+// a *core.Tx), non-transactionally (the *core.Accessor that Ctx.NT
+// returns), or directly against the store in unit tests.
 //
 // Persistent instances allocate from the NVM region, volatile ones from
 // DRAM; the paper's hybrid key-value stores combine one of each.
@@ -14,7 +14,7 @@ import (
 	"uhtm/internal/mem"
 )
 
-// Mem is the memory-accessor interface: *core.Tx, *core.NTAccess and
+// Mem is the memory-accessor interface: *core.Tx, *core.Accessor and
 // *mem.Store all satisfy it.
 type Mem interface {
 	ReadU64(a mem.Addr) uint64

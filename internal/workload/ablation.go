@@ -7,7 +7,7 @@ import (
 	"uhtm/internal/stats"
 )
 
-// Ablations exercises the design choices DESIGN.md calls out, each as a
+// ablationPlan exercises the design choices DESIGN.md calls out, each as a
 // paired run on the same workload:
 //
 //   - requester-wins/-loses (Table II) vs age-based resolution — the
@@ -18,8 +18,6 @@ import (
 //     optimization quantified standalone rather than via Fig. 6's grid);
 //   - the undo-vs-redo DRAM logging choice at one footprint (Fig. 10's
 //     mechanism in one row).
-func Ablations(scale float64) (*stats.Table, []Result) { return mustRun("ablate", scale) }
-
 func ablationPlan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	type row struct{ name, variant, note string }
 	var rows []row

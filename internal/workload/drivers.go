@@ -49,9 +49,8 @@ type Config struct {
 
 	Persistent bool // data in NVM (durable txs) vs DRAM (volatile txs)
 
-	MemApps      int      // LLC-hungry background threads (own domains)
-	MemAppWindow int      // bytes each sweeps over
-	MemAppCost   sim.Time // per-line streaming cost (bandwidth model)
+	MemApps      int // LLC-hungry background threads (own domains)
+	MemAppWindow int // bytes each sweeps over
 
 	// Long-running read-only transactions (Fig. 8): every LongROEvery-th
 	// operation on a thread is a read-only batch of LongROBytes instead
@@ -84,7 +83,6 @@ func DefaultConfig() Config {
 		Persistent:         true,
 		MemApps:            2,
 		MemAppWindow:       32 << 20,
-		MemAppCost:         120 * sim.Picosecond,
 	}
 }
 
@@ -310,6 +308,10 @@ func valueFor(size int, k uint64) []byte {
 	return v
 }
 
+// memAppLineCost is a memory app's streaming cost per line (bandwidth
+// model).
+const memAppLineCost = 120 * sim.Picosecond
+
 // spawnMemApps launches the LLC-hungry background applications, each in
 // its own conflict domain after the benchmark instances': each sweeps
 // random lines of a private DRAM window non-transactionally until the
@@ -319,10 +321,6 @@ func (d *driver) spawnMemApps() {
 	cfg := d.cfg
 	// Windows are carved from the top of usable DRAM (just below the log
 	// area), far above the arenas the benchmarks draw from.
-	cost := cfg.MemAppCost
-	if cost <= 0 {
-		cost = 1500 * sim.Picosecond
-	}
 	for i := 0; i < cfg.MemApps; i++ {
 		app := i
 		d.eng.Spawn(fmt.Sprintf("memapp%d", app), func(th *sim.Thread) {
@@ -330,7 +328,7 @@ func (d *driver) spawnMemApps() {
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(1000+app)))
 			base := mem.DRAMLogBase - mem.Addr((app+1)*cfg.MemAppWindow)
 			for !d.done {
-				c.PolluteLLC(base, cfg.MemAppWindow, 4096, cost, rng)
+				c.PolluteLLC(base, cfg.MemAppWindow, 4096, memAppLineCost, rng)
 			}
 		})
 	}

@@ -45,7 +45,6 @@ func scaleConfig(cores, shards, domains int, opt RunOptions) shard.Config {
 		WritesPerTx:   4,
 		ReadsPerTx:    2,
 		CrossPerRound: sc(cores / 8),
-		CrossShards:   2,
 		LinesPerShard: 64 * (cores / shards),
 		Seed:          42,
 		Par:           opt.Par,
