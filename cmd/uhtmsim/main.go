@@ -129,22 +129,19 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
+	opt := workload.RunOptions{
+		Scale:  *fv.scale,
+		Par:    *fv.par,
+		Trace:  *fv.tracePath != "",
+		Shards: *fv.shards,
+	}
 	// flag.Visit distinguishes an explicit `-seed 0` from an omitted
 	// flag: 0 is a legitimate seed, not a sentinel.
-	seedSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "seed" {
-			seedSet = true
+			opt.Seed = fv.seed
 		}
 	})
-	opt := workload.RunOptions{
-		Scale:   *fv.scale,
-		Seed:    *fv.seed,
-		SeedSet: seedSet,
-		Par:     *fv.par,
-		Trace:   *fv.tracePath != "",
-		Shards:  *fv.shards,
-	}
 
 	enc, flush, err := jsonEmitter(*fv.jsonPath, stdout)
 	if err != nil {

@@ -235,11 +235,11 @@ func TestSeedZeroIsSelectable(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("runner called %d times, want 2", len(got))
 	}
-	if !got[0].SeedSet || got[0].Seed != 0 {
-		t.Errorf("explicit -seed 0 not marked: %+v", got[0])
+	if got[0].Seed == nil || *got[0].Seed != 0 {
+		t.Errorf("explicit -seed 0 not passed on: %+v", got[0])
 	}
-	if got[1].SeedSet {
-		t.Errorf("omitted -seed marked as explicit: %+v", got[1])
+	if got[1].Seed != nil {
+		t.Errorf("omitted -seed passed on as explicit: %+v", got[1])
 	}
 }
 
@@ -250,7 +250,7 @@ func TestSeedZeroReachesConfig(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real fig2 run skipped in -short mode")
 	}
-	_, rs, err := workload.RunExperiment("fig2", workload.RunOptions{Scale: 0.01, SeedSet: true, Seed: 0, Par: 4})
+	_, rs, err := workload.RunExperiment("fig2", workload.RunOptions{Scale: 0.01, Seed: new(int64), Par: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 1, "key-hashed shards; >1 runs cross-shard MULTI batches through 2PC")
 	cores := fs.Int("cores", 4, "simulated cores per shard = requests executing concurrently")
 	buckets := fs.Int("buckets", 1<<15, "NVM hash-table buckets")
-	seed := fs.Int64("seed", 42, "engine RNG seed (nonzero)")
+	seed := fs.Int64("seed", 42, "engine RNG seed")
 	prepop := fs.Int("prepopulate", 0, "insert keys 1..n before serving")
 	valsize := fs.Int("valsize", 64, "prepopulated value size in bytes")
 	if err := fs.Parse(args); err != nil {
@@ -81,9 +81,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() != 0 {
 		fs.Usage()
-		return 2
-	}
-	if zeroSeed(*seed, stderr) {
 		return 2
 	}
 	s := server.New(server.Config{
@@ -120,17 +117,6 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// zeroSeed reports (on stderr) an explicit -seed 0. The server and the
-// load generator read a zero seed as unset and would silently run
-// their default seed instead, so 0 is not a seed they accept.
-func zeroSeed(seed int64, stderr io.Writer) bool {
-	if seed != 0 {
-		return false
-	}
-	fmt.Fprintln(stderr, "uhtmsim: -seed 0 is not accepted (0 selects the default seed); pass a nonzero seed")
-	return true
-}
-
 // loadgenCmd runs the open-loop load generator against a live server
 // and reports the latency/throughput summary (human-readable to stdout,
 // one JSON line to -out).
@@ -144,21 +130,18 @@ func loadgenCmd(args []string, stdout, stderr io.Writer) int {
 	keyspace := fs.Uint64("keyspace", 10000, "keys drawn from [1, keyspace]")
 	dist := fs.String("dist", server.DistZipf, "key distribution: zipf or uniform")
 	zipfS := fs.Float64("zipf-s", 1.2, "Zipf skew parameter (>1)")
-	readfrac := fs.Float64("readfrac", 0.8, "fraction of read requests (an explicit 0 means write-only)")
+	readfrac := fs.Float64("readfrac", 0.8, "fraction of read requests, in [0, 1] (0 is write-only)")
 	scanfrac := fs.Float64("scanfrac", 0, "fraction of reads that are SCANs")
 	crossfrac := fs.Float64("crossfrac", 0, "fraction of requests forced onto >=2 shards as MULTI..EXEC (sharded server only)")
 	scancount := fs.Int("scancount", 10, "SCAN count argument")
 	batch := fs.Int("batch", 1, "ops per request; >1 wraps them in MULTI..EXEC")
-	seed := fs.Int64("seed", 1, "workload RNG seed (nonzero)")
+	seed := fs.Int64("seed", 1, "workload RNG seed")
 	outPath := fs.String("out", "", "append the JSON record to this file (\"-\" = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 0 {
 		fs.Usage()
-		return 2
-	}
-	if zeroSeed(*seed, stderr) {
 		return 2
 	}
 	if *dist != server.DistZipf && *dist != server.DistUniform {
@@ -177,28 +160,21 @@ func loadgenCmd(args []string, stdout, stderr io.Writer) int {
 		defer f.Close()
 		out = f
 	}
-	readfracSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "readfrac" {
-			readfracSet = true
-		}
-	})
 	rep, err := server.RunLoad(server.LoadConfig{
-		Addr:        *addr,
-		Conns:       *conns,
-		QPS:         *qps,
-		Duration:    *dur,
-		KeySpace:    *keyspace,
-		Dist:        *dist,
-		ZipfS:       *zipfS,
-		ReadFrac:    *readfrac,
-		ReadFracSet: readfracSet,
-		ScanFrac:    *scanfrac,
-		CrossFrac:   *crossfrac,
-		ScanCount:   *scancount,
-		BatchSize:   *batch,
-		Seed:        *seed,
-		Out:         out,
+		Addr:      *addr,
+		Conns:     *conns,
+		QPS:       *qps,
+		Duration:  *dur,
+		KeySpace:  *keyspace,
+		Dist:      *dist,
+		ZipfS:     *zipfS,
+		ReadFrac:  *readfrac,
+		ScanFrac:  *scanfrac,
+		CrossFrac: *crossfrac,
+		ScanCount: *scancount,
+		BatchSize: *batch,
+		Seed:      *seed,
+		Out:       out,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "uhtmsim: %v\n", err)

@@ -170,25 +170,35 @@ func TestLoadgenRejectsBadDist(t *testing.T) {
 	}
 }
 
-// TestZeroSeedRejected: an explicit -seed 0 would silently run the
-// default seed (the server and the load generator read 0 as unset), so
-// both subcommands reject it at flag parsing, before binding a port or
-// dialing.
-func TestZeroSeedRejected(t *testing.T) {
-	for _, args := range [][]string{
-		{"serve", "-addr", "127.0.0.1:0", "-seed", "0"},
-		{"loadgen", "-addr", "127.0.0.1:1", "-duration", "50ms", "-seed", "0"},
-	} {
-		var out, errOut bytes.Buffer
-		if code := run(args, &out, &errOut); code != 2 {
-			t.Errorf("%v: exit %d, want 2", args, code)
-		}
-		if !strings.Contains(errOut.String(), "-seed 0") {
-			t.Errorf("%v: stderr does not name the rejected seed: %q", args, errOut.String())
-		}
-		if out.Len() != 0 {
-			t.Errorf("%v: wrote to stdout: %q", args, out.String())
-		}
+// TestZeroSeedAndReadFracUsedAsGiven: -seed 0 is a seed like any
+// other for both subcommands, -readfrac 0 drives a write-only load, and
+// a -readfrac outside [0, 1] fails before any load is offered.
+func TestZeroSeedAndReadFracUsedAsGiven(t *testing.T) {
+	addr, stop := startServeCLI(t, "-seed", "0")
+	var out, errOut bytes.Buffer
+	code := run([]string{"loadgen", "-addr", addr, "-conns", "1", "-qps", "200",
+		"-duration", "100ms", "-keyspace", "16", "-seed", "0", "-readfrac", "0", "-out", "-"}, &out, &errOut)
+	if code != 0 {
+		t.Fatalf("loadgen -seed 0 -readfrac 0: exit %d\n%s", code, errOut.String())
+	}
+	var rep server.LoadReport
+	_, line, _ := strings.Cut(out.String(), "{")
+	line, _, _ = strings.Cut(line, "\n")
+	if err := json.Unmarshal([]byte("{"+line), &rep); err != nil {
+		t.Fatalf("loadgen record in %q: %v", out.String(), err)
+	}
+	if rep.ReadFrac != 0 || rep.Requests == 0 {
+		t.Errorf("record read_frac %v with %d requests, want a write-only load", rep.ReadFrac, rep.Requests)
+	}
+	errOut.Reset()
+	if code := run([]string{"loadgen", "-addr", addr, "-readfrac", "1.5"}, &out, &errOut); code != 1 {
+		t.Errorf("-readfrac 1.5: exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), "outside [0, 1]") {
+		t.Errorf("-readfrac 1.5: stderr %q does not reject the fraction", errOut.String())
+	}
+	if code, log := stop(); code != 0 {
+		t.Fatalf("serve -seed 0 exit %d\n%s", code, log)
 	}
 }
 

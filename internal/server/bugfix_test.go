@@ -2,15 +2,17 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 // The regression tests for the PR's satellite bug fixes: the shutdown
-// send-on-closed-channel race, the ReadFrac-zero sentinel clobber, the
+// send-on-closed-channel race, zero values that stood for defaults, the
 // zero-op EXEC transaction, and silently vanishing loadgen workers.
 
 // TestShutdownUnderLoadRace closes the server while several connections
@@ -93,24 +95,26 @@ func TestEmptyExecNoTransaction(t *testing.T) {
 	}
 }
 
-// TestLoadConfigReadFracSentinel: an explicit ReadFrac of 0 (write-only
-// workload) survives withDefaults; only the unset zero value and
-// out-of-range values fall back to the 0.8 default.
-func TestLoadConfigReadFracSentinel(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		in   LoadConfig
-		want float64
-	}{
-		{"unset-defaults", LoadConfig{}, 0.8},
-		{"explicit-zero", LoadConfig{ReadFrac: 0, ReadFracSet: true}, 0},
-		{"explicit-one", LoadConfig{ReadFrac: 1}, 1},
-		{"mid", LoadConfig{ReadFrac: 0.3}, 0.3},
-		{"negative", LoadConfig{ReadFrac: -0.5, ReadFracSet: true}, 0.8},
-		{"above-one", LoadConfig{ReadFrac: 1.5}, 0.8},
-	} {
-		if got := tc.in.withDefaults().ReadFrac; got != tc.want {
-			t.Errorf("%s: ReadFrac = %v, want %v", tc.name, got, tc.want)
+// TestConfigsUseReadFracAndSeedAsGiven: no zero value stands for
+// "use the default". ReadFrac 0 is a write-only workload and seed 0 is
+// a seed, for the load generator and the server alike, and a ReadFrac
+// outside [0, 1] is an error instead of a silent 0.8.
+func TestConfigsUseReadFracAndSeedAsGiven(t *testing.T) {
+	for _, frac := range []float64{0, 0.3, 1} {
+		if got := (LoadConfig{ReadFrac: frac}).withDefaults().ReadFrac; got != frac {
+			t.Errorf("ReadFrac %v became %v", frac, got)
+		}
+	}
+	if got := (LoadConfig{}).withDefaults().Seed; got != 0 {
+		t.Errorf("LoadConfig seed 0 became %d", got)
+	}
+	if got := (Config{}).withDefaults().Seed; got != 0 {
+		t.Errorf("Config seed 0 became %d", got)
+	}
+	for _, frac := range []float64{-0.5, 1.5, math.NaN()} {
+		_, err := RunLoad(LoadConfig{Addr: "127.0.0.1:1", ReadFrac: frac})
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("ReadFrac %v: err = %v, want an out-of-range error", frac, err)
 		}
 	}
 }
@@ -118,7 +122,7 @@ func TestLoadConfigReadFracSentinel(t *testing.T) {
 // TestBuildOpReadFracExtremes: ReadFrac 0 generates a pure-write stream,
 // ReadFrac 1 (ScanFrac 0) a pure-read stream.
 func TestBuildOpReadFracExtremes(t *testing.T) {
-	writeOnly := LoadConfig{ReadFrac: 0, ReadFracSet: true}.withDefaults()
+	writeOnly := LoadConfig{ReadFrac: 0}.withDefaults()
 	readOnly := LoadConfig{ReadFrac: 1}.withDefaults()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {

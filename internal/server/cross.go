@@ -1,9 +1,6 @@
 package server
 
 import (
-	"encoding/binary"
-	"sort"
-
 	"uhtm/internal/mem"
 	"uhtm/internal/shard"
 	"uhtm/internal/sim"
@@ -16,112 +13,65 @@ import (
 //
 // The cross path cannot use core.Ctx.Run — an HTM transaction is bound
 // to one machine — so each participant executes its share of the ops
-// against a captureMem: a txds.Mem over the shard's store that buffers
-// every write as a full line image. The buffered images become the 2PC
-// prepare records and the apply write set, which is exactly the
-// contract shard.SubmitCross needs to make the batch crash-atomic
-// across machines. Only NVM table state goes through the capture; DRAM
-// index maintenance runs in the apply callback, after the decision, so
-// redo records never address volatile memory (the committed-prefix
-// oracle rejects that).
+// (Store.do, the op switch Apply runs) directly on the shard's live
+// store, as UHTM updates data in place. That is safe because the
+// engine loop runs a cross request alone, and it ends in one of two
+// ways: the commit is decided, and its apply writes exactly the images
+// the execution left in the live image; or a halt strikes, and the
+// recovery crashes every shard, discarding the live image. The NVM
+// lines the execution wrote become the 2PC prepare records and the
+// apply write set. DRAM index writes land in the live image only: DRAM
+// does not survive a power failure, so no redo record addresses it
+// (the committed-prefix oracle rejects that).
 
-// captureMem is a txds.Mem over a store that serves reads through its
-// pending write set and buffers writes as full line images, in
-// first-write order. It mirrors mem.Store's accessor semantics exactly
-// (little-endian U64 within one line image, 8-byte alignment panic,
-// byte reads and writes that span lines) so data-structure code behaves
-// identically under it.
-type captureMem struct {
-	st    *mem.Store
-	imgs  map[mem.Addr]*mem.Line
-	order []mem.Addr
+// notingStore is a shard's live store that notes, in first-write
+// order, every NVM line a write touches.
+type notingStore struct {
+	*mem.Store
+	seen  map[mem.Addr]bool
+	lines []mem.Addr
 }
 
-// newCaptureMem wraps one shard's store.
-func newCaptureMem(st *mem.Store) *captureMem {
-	return &captureMem{st: st, imgs: make(map[mem.Addr]*mem.Line)}
+// WriteU64 writes the word in place and notes its line.
+func (n *notingStore) WriteU64(a mem.Addr, v uint64) {
+	n.Store.WriteU64(a, v)
+	n.note(a, 8)
 }
 
-// line returns the current image of the line containing a: the pending
-// write if one exists, the live store image otherwise.
-func (c *captureMem) line(la mem.Addr) mem.Line {
-	if img, ok := c.imgs[la]; ok {
-		return *img
-	}
-	return c.st.PeekLine(la)
+// WriteBytes writes b in place and notes every line it spans.
+func (n *notingStore) WriteBytes(a mem.Addr, b []byte) {
+	n.Store.WriteBytes(a, b)
+	n.note(a, len(b))
 }
 
-// dirty returns the writable pending image for the line containing a,
-// creating it from the live image on first write.
-func (c *captureMem) dirty(la mem.Addr) *mem.Line {
-	if img, ok := c.imgs[la]; ok {
-		return img
-	}
-	ln := c.st.PeekLine(la)
-	img := &ln
-	c.imgs[la] = img
-	c.order = append(c.order, la)
-	return img
-}
-
-// ReadU64 reads a little-endian u64 (8-byte aligned, like mem.Store).
-func (c *captureMem) ReadU64(a mem.Addr) uint64 {
-	if a%8 != 0 {
-		panic("server: unaligned ReadU64 through captureMem")
-	}
-	ln := c.line(mem.LineOf(a))
-	off := mem.LineOffset(a)
-	return binary.LittleEndian.Uint64(ln[off : off+8])
-}
-
-// WriteU64 writes a little-endian u64 (8-byte aligned, like mem.Store).
-func (c *captureMem) WriteU64(a mem.Addr, v uint64) {
-	if a%8 != 0 {
-		panic("server: unaligned WriteU64 through captureMem")
-	}
-	off := mem.LineOffset(a)
-	binary.LittleEndian.PutUint64(c.dirty(mem.LineOf(a))[off:off+8], v)
-}
-
-// ReadBytes reads n bytes starting at a, spanning lines.
-func (c *captureMem) ReadBytes(a mem.Addr, n int) []byte {
-	out := make([]byte, n)
-	for dst := out; len(dst) > 0; {
-		ln := c.line(mem.LineOf(a))
-		k := copy(dst, ln[mem.LineOffset(a):])
-		dst = dst[k:]
-		a += mem.Addr(k)
-	}
-	return out
-}
-
-// WriteBytes writes b starting at a, spanning lines.
-func (c *captureMem) WriteBytes(a mem.Addr, b []byte) {
-	for len(b) > 0 {
-		n := copy(c.dirty(mem.LineOf(a))[mem.LineOffset(a):], b)
-		a += mem.Addr(n)
-		b = b[n:]
+// note records the NVM lines of [a, a+size) not seen before.
+func (n *notingStore) note(a mem.Addr, size int) {
+	for la := mem.LineOf(a); la < a+mem.Addr(size); la += mem.LineSize {
+		if mem.KindOf(la) == mem.NVM && !n.seen[la] {
+			n.seen[la] = true
+			n.lines = append(n.lines, la)
+		}
 	}
 }
 
-// writes returns the buffered write set as line images in first-write
-// order — the shape SubmitCross prepares and applies.
-func (c *captureMem) writes() []shard.LineWrite {
-	out := make([]shard.LineWrite, 0, len(c.order))
-	for _, la := range c.order {
-		out = append(out, shard.LineWrite{Addr: la, Img: *c.imgs[la]})
+// writes returns the noted lines' current images in first-write order —
+// the shape SubmitCross prepares and applies.
+func (n *notingStore) writes() []shard.LineWrite {
+	out := make([]shard.LineWrite, len(n.lines))
+	for i, la := range n.lines {
+		out[i] = shard.LineWrite{Addr: la, Img: n.PeekLine(la)}
 	}
 	return out
 }
 
 // runCross commits one multi-shard op batch through the 2PC
-// coordinator: each participant executes its ops against a captureMem
-// (reads see the batch's earlier writes), the buffered images prepare
-// and apply under the protocol, and the DRAM scan indexes absorb the
-// new keys in the apply callback. A halt before the commit decision
-// fails the request (the transaction vanished everywhere); a halt after
-// it still acknowledges — recovery completes the apply on every
-// participant, so the reply stays durable.
+// coordinator: each participant executes its ops in place on its live
+// store (reads see the batch's earlier writes, and PUTs update the scan
+// index at once), and the NVM lines it wrote prepare and apply under
+// the protocol. A halt before the commit decision fails the request
+// (the transaction vanished everywhere); a halt after it still
+// acknowledges — recovery completes the apply on every participant, so
+// the reply stays durable.
 func (s *Server) runCross(req *request) {
 	n := len(s.shards)
 	byShard := make([][]int, n)
@@ -136,39 +86,20 @@ func (s *Server) runCross(req *request) {
 		}
 	}
 	req.results = make([]OpResult, len(req.ops))
-	puts := make([][]uint64, n)
 	s.batches++
 	s.requests++
 
+	// The dispatcher rejects SCAN inside MULTI on a sharded server, so
+	// every op here is a GET, PUT or DEL of a key on shard k.
 	exec := func(k int, th *sim.Thread) []shard.LineWrite {
 		st := s.stores[k]
-		cm := newCaptureMem(st.m.Store())
+		ns := &notingStore{Store: st.m.Store(), seen: make(map[mem.Addr]bool)}
 		for _, i := range byShard[k] {
-			op := req.ops[i]
-			switch op.Kind {
-			case OpGet:
-				v, ok := st.part.Table.Get(cm, op.Key)
-				req.results[i] = OpResult{Val: v, Found: ok}
-			case OpPut:
-				st.part.Table.Put(cm, op.Key, op.Val)
-				puts[k] = append(puts[k], op.Key)
-				req.results[i] = OpResult{Written: true}
-			case OpDel:
-				req.results[i] = OpResult{Found: st.part.Table.Delete(cm, op.Key)}
-			default:
-				panic("server: scan routed to the cross-shard path")
-			}
+			req.results[i] = st.do(ns, req.ops[i])
 		}
-		return cm.writes()
+		return ns.writes()
 	}
-	applied := func(k int, th *sim.Thread) {
-		st := s.stores[k]
-		mst := st.m.Store()
-		for _, key := range puts[k] {
-			st.part.Index.Put(mst, key, nil)
-		}
-	}
-	decided, halted := s.cluster.SubmitCross(parts, exec, applied)
+	decided, halted := s.cluster.SubmitCross(parts, exec, nil)
 	if halted {
 		s.recoverAfterHalt()
 		if !decided {
@@ -213,29 +144,20 @@ func (s *Server) runScanAll(req *request) {
 // disjoint) into one ascending result of at most n keys.
 func mergeScans(per []OpResult, n int) OpResult {
 	var out OpResult
-	for _, r := range per {
-		out.Keys = append(out.Keys, r.Keys...)
-		out.Vals = append(out.Vals, r.Vals...)
-	}
-	sort.Sort(&scanPairs{&out})
-	if len(out.Keys) > n {
-		out.Keys = out.Keys[:n]
-		out.Vals = out.Vals[:n]
+	next := make([]int, len(per)) // per shard: its first unmerged key
+	for len(out.Keys) < n {
+		low := -1
+		for k, r := range per {
+			if next[k] < len(r.Keys) && (low < 0 || r.Keys[next[k]] < per[low].Keys[next[low]]) {
+				low = k
+			}
+		}
+		if low < 0 {
+			break
+		}
+		out.Keys = append(out.Keys, per[low].Keys[next[low]])
+		out.Vals = append(out.Vals, per[low].Vals[next[low]])
+		next[low]++
 	}
 	return out
-}
-
-// scanPairs sorts a scan result's parallel key/value slices by key.
-type scanPairs struct{ r *OpResult }
-
-// Len implements sort.Interface.
-func (p *scanPairs) Len() int { return len(p.r.Keys) }
-
-// Less implements sort.Interface (ascending by key).
-func (p *scanPairs) Less(i, j int) bool { return p.r.Keys[i] < p.r.Keys[j] }
-
-// Swap implements sort.Interface.
-func (p *scanPairs) Swap(i, j int) {
-	p.r.Keys[i], p.r.Keys[j] = p.r.Keys[j], p.r.Keys[i]
-	p.r.Vals[i], p.r.Vals[j] = p.r.Vals[j], p.r.Vals[i]
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"uhtm/internal/shard"
-	"uhtm/internal/stats"
 )
 
 // The open-loop load generator. Closed-loop clients (send, wait, send)
@@ -48,13 +47,9 @@ type LoadConfig struct {
 	Dist string
 	// ZipfS is the Zipf skew parameter (>1). Default 1.2.
 	ZipfS float64
-	// ReadFrac is the GET fraction; the rest are PUTs (with an
-	// occasional SCAN when ScanFrac > 0). Default 0.8.
+	// ReadFrac is the GET fraction, in [0, 1]; the rest are PUTs (with
+	// an occasional SCAN when ScanFrac > 0). 0 is a write-only workload.
 	ReadFrac float64
-	// ReadFracSet marks ReadFrac as explicitly chosen, so 0 means a
-	// write-only workload instead of "use the default" — the same
-	// sentinel split the CLI applies to -seed 0.
-	ReadFracSet bool
 	// CrossFrac is the fraction of requests issued as MULTI…EXEC
 	// batches whose keys are forced onto at least two shards, exercising
 	// the server's 2PC path. Requires a sharded server. Default 0.
@@ -70,7 +65,7 @@ type LoadConfig struct {
 	// ops — one durable transaction per request either way, but larger
 	// transactions. Default 1 (plain single-op commands).
 	BatchSize int
-	// Seed seeds key/op choice. Default 1.
+	// Seed seeds key/op choice, 0 included.
 	Seed int64
 	// Out, when set, receives the report as one JSON line.
 	Out io.Writer
@@ -95,12 +90,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.ZipfS <= 1 {
 		c.ZipfS = 1.2
 	}
-	if c.ReadFrac < 0 || c.ReadFrac > 1 || (c.ReadFrac == 0 && !c.ReadFracSet) {
-		// Out-of-range always falls back; a zero only when it is the
-		// unset zero value, so an explicit ReadFrac 0 (write-only
-		// workload) survives.
-		c.ReadFrac = 0.8
-	}
 	if c.ScanCount <= 0 {
 		c.ScanCount = 10
 	}
@@ -109,9 +98,6 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	return c
 }
@@ -164,12 +150,6 @@ type LoadReport struct {
 	CrossAborts  uint64 `json:"cross_aborts,omitempty"`
 }
 
-// statsDoc mirrors the STATS reply shape for decoding.
-type statsDoc struct {
-	Server  serverStats `json:"server"`
-	Machine stats.Stats `json:"machine"`
-}
-
 // fetchStats issues STATS on a fresh connection and decodes it.
 func fetchStats(addr string) (statsDoc, error) {
 	var doc statsDoc
@@ -205,6 +185,9 @@ type worker struct {
 // send time, so under overload the growing backlog appears as latency,
 // not as a silently reduced rate.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
+	if !(cfg.ReadFrac >= 0 && cfg.ReadFrac <= 1) { // NaN included
+		return nil, fmt.Errorf("loadgen: read fraction %v is outside [0, 1]", cfg.ReadFrac)
+	}
 	cfg = cfg.withDefaults()
 	before, err := fetchStats(cfg.Addr)
 	if err != nil {

@@ -35,7 +35,7 @@ type Config struct {
 	Shards int
 	// Buckets sizes the NVM hash table. Default 1<<15.
 	Buckets int
-	// Seed seeds the engine's deterministic RNG. Default 42.
+	// Seed seeds the engine's deterministic RNG, 0 included.
 	Seed int64
 	// Prepopulate inserts keys 1..Prepopulate before serving.
 	Prepopulate int
@@ -63,9 +63,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Buckets <= 0 {
 		c.Buckets = 1 << 15
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
 	}
 	if c.PrepopValueSize <= 0 {
 		c.PrepopValueSize = 64
@@ -464,10 +461,7 @@ func (s *Server) statsJSON() []byte {
 		keys += s.stores[i].part.Table.Len(sh.Machine().Store())
 	}
 	ms.Elapsed = now
-	doc := struct {
-		Server  serverStats  `json:"server"`
-		Machine *stats.Stats `json:"machine"`
-	}{
+	doc := statsDoc{
 		Server: serverStats{
 			UptimeS:      time.Since(s.start).Seconds(),
 			VirtualS:     now.Seconds(),
@@ -483,13 +477,20 @@ func (s *Server) statsJSON() []byte {
 			RecoveryApplied: s.recApplied,
 			RecoveryPS:      int64(s.recPS),
 		},
-		Machine: &ms,
+		Machine: ms,
 	}
 	b, err := json.Marshal(doc)
 	if err != nil {
 		return []byte(fmt.Sprintf(`{"error":%q}`, err))
 	}
 	return b
+}
+
+// statsDoc is the STATS document: the server writes it and the load
+// generator reads it back.
+type statsDoc struct {
+	Server  serverStats `json:"server"`
+	Machine stats.Stats `json:"machine"`
 }
 
 // serverStats is the server half of the STATS document (the machine

@@ -289,8 +289,9 @@ func serverOps() []Op {
 func TestServerPathMatchesOneShotPath(t *testing.T) {
 	ops := serverOps()
 
-	// Path A: over the wire through a live server, one request per op.
-	s := startServer(t, Config{Cores: 2, Buckets: 64})
+	// Path A: over the wire through a live server, one request per op,
+	// on path B's engine seed.
+	s := startServer(t, Config{Cores: 2, Buckets: 64, Seed: 42})
 	c := dialT(t, s)
 	for _, op := range ops {
 		key := strconv.FormatUint(op.Key, 10)

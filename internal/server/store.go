@@ -129,29 +129,32 @@ func (s *Store) PrepopulateOne(k uint64, valSize int) {
 func (s *Store) Apply(c *core.Ctx, ops []Op) []OpResult {
 	results := make([]OpResult, len(ops))
 	c.Run(func(tx *core.Tx) {
-		for i := range results {
-			results[i] = OpResult{}
-		}
 		for i, op := range ops {
-			switch op.Kind {
-			case OpGet:
-				v, ok := s.part.Table.Get(tx, op.Key)
-				results[i] = OpResult{Val: v, Found: ok}
-			case OpPut:
-				s.part.Put(tx, op.Key, op.Val)
-				results[i] = OpResult{Written: true}
-			case OpDel:
-				ok := s.part.Table.Delete(tx, op.Key)
-				results[i] = OpResult{Found: ok}
-			case OpScan:
-				keys, vals := s.part.Scan(tx, op.Key, op.N)
-				results[i] = OpResult{Keys: keys, Vals: vals}
-			default:
-				panic(fmt.Sprintf("server: unknown op kind %v", op.Kind))
-			}
+			results[i] = s.do(tx, op)
 		}
 	})
 	return results
+}
+
+// do executes one op over m: the one op switch of the server, run
+// inside a transaction by Apply and over a shard's live store by the
+// cross-shard path (runCross).
+func (s *Store) do(m txds.Mem, op Op) OpResult {
+	switch op.Kind {
+	case OpGet:
+		v, ok := s.part.Table.Get(m, op.Key)
+		return OpResult{Val: v, Found: ok}
+	case OpPut:
+		s.part.Put(m, op.Key, op.Val)
+		return OpResult{Written: true}
+	case OpDel:
+		return OpResult{Found: s.part.Table.Delete(m, op.Key)}
+	case OpScan:
+		keys, vals := s.part.Scan(m, op.Key, op.N)
+		return OpResult{Keys: keys, Vals: vals}
+	default:
+		panic(fmt.Sprintf("server: unknown op kind %v", op.Kind))
+	}
 }
 
 // Recover brings the store back after a power failure: the machine has

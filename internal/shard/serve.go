@@ -72,7 +72,7 @@ type LineWrite struct {
 // mark-first apply on every writer, and the resolution-cell advance —
 // firing the same injection points as the canned driver. applied, when
 // non-nil, runs on each writer's apply thread after its images are in
-// place (volatile index maintenance). There is no admission control:
+// place. There is no admission control:
 // the engine loop serializes cross transactions, so every written
 // transaction is decided commit. The transaction is not kept after it
 // returns.

@@ -36,8 +36,8 @@ const shardSamplesFullScale = 32
 // them per injection point.
 func RunCrashSweep(opt RunOptions) (*stats.Table, []Result, error) {
 	small, large, scfg := crash.SmallWorkload(), crash.LargeWorkload(), shard.SweepConfig()
-	if opt.seedOverride() {
-		small.Seed, large.Seed, scfg.Seed = opt.Seed, opt.Seed, opt.Seed
+	if opt.Seed != nil {
+		small.Seed, large.Seed, scfg.Seed = *opt.Seed, *opt.Seed, *opt.Seed
 	}
 	scale := opt.Scale
 	if scale <= 0 {

@@ -29,11 +29,14 @@ func TestRatio(t *testing.T) {
 	}
 }
 
+// seedOpt is an explicit RunOptions.Seed.
+func seedOpt(v int64) *int64 { return &v }
+
 // TestFoldZeroThroughput runs the fig2 fold over all-zero results —
 // the shape a run produces when no batch commits — and checks the
 // table renders finite ratios.
 func TestFoldZeroThroughput(t *testing.T) {
-	specs, fold := fig2Plan(RunOptions{Scale: 0.05, Seed: 1})
+	specs, fold := fig2Plan(RunOptions{Scale: 0.05, Seed: seedOpt(1)})
 	rs := make([]Result, len(specs))
 	for i := range rs {
 		rs[i] = Result{Experiment: "fig2", System: specs[i].System}

@@ -91,7 +91,7 @@ func TestSchedulerGoldenFig2(t *testing.T) {
 		t.Skip("grid too slow under the race detector (see race_on_test.go)")
 	}
 	for _, par := range []int{1, 8} {
-		opt := RunOptions{Scale: 0.02, Seed: 7, SeedSet: true, Par: par, Trace: true}
+		opt := RunOptions{Scale: 0.02, Seed: seedOpt(7), Par: par, Trace: true}
 		tbl, rs, err := RunExperiment("fig2", opt)
 		if err != nil {
 			t.Fatal(err)

@@ -72,7 +72,7 @@ func TestRunExperimentParDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reduced-scale fig2 pair skipped in -short mode")
 	}
-	opt := RunOptions{Scale: 0.02, Seed: 7}
+	opt := RunOptions{Scale: 0.02, Seed: seedOpt(7)}
 	opt.Par = 1
 	tbl1, rs1, err := RunExperiment("fig2", opt)
 	if err != nil {

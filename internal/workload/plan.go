@@ -14,12 +14,9 @@ import (
 type RunOptions struct {
 	// Scale multiplies per-thread op counts (1.0 = full-size run).
 	Scale float64
-	// Seed overrides every run's Config.Seed (the per-experiment default
-	// is 42) when it is non-zero or SeedSet is true.
-	Seed int64
-	// SeedSet marks Seed as explicitly chosen, so that seed 0 — a
-	// perfectly good seed — is distinguishable from "no override".
-	SeedSet bool
+	// Seed, when non-nil, overrides every run's Config.Seed; nil keeps
+	// each experiment's default seed.
+	Seed *int64
 	// Par bounds how many simulations run concurrently; 0 = GOMAXPROCS.
 	Par int
 	// Trace attaches a trace.Recorder to every run's engine; each
@@ -31,13 +28,10 @@ type RunOptions struct {
 	Shards int
 }
 
-// seedOverride reports whether the options carry an explicit seed.
-func (o RunOptions) seedOverride() bool { return o.SeedSet || o.Seed != 0 }
-
 // seeded applies the seed override and trace flag to a run config.
 func (o RunOptions) seeded(c Config) Config {
-	if o.seedOverride() {
-		c.Seed = o.Seed
+	if o.Seed != nil {
+		c.Seed = *o.Seed
 	}
 	c.Trace = o.Trace
 	return c

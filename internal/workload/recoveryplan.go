@@ -47,8 +47,8 @@ func recoveryPlan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 		scale = 1.0
 	}
 	seed := int64(42)
-	if opt.seedOverride() {
-		seed = opt.Seed
+	if opt.Seed != nil {
+		seed = *opt.Seed
 	}
 	var specs []harness.Spec[Result]
 	for _, logTxs := range recoveryLogTxs {

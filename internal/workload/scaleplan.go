@@ -51,8 +51,8 @@ func scaleConfig(cores, shards, domains int, opt RunOptions) shard.Config {
 		Trace:         opt.Trace,
 		Opts:          baseOpts(),
 	}
-	if opt.seedOverride() {
-		cfg.Seed = opt.Seed
+	if opt.Seed != nil {
+		cfg.Seed = *opt.Seed
 	}
 	return cfg
 }

@@ -97,7 +97,7 @@ func TestTraceParDeterminism(t *testing.T) {
 		t.Skip("reduced-scale fig2 pair skipped in -short mode")
 	}
 	render := func(par int) []byte {
-		opt := RunOptions{Scale: 0.02, Seed: 7, Par: par, Trace: true}
+		opt := RunOptions{Scale: 0.02, Seed: seedOpt(7), Par: par, Trace: true}
 		_, rs, err := RunExperiment("fig2", opt)
 		if err != nil {
 			t.Fatal(err)
