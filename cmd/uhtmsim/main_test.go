@@ -155,6 +155,29 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestScaleMustBePositive: a -scale that is not > 0, NaN included, is
+// an error for an experiment and for the crash sweep alike
+// (workload.RunExperiment and RunCrashSweep reject it); the exit status
+// is non-zero and stderr carries the error.
+func TestScaleMustBePositive(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "0", "fig2"},
+		{"-scale", "-1", "fig2"},
+		{"-scale", "NaN", "fig2"},
+		{"-crash", "-scale", "0"},
+		{"-crash", "-scale", "-1"},
+		{"-crash", "-scale", "NaN"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code == 0 {
+			t.Errorf("%v: exit 0, want an error", args)
+		}
+		if !strings.Contains(errOut.String(), "is not > 0") {
+			t.Errorf("%v: stderr %q does not reject the scale", args, errOut.String())
+		}
+	}
+}
+
 // stubExperiments swaps the experiment runner for the duration of a
 // test.
 func stubExperiments(t *testing.T, fn func(string, workload.RunOptions) (*stats.Table, []workload.Result, error)) {

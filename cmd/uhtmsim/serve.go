@@ -144,10 +144,6 @@ func loadgenCmd(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *dist != server.DistZipf && *dist != server.DistUniform {
-		fmt.Fprintf(stderr, "uhtmsim: unknown distribution %q (want zipf or uniform)\n", *dist)
-		return 2
-	}
 	var out io.Writer
 	if *outPath == "-" {
 		out = stdout

@@ -158,15 +158,16 @@ func TestServeLoadgenCLI(t *testing.T) {
 	}
 }
 
-// TestLoadgenRejectsBadDist: flag validation happens before any
-// connection attempt.
+// TestLoadgenRejectsBadDist: RunLoad rejects an unknown distribution
+// before any connection attempt, and the CLI exits 1 with its error,
+// as for any other setting RunLoad refuses.
 func TestLoadgenRejectsBadDist(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"loadgen", "-dist", "pareto"}, &out, &errOut); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+	if code := run([]string{"loadgen", "-dist", "pareto"}, &out, &errOut); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
 	}
-	if !strings.Contains(errOut.String(), "pareto") {
-		t.Errorf("stderr does not name the bad distribution: %q", errOut.String())
+	if !strings.Contains(errOut.String(), `unknown distribution "pareto"`) || strings.Contains(errOut.String(), "not reachable") {
+		t.Errorf("stderr does not reject the distribution before connecting: %q", errOut.String())
 	}
 }
 

@@ -119,6 +119,47 @@ func TestConfigsUseReadFracAndSeedAsGiven(t *testing.T) {
 	}
 }
 
+// TestLoadConfigChecked: RunLoad refuses, before it connects, a
+// distribution it does not offer and an explicit Zipf skew that is not
+// > 1, instead of running uniform keys or a skew of 1.2. A zero skew
+// still means the default, and uniform keys ignore the skew.
+func TestLoadConfigChecked(t *testing.T) {
+	for _, c := range []struct {
+		cfg  LoadConfig
+		want string
+	}{
+		{LoadConfig{Dist: "pareto"}, `unknown distribution "pareto"`},
+		{LoadConfig{ZipfS: 1}, "Zipf skew 1 is not > 1"},
+		{LoadConfig{Dist: DistZipf, ZipfS: -2}, "Zipf skew -2 is not > 1"},
+		{LoadConfig{ZipfS: math.NaN()}, "Zipf skew NaN is not > 1"},
+	} {
+		c.cfg.Addr = "127.0.0.1:1"
+		if _, err := RunLoad(c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: err = %v, want %q", c.cfg, err, c.want)
+		}
+	}
+	if got := (LoadConfig{}).withDefaults(); got.Dist != DistZipf || got.ZipfS != 1.2 || got.check() != nil {
+		t.Errorf("the zero config defaulted to %s skew %v (check: %v), want zipf 1.2", got.Dist, got.ZipfS, got.check())
+	}
+	if err := (LoadConfig{Dist: DistUniform, ZipfS: 0.5}).withDefaults().check(); err != nil {
+		t.Errorf("uniform keys with skew 0.5: %v", err)
+	}
+}
+
+// TestPutValueSizes: PUT values come in the fixed {64, 256, 1024}-byte
+// mix, each size drawn.
+func TestPutValueSizes(t *testing.T) {
+	cfg := LoadConfig{ReadFrac: 0}.withDefaults()
+	rng := rand.New(rand.NewSource(1))
+	seen := map[int]int{}
+	for i := 0; i < 300; i++ {
+		seen[len(buildOp(cfg, rng, nil)[2])]++
+	}
+	if len(seen) != 3 || seen[64] == 0 || seen[256] == 0 || seen[1024] == 0 {
+		t.Fatalf("PUT value sizes drawn %v, want each of 64, 256 and 1024", seen)
+	}
+}
+
 // TestBuildOpReadFracExtremes: ReadFrac 0 generates a pure-write stream,
 // ReadFrac 1 (ScanFrac 0) a pure-read stream.
 func TestBuildOpReadFracExtremes(t *testing.T) {
@@ -126,10 +167,10 @@ func TestBuildOpReadFracExtremes(t *testing.T) {
 	readOnly := LoadConfig{ReadFrac: 1}.withDefaults()
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
-		if cmd := string(buildOp(writeOnly, rng, nil, false)[0]); cmd != "PUT" {
+		if cmd := string(buildOp(writeOnly, rng, nil)[0]); cmd != "PUT" {
 			t.Fatalf("write-only workload generated %s", cmd)
 		}
-		if cmd := string(buildOp(readOnly, rng, nil, false)[0]); cmd != "GET" {
+		if cmd := string(buildOp(readOnly, rng, nil)[0]); cmd != "GET" {
 			t.Fatalf("read-only workload generated %s", cmd)
 		}
 	}

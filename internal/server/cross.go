@@ -6,10 +6,10 @@ import (
 	"uhtm/internal/sim"
 )
 
-// This file executes the requests that need more than one shard: a
-// MULTI…EXEC whose keys straddle home shards commits through the
-// cluster's 2PC coordinator (runCross), and a SCAN on a sharded server
-// broadcasts to every shard and merges (runScanAll).
+// This file executes the requests whose ops touch more than one shard:
+// a MULTI…EXEC whose keys straddle home shards, and any SCAN on a
+// sharded server (a SCAN touches every shard). Each commits through the
+// cluster's 2PC coordinator (runCross).
 //
 // The cross path cannot use core.Ctx.Run — an HTM transaction is bound
 // to one machine — so each participant executes its share of the ops
@@ -66,18 +66,29 @@ func (n *notingStore) writes() []shard.LineWrite {
 
 // runCross commits one multi-shard op batch through the 2PC
 // coordinator: each participant executes its ops in place on its live
-// store (reads see the batch's earlier writes, and PUTs update the scan
-// index at once), and the NVM lines it wrote prepare and apply under
-// the protocol. A halt before the commit decision fails the request
-// (the transaction vanished everywhere); a halt after it still
-// acknowledges — recovery completes the apply on every participant, so
-// the reply stays durable.
+// store, in request order (reads see the batch's earlier writes, and
+// PUTs update the scan index at once), and the NVM lines it wrote
+// prepare and apply under the protocol. A SCAN runs on every shard,
+// each part into its own slot, and the parts merge at the end. A halt before the commit decision fails the request (the
+// transaction vanished everywhere); a halt after it still acknowledges
+// — recovery completes the apply on every participant, so the reply
+// stays durable.
 func (s *Server) runCross(req *request) {
 	n := len(s.shards)
 	byShard := make([][]int, n)
+	var scans []OpResult // SCAN op i's part from shard k at i*n+k
 	for i, op := range req.ops {
-		k := shard.ShardOf(op.Key, n)
-		byShard[k] = append(byShard[k], i)
+		if op.Kind != OpScan {
+			k := shard.ShardOf(op.Key, n)
+			byShard[k] = append(byShard[k], i)
+			continue
+		}
+		if scans == nil {
+			scans = make([]OpResult, len(req.ops)*n)
+		}
+		for k := range byShard {
+			byShard[k] = append(byShard[k], i)
+		}
 	}
 	var parts []int
 	for k := 0; k < n; k++ {
@@ -89,54 +100,30 @@ func (s *Server) runCross(req *request) {
 	s.batches++
 	s.requests++
 
-	// The dispatcher rejects SCAN inside MULTI on a sharded server, so
-	// every op here is a GET, PUT or DEL of a key on shard k.
 	exec := func(k int, th *sim.Thread) []shard.LineWrite {
 		st := s.stores[k]
 		ns := &notingStore{Store: st.m.Store(), seen: make(map[mem.Addr]bool)}
 		for _, i := range byShard[k] {
-			req.results[i] = st.do(ns, req.ops[i])
+			if op := req.ops[i]; op.Kind == OpScan {
+				scans[i*n+k] = st.do(ns, op)
+			} else {
+				req.results[i] = st.do(ns, op)
+			}
 		}
 		return ns.writes()
 	}
 	decided, halted := s.cluster.SubmitCross(parts, exec, nil)
 	if halted {
-		s.recoverAfterHalt()
+		s.recoverAfterHalt() // completes a decided commit everywhere
 		if !decided {
 			req.err = errLostPower
-		} else {
-			req.applied = true // recovery completed the decided commit
 		}
-	} else {
-		req.applied = true
 	}
-	close(req.done)
-}
-
-// runScanAll serves one SCAN on a sharded server: every shard walks its
-// own index as one local read transaction (a parallel wave), and the
-// per-shard slices — disjoint by key hashing — merge into one ascending
-// result capped at the requested count.
-func (s *Server) runScanAll(req *request) {
-	op := req.ops[0]
-	per := make([]OpResult, len(s.shards))
-	s.batches++
-	s.requests++
-	halted := s.cluster.Fanout(s.shards, func(sh *shard.Shard) bool {
-		st := s.stores[sh.ID()]
-		return sh.Do("serve", func(th *sim.Thread) {
-			c := sh.Machine().NewCtx(th, 0)
-			per[sh.ID()] = st.Apply(c, []Op{op})[0]
-		})
-	})
-	if halted {
-		s.recoverAfterHalt()
-		req.err = errLostPower
-		close(req.done)
-		return
+	for i, op := range req.ops {
+		if op.Kind == OpScan {
+			req.results[i] = mergeScans(scans[i*n:(i+1)*n], op.N)
+		}
 	}
-	req.results = []OpResult{mergeScans(per, op.N)}
-	req.applied = true
 	close(req.done)
 }
 

@@ -45,7 +45,8 @@ type LoadConfig struct {
 	KeySpace uint64
 	// Dist is DistZipf or DistUniform. Default DistZipf.
 	Dist string
-	// ZipfS is the Zipf skew parameter (>1). Default 1.2.
+	// ZipfS is the Zipf skew parameter; with DistZipf it must be > 1.
+	// Default 1.2.
 	ZipfS float64
 	// ReadFrac is the GET fraction, in [0, 1]; the rest are PUTs (with
 	// an occasional SCAN when ScanFrac > 0). 0 is a write-only workload.
@@ -58,9 +59,6 @@ type LoadConfig struct {
 	ScanFrac float64
 	// ScanCount is the count argument SCANs use. Default 10.
 	ScanCount int
-	// ValueSizes is the PUT value-size mix, drawn uniformly. Default
-	// {64, 256, 1024}.
-	ValueSizes []int
 	// BatchSize > 1 wraps each request in MULTI..EXEC with BatchSize
 	// ops — one durable transaction per request either way, but larger
 	// transactions. Default 1 (plain single-op commands).
@@ -87,20 +85,38 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	if c.Dist == "" {
 		c.Dist = DistZipf
 	}
-	if c.ZipfS <= 1 {
+	if c.ZipfS == 0 {
 		c.ZipfS = 1.2
 	}
 	if c.ScanCount <= 0 {
 		c.ScanCount = 10
-	}
-	if len(c.ValueSizes) == 0 {
-		c.ValueSizes = []int{64, 256, 1024}
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 1
 	}
 	return c
 }
+
+// check rejects settings the generator cannot use as given. It runs on
+// the defaulted config, before any connection is made.
+func (c LoadConfig) check() error {
+	if !(c.ReadFrac >= 0 && c.ReadFrac <= 1) { // NaN included
+		return fmt.Errorf("loadgen: read fraction %v is outside [0, 1]", c.ReadFrac)
+	}
+	switch c.Dist {
+	case DistZipf:
+		if !(c.ZipfS > 1) {
+			return fmt.Errorf("loadgen: Zipf skew %v is not > 1", c.ZipfS)
+		}
+	case DistUniform:
+	default:
+		return fmt.Errorf("loadgen: unknown distribution %q (want %s or %s)", c.Dist, DistZipf, DistUniform)
+	}
+	return nil
+}
+
+// valueSizes is the PUT value-size mix, drawn uniformly.
+var valueSizes = [...]int{64, 256, 1024}
 
 // LoadReport is the run summary, emitted as one JSON line (the record
 // schema EXPERIMENTS.md documents).
@@ -185,10 +201,10 @@ type worker struct {
 // send time, so under overload the growing backlog appears as latency,
 // not as a silently reduced rate.
 func RunLoad(cfg LoadConfig) (*LoadReport, error) {
-	if !(cfg.ReadFrac >= 0 && cfg.ReadFrac <= 1) { // NaN included
-		return nil, fmt.Errorf("loadgen: read fraction %v is outside [0, 1]", cfg.ReadFrac)
-	}
 	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	before, err := fetchStats(cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: server not reachable: %w", err)
@@ -360,24 +376,22 @@ func pickKey(cfg LoadConfig, rng *rand.Rand, zipf *rand.Zipf) uint64 {
 	return uint64(rng.Int63n(int64(cfg.KeySpace))) + 1
 }
 
-// buildOp builds one random data command. noScan suppresses SCAN (keeps
-// it for MULTI groups on a sharded server, where SCAN is rejected
-// inside transactions) by reclassifying the draw as a GET.
-func buildOp(cfg LoadConfig, rng *rand.Rand, zipf *rand.Zipf, noScan bool) [][]byte {
-	return buildOpKey(cfg, rng, pickKey(cfg, rng, zipf), noScan)
+// buildOp builds one random data command.
+func buildOp(cfg LoadConfig, rng *rand.Rand, zipf *rand.Zipf) [][]byte {
+	return buildOpKey(cfg, rng, pickKey(cfg, rng, zipf))
 }
 
 // buildOpKey builds one random data command against a chosen key.
-func buildOpKey(cfg LoadConfig, rng *rand.Rand, key uint64, noScan bool) [][]byte {
+func buildOpKey(cfg LoadConfig, rng *rand.Rand, key uint64) [][]byte {
 	ks := strconv.FormatUint(key, 10)
 	r := rng.Float64()
 	switch {
-	case !noScan && r < cfg.ReadFrac*cfg.ScanFrac:
+	case r < cfg.ReadFrac*cfg.ScanFrac:
 		return [][]byte{[]byte("SCAN"), []byte(ks), []byte(strconv.Itoa(cfg.ScanCount))}
 	case r < cfg.ReadFrac:
 		return [][]byte{[]byte("GET"), []byte(ks)}
 	default:
-		size := cfg.ValueSizes[rng.Intn(len(cfg.ValueSizes))]
+		size := valueSizes[rng.Intn(len(valueSizes))]
 		val := make([]byte, size)
 		for i := range val {
 			val[i] = byte('a' + rng.Intn(26))
@@ -395,13 +409,12 @@ func buildRequest(cfg LoadConfig, rng *rand.Rand, zipf *rand.Zipf, shards int) [
 		return buildCross(cfg, rng, zipf, shards)
 	}
 	if cfg.BatchSize <= 1 {
-		return [][][]byte{buildOp(cfg, rng, zipf, false)}
+		return [][][]byte{buildOp(cfg, rng, zipf)}
 	}
-	noScan := shards > 1
 	cmds := make([][][]byte, 0, cfg.BatchSize+2)
 	cmds = append(cmds, [][]byte{[]byte("MULTI")})
 	for i := 0; i < cfg.BatchSize; i++ {
-		cmds = append(cmds, buildOp(cfg, rng, zipf, noScan))
+		cmds = append(cmds, buildOp(cfg, rng, zipf))
 	}
 	cmds = append(cmds, [][]byte{[]byte("EXEC")})
 	return cmds
@@ -428,10 +441,10 @@ func buildCross(cfg LoadConfig, rng *rand.Rand, zipf *rand.Zipf, shards int) [][
 	}
 	cmds := make([][][]byte, 0, n+2)
 	cmds = append(cmds, [][]byte{[]byte("MULTI")})
-	cmds = append(cmds, buildOpKey(cfg, rng, k0, true))
-	cmds = append(cmds, buildOpKey(cfg, rng, k1, true))
+	cmds = append(cmds, buildOpKey(cfg, rng, k0))
+	cmds = append(cmds, buildOpKey(cfg, rng, k1))
 	for i := 2; i < n; i++ {
-		cmds = append(cmds, buildOp(cfg, rng, zipf, true))
+		cmds = append(cmds, buildOp(cfg, rng, zipf))
 	}
 	cmds = append(cmds, [][]byte{[]byte("EXEC")})
 	return cmds

@@ -28,10 +28,10 @@ type Config struct {
 	Cores int
 	// Shards partitions the key space across this many engine+machine
 	// shards (shard.ShardOf key hashing). Default 1. Every shard count
-	// runs the same cluster, coordinator included: a batch with one home
-	// shard runs as one local transaction there, a MULTI…EXEC batch that
-	// straddles shards commits through the cross-shard 2PC coordinator,
-	// and a lone SCAN broadcasts to every shard and merges.
+	// runs the same cluster, coordinator included. A request is routed by
+	// the shards its ops touch (a GET, PUT or DEL its key's home shard, a
+	// SCAN every shard): one shard runs it as one local transaction
+	// there, several commit it through the cross-shard 2PC coordinator.
 	Shards int
 	// Buckets sizes the NVM hash table. Default 1<<15.
 	Buckets int
@@ -74,11 +74,10 @@ func (c Config) withDefaults() Config {
 type reqKind int
 
 const (
-	reqOps     reqKind = iota // single-shard ops as one durable transaction
-	reqCross                  // multi-shard ops through the 2PC coordinator
-	reqScanAll                // SCAN broadcast across every shard, merged
-	reqStats                  // marshal server+machine counters
-	reqCrash                  // simulated cluster power failure + recovery
+	reqOps   reqKind = iota // single-shard ops as one durable transaction
+	reqCross                // multi-shard ops through the 2PC coordinator
+	reqStats                // marshal server+machine counters
+	reqCrash                // simulated cluster power failure + recovery
 )
 
 // request is one unit of work funneled to the engine loop. The loop
@@ -279,7 +278,7 @@ func (s *Server) acceptLoop() {
 // keeps a loop-local FIFO of accepted requests: the channel is drained
 // without blocking into the queue, then the queue's head decides the
 // step — a per-shard wave of single-shard batches, or one quiescent
-// request (STATS, CRASH, cross-shard EXEC, cluster SCAN) alone. Nothing
+// request (STATS, CRASH, a multi-shard request) alone. Nothing
 // is ever re-sent on the public channel, so shutdown cannot race a
 // pushback against the channel close (the old requeue-goroutine bug).
 // The loop exits when the channel closes and the queue is empty, after
@@ -337,9 +336,6 @@ func (s *Server) step(pending []*request) []*request {
 		return pending[1:]
 	case reqCross:
 		s.runCross(head)
-		return pending[1:]
-	case reqScanAll:
-		s.runScanAll(head)
 		return pending[1:]
 	default:
 		return s.runWave(pending)
@@ -442,42 +438,33 @@ func (s *Server) recoverAfterHalt() {
 	}
 }
 
-// statsJSON marshals the STATS reply. The machine half aggregates every
-// shard (stats.Stats.Add, virtual time = the latest shard); with one
-// shard it is that machine's counters verbatim.
+// statsJSON marshals the STATS reply. The machine half is the cluster's
+// totals (shard.Cluster.Result: every shard's counters summed, virtual
+// time the latest shard's); with one shard it is that machine's
+// counters verbatim.
 func (s *Server) statsJSON() []byte {
-	var ms stats.Stats
+	res := s.cluster.Result()
 	keys := 0
-	var now sim.Time
-	for i, sh := range s.shards {
-		if i == 0 {
-			ms = *sh.Machine().Stats()
-		} else {
-			ms.Add(sh.Machine().Stats())
-		}
-		if t := sh.Engine().Now(); t > now {
-			now = t
-		}
-		keys += s.stores[i].part.Table.Len(sh.Machine().Store())
+	for i, st := range s.stores {
+		keys += st.part.Table.Len(s.shards[i].Machine().Store())
 	}
-	ms.Elapsed = now
 	doc := statsDoc{
 		Server: serverStats{
 			UptimeS:      time.Since(s.start).Seconds(),
-			VirtualS:     now.Seconds(),
+			VirtualS:     res.Elapsed.Seconds(),
 			Shards:       len(s.shards),
 			Batches:      s.batches,
 			Requests:     s.requests,
 			Crashes:      s.crashes,
 			Keys:         keys,
-			CrossCommits: s.cluster.CrossCommits(),
-			CrossAborts:  s.cluster.CrossAborts(),
+			CrossCommits: res.CrossCommits,
+			CrossAborts:  res.CrossAborts,
 
 			RecoveryScanned: s.recScanned,
 			RecoveryApplied: s.recApplied,
 			RecoveryPS:      int64(s.recPS),
 		},
-		Machine: ms,
+		Machine: res.Stats,
 	}
 	b, err := json.Marshal(doc)
 	if err != nil {
@@ -526,10 +513,8 @@ func (s *Server) submit(req *request) error {
 	return req.err
 }
 
-// submitOps executes ops as one durable transaction, routed by key:
-// with one shard (or all keys on one home shard) the fast single-shard
-// path, a lone SCAN on a sharded server the cluster broadcast, anything
-// straddling shards the 2PC coordinator.
+// submitOps executes ops as one durable transaction, routed by the
+// shards they touch (route).
 func (s *Server) submitOps(ops []Op) ([]OpResult, error) {
 	req := s.route(ops)
 	if err := s.submit(req); err != nil {
@@ -538,15 +523,14 @@ func (s *Server) submitOps(ops []Op) ([]OpResult, error) {
 	return req.results, nil
 }
 
-// route classifies one op batch into its engine-loop request kind.
+// route classifies one op batch by the shards its ops touch — a GET,
+// PUT or DEL its key's home shard, a SCAN every shard: one shard joins
+// that shard's wave, several go through the 2PC coordinator.
 func (s *Server) route(ops []Op) *request {
 	n := len(s.shards)
-	if len(ops) == 1 && ops[0].Kind == OpScan {
-		return &request{kind: reqScanAll, ops: ops}
-	}
 	home := shard.ShardOf(ops[0].Key, n)
-	for _, op := range ops[1:] {
-		if shard.ShardOf(op.Key, n) != home {
+	for _, op := range ops {
+		if op.Kind == OpScan && n > 1 || shard.ShardOf(op.Key, n) != home {
 			return &request{kind: reqCross, ops: ops}
 		}
 	}
@@ -699,13 +683,6 @@ func (s *Server) dispatch(st *connState, argv [][]byte) (rep Reply, quit bool) {
 			return Errf("%v", err), false
 		}
 		if st.inMulti {
-			if op.Kind == OpScan && len(s.shards) > 1 {
-				// A scan has no single home shard, so it cannot join a
-				// (potentially cross-shard) transaction; reject at queue
-				// time and poison the batch like a parse error.
-				st.multiErr = true
-				return Errf("SCAN is not allowed inside MULTI on a sharded server"), false
-			}
 			st.queued = append(st.queued, op)
 			return Reply{Kind: ReplySimple, Str: "QUEUED"}, false
 		}

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"uhtm/internal/crash"
 	"uhtm/internal/mem"
 	"uhtm/internal/shard"
+	"uhtm/internal/sim"
 )
 
 // keysOnShard returns the first n keys at or above start whose home
@@ -103,13 +106,50 @@ func TestShardedEndToEnd(t *testing.T) {
 		t.Fatalf("GET after cross EXEC → %+v", rep)
 	}
 
-	// SCAN cannot join a transaction on a sharded server.
+	// A SCAN joins a MULTI like any op. Each one reads every shard in
+	// the MULTI's order: the SCAN queued before the PUTs misses them,
+	// the SCANs after them return one ascending, count-capped slice
+	// merged from all four shards, the PUTs included.
+	p := keysOnShard(1, 4, 1, 41)[0]
+	q := keysOnShard(2, 4, 1, 41)[0]
 	mustDo(t, c, "MULTI")
-	if rep := mustDo(t, c, "SCAN", "1", "5"); rep.Kind != ReplyErr || !strings.Contains(rep.Str, "SCAN is not allowed inside MULTI") {
-		t.Fatalf("SCAN in MULTI → %+v, want rejection", rep)
+	for _, cmd := range [][]string{
+		{"SCAN", "41", "10"},
+		{"PUT", strconv.FormatUint(p, 10), "multi-p"},
+		{"PUT", strconv.FormatUint(q, 10), "multi-q"},
+		{"SCAN", "41", "3"},
+		{"SCAN", "39", "3"},
+	} {
+		if rep := mustDo(t, c, cmd...); rep.Str != "QUEUED" {
+			t.Fatalf("%v in MULTI → %+v, want QUEUED", cmd, rep)
+		}
 	}
-	if rep := mustDo(t, c, "EXEC"); rep.Kind != ReplyErr || !strings.Contains(rep.Str, "EXECABORT") {
-		t.Fatalf("EXEC after rejected SCAN → %+v", rep)
+	rep = mustDo(t, c, "EXEC")
+	if rep.Kind != ReplyArray || len(rep.Array) != 5 {
+		t.Fatalf("EXEC of a MULTI with SCANs → %+v", rep)
+	}
+	vals := map[uint64]string{k0: "cross-a", k3: "cross-b", p: "multi-p", q: "multi-q", 39: "v39", 40: "v40"}
+	lo, hi := min(k0, k3), max(k0, k3)
+	for i, want := range map[int][]uint64{
+		0: {lo, hi},
+		3: {min(p, q), max(p, q), lo},
+		4: {39, 40, min(p, q)},
+	} {
+		scan := rep.Array[i]
+		var got []uint64
+		for j := 0; j+1 < len(scan.Array); j += 2 {
+			k, _ := strconv.ParseUint(string(scan.Array[j].Bulk), 10, 64)
+			got = append(got, k)
+			if string(scan.Array[j+1].Bulk) != vals[k] {
+				t.Fatalf("EXEC reply %d: key %d has value %q, want %q", i, k, scan.Array[j+1].Bulk, vals[k])
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("EXEC reply %d scanned keys %v, want %v", i, got, want)
+		}
+	}
+	if rep := mustDo(t, c, "GET", strconv.FormatUint(q, 10)); string(rep.Bulk) != "multi-q" {
+		t.Fatalf("GET after the MULTI with SCANs → %+v", rep)
 	}
 
 	// STATS reports the shard count and the 2PC counters.
@@ -181,8 +221,16 @@ func TestCrossShardMultiAtomicityUnderCrash(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if n := runtime.NumGoroutine(); n > goroutines {
-		t.Errorf("%d goroutines after Close, %d before the server started", n, goroutines)
+	// Close returns once the engine loop has closed loopDone, which it
+	// does in a defer, so that goroutine may still be exiting: poll for
+	// a bounded time before calling the surplus a leak.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > goroutines; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines 5s after Close, %d before the server started:\n%s",
+				runtime.NumGoroutine(), goroutines, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -254,6 +302,102 @@ func TestHaltMidCrossRecovery(t *testing.T) {
 			t.Fatalf("GET %d → %+v", k1, rep)
 		}
 	})
+}
+
+// TestHaltInScanPrepare: a SCAN-only request on a sharded server goes
+// through the coordinator, and a power failure in its prepare fails it
+// with the lost-power error; the recovered cluster serves the next
+// request. A read-only prepare fires no protocol point, so the halt is
+// shard 1's engine deadline, which its prepare thread is the first to
+// reach.
+func TestHaltInScanPrepare(t *testing.T) {
+	s := New(Config{Shards: 2, Cores: 2, Buckets: 64, Prepopulate: 8,
+		Geometry: testGeometry(), Options: testOptions()})
+	defer s.Close()
+	scan := []Op{{Kind: OpScan, Key: 1, N: 100}}
+	req := s.route(scan)
+	if req.kind != reqCross {
+		t.Fatalf("a SCAN on a 2-shard server routed as %v, want the coordinator", req.kind)
+	}
+	s.shards[1].Engine().HaltAt(0)
+	req.done = make(chan struct{})
+	s.step([]*request{req})
+	if req.err != errLostPower {
+		t.Fatalf("SCAN across a halt in its prepare: err = %v, want the lost-power error", req.err)
+	}
+	if s.crashes != 1 {
+		t.Fatalf("%d recoveries after the halt, want 1", s.crashes)
+	}
+	got := runStep(t, s, scan...)[0].Keys
+	if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}; !slices.Equal(got, want) {
+		t.Fatalf("SCAN after recovery = %v, want %v", got, want)
+	}
+}
+
+// TestLoneScanJoinsTheWave: on a one-shard server a lone SCAN touches
+// one shard, so it batches with the other single-shard requests in one
+// wave; on a sharded server it touches every shard and goes through the
+// coordinator.
+func TestLoneScanJoinsTheWave(t *testing.T) {
+	s := New(Config{Cores: 2, Buckets: 64, Prepopulate: 4,
+		Geometry: testGeometry(), Options: testOptions()})
+	defer s.Close()
+	scan := s.route([]Op{{Kind: OpScan, Key: 1, N: 10}})
+	get := s.route([]Op{{Kind: OpGet, Key: 3}})
+	if scan.kind != reqOps || scan.shard != 0 {
+		t.Fatalf("a lone SCAN on one shard routed as kind %v shard %d, want the shard-0 wave", scan.kind, scan.shard)
+	}
+	scan.done, get.done = make(chan struct{}), make(chan struct{})
+	if rest := s.step([]*request{scan, get}); len(rest) != 0 || s.batches != 1 {
+		t.Fatalf("SCAN and GET left %d queued after %d batches, want one wave for both", len(rest), s.batches)
+	}
+	if got := scan.results[0].Keys; !slices.Equal(got, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("SCAN in the wave = %v, want [1 2 3 4]", got)
+	}
+
+	sharded := New(Config{Shards: 2, Cores: 2, Buckets: 64,
+		Geometry: testGeometry(), Options: testOptions()})
+	defer sharded.Close()
+	if r := sharded.route([]Op{{Kind: OpScan, Key: 1, N: 10}}); r.kind != reqCross {
+		t.Fatalf("a lone SCAN on two shards routed as kind %v, want the coordinator", r.kind)
+	}
+}
+
+// TestStatsMachineIsClusterSum pins the machine half of STATS on a
+// 4-shard server to its definition: every shard's counters summed
+// (stats.Stats.Add onto shard 0's), Elapsed the latest shard's virtual
+// time, marshalled byte for byte.
+func TestStatsMachineIsClusterSum(t *testing.T) {
+	s := New(Config{Shards: 4, Cores: 2, Buckets: 64, Prepopulate: 32,
+		Geometry: testGeometry(), Options: testOptions()})
+	defer s.Close()
+	for k := uint64(1); k <= 12; k++ {
+		runStep(t, s, Op{Kind: OpPut, Key: k, Val: []byte(fmt.Sprint("v", k))})
+	}
+	runStep(t, s, Op{Kind: OpGet, Key: 3}, Op{Kind: OpPut, Key: 4, Val: []byte("x")}, Op{Kind: OpScan, Key: 1, N: 8})
+
+	want := *s.shards[0].Machine().Stats()
+	var now sim.Time
+	for i, sh := range s.shards {
+		if i > 0 {
+			want.Add(sh.Machine().Stats())
+		}
+		now = max(now, sh.Engine().Now())
+	}
+	want.Elapsed = now
+	wantJSON, err := json.Marshal(&want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Machine json.RawMessage `json:"machine"`
+	}
+	if err := json.Unmarshal(s.statsJSON(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if want.Commits == 0 || !bytes.Equal(doc.Machine, wantJSON) {
+		t.Fatalf("STATS machine half\n got %s\nwant %s", doc.Machine, wantJSON)
+	}
 }
 
 // TestLoadgenCrossFrac drives the generator's cross-shard knob against a

@@ -345,21 +345,22 @@ func (c *Cluster) Run() Result {
 		}
 		c.Fanout(c.shards[:1], func(sh *Shard) bool { return c.resolve(sh, wave[len(wave)-1].seq) })
 	}
-	return c.result()
+	return c.Result()
 }
 
-// result assembles the run summary from the shards' machines.
-func (c *Cluster) result() Result {
+// Result returns the cluster's totals so far: every shard's machine
+// counters summed, the latest shard virtual time, and the cross-shard
+// counters. Run returns it as the run summary; a server reports it in
+// STATS.
+func (c *Cluster) Result() Result {
 	res := Result{
 		CrossCommits: c.crossCommits,
 		CrossAborts:  c.crossAborts,
+		Elapsed:      c.maxNow(),
 		Halted:       c.halted,
 	}
 	for _, sh := range c.shards {
 		res.Stats.Add(sh.m.Stats())
-		if now := sh.eng.Now(); now > res.Elapsed {
-			res.Elapsed = now
-		}
 	}
 	res.Stats.Elapsed = res.Elapsed
 	return res

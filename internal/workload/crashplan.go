@@ -35,17 +35,16 @@ const shardSamplesFullScale = 32
 // (Point/Visit/Verdict populated) in a stable order; the table folds
 // them per injection point.
 func RunCrashSweep(opt RunOptions) (*stats.Table, []Result, error) {
+	if err := opt.check(); err != nil {
+		return nil, nil, err
+	}
 	small, large, scfg := crash.SmallWorkload(), crash.LargeWorkload(), shard.SweepConfig()
 	if opt.Seed != nil {
 		small.Seed, large.Seed, scfg.Seed = *opt.Seed, *opt.Seed, *opt.Seed
 	}
-	scale := opt.Scale
-	if scale <= 0 {
-		scale = 1.0
-	}
 	// sample draws a scaled, floored seeded-random subset.
 	sample := func(injs []crash.Injection, fullScale float64, seed int64) []crash.Injection {
-		return crash.Sample(injs, max(int(math.Ceil(fullScale*scale)), 4), seed)
+		return crash.Sample(injs, max(int(math.Ceil(fullScale*opt.Scale)), 4), seed)
 	}
 	targets := []struct {
 		t      crash.Target

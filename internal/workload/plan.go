@@ -12,7 +12,9 @@ import (
 
 // RunOptions parameterizes one experiment invocation.
 type RunOptions struct {
-	// Scale multiplies per-thread op counts (1.0 = full-size run).
+	// Scale multiplies per-thread op counts (1.0 = full-size run). It
+	// must be > 0: RunExperiment and RunCrashSweep reject any other
+	// value.
 	Scale float64
 	// Seed, when non-nil, overrides every run's Config.Seed; nil keeps
 	// each experiment's default seed.
@@ -26,6 +28,15 @@ type RunOptions struct {
 	// count (plus the one-shard baseline the speedup column needs);
 	// 0 runs the full axis. Other experiments ignore it.
 	Shards int
+}
+
+// check rejects options no run can use: a scale that is not > 0 (NaN
+// included).
+func (o RunOptions) check() error {
+	if !(o.Scale > 0) {
+		return fmt.Errorf("workload: scale %v is not > 0", o.Scale)
+	}
+	return nil
 }
 
 // seeded applies the seed override and trace flag to a run config.
@@ -79,6 +90,9 @@ func RunExperiment(name string, opt RunOptions) (*stats.Table, []Result, error) 
 	for _, e := range registry {
 		if e.Name != name {
 			continue
+		}
+		if err := opt.check(); err != nil {
+			return nil, nil, err
 		}
 		specs, fold := e.plan(opt)
 		results := harness.Execute(specs, opt.Par)

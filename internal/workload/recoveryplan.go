@@ -42,24 +42,20 @@ const (
 // transaction counts (the labels keep the full-scale axis value, like
 // the scale experiment's core counts).
 func recoveryPlan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
-	scale := opt.Scale
-	if scale <= 0 {
-		scale = 1.0
-	}
 	seed := int64(42)
 	if opt.Seed != nil {
 		seed = *opt.Seed
 	}
 	var specs []harness.Spec[Result]
 	for _, logTxs := range recoveryLogTxs {
-		n := int(math.Ceil(float64(logTxs) * scale))
+		n := int(math.Ceil(float64(logTxs) * opt.Scale))
 		if n < recoveryCores {
 			n = recoveryCores
 		}
 		for _, every := range recoveryCkpt {
 			// The interval scales with the transaction counts so reduced
 			// runs keep the same checkpoints-per-run shape (0 stays 0).
-			e := int(math.Ceil(float64(every) * scale))
+			e := int(math.Ceil(float64(every) * opt.Scale))
 			if every > 0 && e < 1 {
 				e = 1
 			}

@@ -25,12 +25,8 @@ var (
 // per-shard contention stays comparable), and cross-shard traffic grows
 // with the cluster.
 func scaleConfig(cores, shards, domains int, opt RunOptions) shard.Config {
-	scale := opt.Scale
-	if scale <= 0 {
-		scale = 1.0
-	}
 	sc := func(n int) int {
-		v := int(math.Ceil(float64(n) * scale))
+		v := int(math.Ceil(float64(n) * opt.Scale))
 		if v < 1 {
 			v = 1
 		}

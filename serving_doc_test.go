@@ -70,7 +70,6 @@ func TestServingDocCoversCommands(t *testing.T) {
 		"lost power",
 		"shutting down",
 		"protocol error",
-		"is not allowed inside MULTI on a sharded server",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("SERVING.md no longer mentions the %q error", want)
