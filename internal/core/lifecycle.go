@@ -482,7 +482,9 @@ type RecoveryStats struct {
 	CheckpointLSN uint64 // low-water LSN the replay filtered against
 	CkptRecords   int    // checkpoint-ring records decoded to find it
 	// Redo is each core's redo window as this recovery decoded it (core
-	// i's at index i), for the cluster's 2PC completion pass.
+	// i's at index i), for the cluster's 2PC completion pass. The
+	// windows are the rings' decode buffers: valid until the machine's
+	// next Recover (wal.Log.Window).
 	Redo []wal.Window
 
 	ScanPS    sim.Time // modeled log-scan phase (read every slot)

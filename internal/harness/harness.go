@@ -19,7 +19,9 @@ import (
 // identifying fields are plain data (they name the point in logs and
 // JSON records); Run performs the actual simulation in a freshly
 // constructed engine and returns its result. Run must be self-contained:
-// it must not share mutable state with any other spec's Run.
+// it must not share mutable state with any other spec's Run, except
+// state it synchronizes itself and no result depends on (such as a
+// read-only setup several runs borrow).
 type Spec[R any] struct {
 	Experiment  string
 	System      string

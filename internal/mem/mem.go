@@ -208,7 +208,8 @@ func AddrOfLineIndex(idx uint64) Addr {
 // bitmap of which lines have materialized (been touched). The bitmap
 // preserves the exact key set the old map-based image exposed through
 // the snapshot functions. After a Crash the live and the durable image
-// hold the same pages (Store.shared) until one of them changes one.
+// hold the same pages (Store.shared) until one of them changes one; a
+// store that borrows a Frozen page set holds those pages the same way.
 type linePage struct {
 	lines [PageLines]Line
 	mat   [PageLines / 64]uint64
@@ -269,8 +270,10 @@ type Store struct {
 	live    image
 	durable image // NVM lines only
 
-	// shared has bit pi set while page pi of the live and the durable
-	// image is one linePage, held by both since a Crash (see Crash).
+	// shared has bit pi set while page pi of the live image is not the
+	// live image's alone to write: the durable image holds the same
+	// linePage since a Crash (see Crash), or the page is lent (see
+	// Borrow). Either way it is copied before its first write.
 	shared [PageCount / 64]uint64
 
 	// crashpoint, when set, is invoked with the injection-point name
@@ -337,26 +340,30 @@ func (s *Store) WriteLatency(a Addr) sim.Time {
 	return s.cfg.NVMWriteLatency
 }
 
-// isShared reports whether page pi is held by both images.
+// isShared reports whether page pi of the live image is shared with
+// the durable image or lent.
 func (s *Store) isShared(pi uint64) bool { return s.shared[pi/64]&(1<<(pi%64)) != 0 }
 
 // at returns a pointer to im's line at idx for reading, materializing
-// it. Reading a line the page already holds copies nothing, even when
-// the page is shared with the other image, so callers must not write
-// through the pointer (see mut). Materializing a new line of a shared
+// it. Reading a line the page already holds copies nothing and stores
+// nothing, even when the page is shared or lent, so callers must not
+// write through the pointer (see mut): other stores may be reading a
+// lent page at the same time. Materializing a new line of a shared
 // page copies the page first: the bitmap is part of the page.
 func (s *Store) at(im *image, idx uint64) *Line {
 	pi, w, bit := idx>>PageShift, idx%PageLines/64, uint64(1)<<(idx%64)
 	p := im.pages[pi]
-	if p == nil || p.mat[w]&bit == 0 && s.isShared(pi) {
-		p = s.own(im, pi)
+	if p == nil || p.mat[w]&bit == 0 {
+		if p == nil || s.isShared(pi) {
+			p = s.own(im, pi)
+		}
+		p.mat[w] |= bit
 	}
-	p.mat[w] |= bit
 	return &p.lines[idx%PageLines]
 }
 
-// mut is at for writing: a page the other image still shares is
-// copied first.
+// mut is at for writing: a page the other image still shares, or a
+// lent page, is copied first.
 func (s *Store) mut(im *image, idx uint64) *Line {
 	pi := idx >> PageShift
 	p := im.pages[pi]
@@ -368,16 +375,25 @@ func (s *Store) mut(im *image, idx uint64) *Line {
 }
 
 // own gives im a page pi of its own: a fresh one on first use, or a copy
-// of the page it shares with the other image. It is the slow path of at
-// and mut, kept out of line so that they stay one call deep.
+// of the live image's shared or lent page. A durable write under a lent
+// live page keeps the durable image's own page, which the live image
+// never held. It is the slow path of at and mut, kept out of line so
+// that they stay one call deep.
 //
 //go:noinline
 func (s *Store) own(im *image, pi uint64) *linePage {
-	p := new(linePage)
-	if s.isShared(pi) {
-		*p = *im.pages[pi]
+	old := im.pages[pi]
+	if s.isShared(pi) && old == s.live.pages[pi] {
+		p := new(linePage)
+		*p = *old
 		s.shared[pi/64] &^= 1 << (pi % 64)
+		im.pages[pi] = p
+		return p
 	}
+	if old != nil {
+		return old
+	}
+	p := new(linePage)
 	im.pages[pi] = p
 	return p
 }
@@ -517,19 +533,21 @@ func (s *Store) PersistLine(a Addr, src *Line) {
 // of the live line with b's bytes patched in, then PersistLine of the
 // same bytes. It is the one call for writes that are durable as soon as
 // they land — persistent log rings, redo replay, 2PC applies, and the
-// single-line cells. A line whose page both images still share (after
-// a Crash) is written once, in place. The injection point fires before
-// any byte of the line changes, so a crash there leaves both images as
-// they were. Panics for DRAM addresses.
+// single-line cells. A line whose page both images still hold (after a
+// Crash) is written once, in place; a lent page is copied first, as by
+// any write. The injection point fires before any byte of the line
+// changes, so a crash there leaves both images as they were. Panics for
+// DRAM addresses.
 func (s *Store) WriteThrough(a Addr, b []byte) {
 	for len(b) > 0 {
 		la, off := LineOf(a), LineOffset(a)
 		s.NVMWrites++
 		s.persisting(la)
 		idx := LineIndex(la)
+		pi := idx >> PageShift
 		var n int
-		if s.isShared(idx >> PageShift) {
-			p, pl := s.live.pages[idx>>PageShift], idx%PageLines
+		if s.isShared(pi) && s.live.pages[pi] == s.durable.pages[pi] {
+			p, pl := s.live.pages[pi], idx%PageLines
 			p.mat[pl/64] |= 1 << (pl % 64)
 			n = copy(p.lines[pl][off:], b)
 		} else {
@@ -567,8 +585,9 @@ func (s *Store) PersistLiveNVM() {
 // Crash copies no page: the live image takes the durable image's pages
 // and both hold them (Store.shared) until one image copies a page to
 // change it (own). Pages the discarded live image still shared go back
-// to the durable image alone. The cost is one pass over the page table,
-// whatever the size of the image, and nothing is allocated.
+// to the durable image alone, and lent pages leave the store. The cost
+// is one pass over the page table, whatever the size of the image, and
+// nothing is allocated.
 func (s *Store) Crash() {
 	copy(s.live.pages, s.durable.pages)
 	clear(s.shared[:])
@@ -576,6 +595,54 @@ func (s *Store) Crash() {
 		if p != nil {
 			s.shared[pi/64] |= 1 << (pi % 64)
 		}
+	}
+}
+
+// Frozen is a live image taken from the store that built it (TakeLive),
+// to be lent to any number of stores at once (Borrow). Nothing writes
+// its pages again: a borrowing store copies a lent page before it
+// changes it, exactly as it copies a page its live and durable image
+// share after a Crash, so every borrower sees the image as it was
+// taken, plus its own writes.
+type Frozen struct {
+	pages []frozenPage // ascending page index
+}
+
+type frozenPage struct {
+	pi uint64
+	p  *linePage
+}
+
+// TakeLive freezes the store's live image and leaves the store empty,
+// as NewStore returns it: the pages now belong to the returned Frozen.
+// The durable image is dropped with them, so no image of this store
+// holds a page that it could write.
+func (s *Store) TakeLive() *Frozen {
+	f := &Frozen{}
+	for pi, p := range s.live.pages {
+		if p != nil {
+			f.pages = append(f.pages, frozenPage{uint64(pi), p})
+		}
+	}
+	clear(s.live.pages)
+	clear(s.durable.pages)
+	clear(s.shared[:])
+	return f
+}
+
+// Borrow lends f's pages to the store's live image, copy-on-write: it
+// reads them in place, and copies one before the first write to it
+// (own). The durable image is left alone. The store must hold none of
+// f's pages yet in either image; Borrow panics otherwise, since that
+// overlap is always a setup bug. It costs one pass over f's pages and
+// allocates nothing.
+func (s *Store) Borrow(f *Frozen) {
+	for _, fp := range f.pages {
+		if s.live.pages[fp.pi] != nil || s.durable.pages[fp.pi] != nil {
+			panic(fmt.Sprintf("mem: borrowed page at %#x is already held", uint64(AddrOfLineIndex(fp.pi<<PageShift))))
+		}
+		s.live.pages[fp.pi] = fp.p
+		s.shared[fp.pi/64] |= 1 << (fp.pi % 64)
 	}
 }
 

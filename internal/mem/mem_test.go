@@ -3,8 +3,11 @@ package mem
 import (
 	"bytes"
 	"encoding/binary"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -341,9 +344,26 @@ func (r *refStore) crash() {
 // the deep copies they replace.
 func TestStoreMatchesDeepCopyReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	s, ref := NewStore(DefaultConfig()), newRefStore()
-	page := Addr(PageLines * LineSize)
-	bases := []Addr{DRAMBase + 2*page, NVMBase, NVMBase + 7*page, NVMLogBase}
+	if crashes := matchReference(t, rng, NewStore(DefaultConfig()), newRefStore(), nil); crashes < 50 {
+		t.Fatalf("only %d crashes exercised", crashes)
+	}
+}
+
+// refPage is the page size of the reference tests' address span.
+const refPage = Addr(PageLines * LineSize)
+
+// refBases are the first of the two pages per region that the
+// reference tests touch: DRAM, two NVM data pages and the NVM log area.
+var refBases = []Addr{DRAMBase + 2*refPage, NVMBase, NVMBase + 7*refPage, NVMLogBase}
+
+// matchReference drives s and ref through 1200 seeded steps of every
+// accessor and Crash, checking after each that the two agree, then
+// calling each (when non-nil) with the step and its accessor. It
+// returns how many crashes it injected.
+func matchReference(t *testing.T, rng *rand.Rand, s *Store, ref *refStore, each func(step int, what string)) (crashes int) {
+	t.Helper()
+	page := refPage
+	bases := refBases
 	nvmBases := bases[1:]
 	// addr picks a line-aligned address in one of a few lines of the
 	// given pages (few enough that lines are revisited often); the
@@ -361,7 +381,6 @@ func TestStoreMatchesDeepCopyReference(t *testing.T) {
 		rng.Read(b)
 		return addr(nvmBases) + Addr(rng.Intn(LineSize)), b
 	}
-	crashes := 0
 	for step := 0; step < 1200; step++ {
 		var what string
 		switch op := rng.Intn(15); op {
@@ -464,10 +483,154 @@ func TestStoreMatchesDeepCopyReference(t *testing.T) {
 			[4]uint64{ref.dramReads, ref.dramWrites, ref.nvmReads, ref.nvmWrites}; got != want {
 			t.Fatalf("step %d (%s): counters %v, want %v", step, what, got, want)
 		}
+		if each != nil {
+			each(step, what)
+		}
 	}
-	if crashes < 50 {
-		t.Fatalf("only %d crashes exercised", crashes)
+	return crashes
+}
+
+// lentSetup builds a frozen image over part of the reference span: a
+// store fills every third line of the first page of each region with
+// seeded bytes, reads (materializes) a few zero lines, and gives its
+// live image up. It returns the image and its snapshot.
+func lentSetup(t *testing.T, seed int64) (*Frozen, map[Addr]Line) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	setup := NewStore(DefaultConfig())
+	for _, b := range refBases {
+		for a := b; a < b+24*LineSize; a += 3 * LineSize {
+			var l Line
+			rng.Read(l[:])
+			setup.PokeLine(a, &l)
+			setup.PeekLine(a + LineSize)
+		}
 	}
+	want := setup.SnapshotLive()
+	f := setup.TakeLive()
+	if n := len(setup.SnapshotLive()) + len(setup.SnapshotDurable()); n != 0 {
+		t.Fatalf("TakeLive left %d lines in the store that built the image", n)
+	}
+	return f, want
+}
+
+// TestLentPagesMatchDeepCopyReference: a store that borrows a frozen
+// image behaves, through every accessor and repeated crashes, exactly
+// as a store that built the image in place (the reference starts from
+// the image's lines). No step of it changes the frozen pages: a second
+// borrower with writes of its own still reads the image plus exactly
+// those writes, and a store that borrows afterwards reads the image as
+// it was taken.
+func TestLentPagesMatchDeepCopyReference(t *testing.T) {
+	f, want := lentSetup(t, 2)
+	s, other := NewStore(DefaultConfig()), NewStore(DefaultConfig())
+	s.Borrow(f)
+	other.Borrow(f)
+	if got := s.SnapshotLive(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("borrower reads %d lines, want the image's %d", len(got), len(want))
+	}
+
+	// The second borrower writes one line of each lent page, through
+	// the word, byte and write-through paths.
+	otherWant := maps.Clone(want)
+	for i, b := range refBases {
+		a := b + 3*LineSize
+		switch i % 3 {
+		case 0:
+			other.WriteU64(a, 0xA5A5)
+		case 1:
+			other.WriteBytes(a+8, []byte("borrowed"))
+		default:
+			other.WriteThrough(a, []byte{1, 2, 3})
+		}
+		otherWant[a] = other.PeekLine(a)
+	}
+	otherDurable := other.SnapshotDurable()
+
+	ref := newRefStore()
+	ref.live = maps.Clone(want)
+	rng := rand.New(rand.NewSource(3))
+	crashes := matchReference(t, rng, s, ref, func(step int, what string) {
+		if got := other.SnapshotLive(); !reflect.DeepEqual(got, otherWant) {
+			t.Fatalf("step %d (%s): the other borrower's live image changed", step, what)
+		}
+		if got := other.SnapshotDurable(); !reflect.DeepEqual(got, otherDurable) {
+			t.Fatalf("step %d (%s): the other borrower's durable image changed", step, what)
+		}
+	})
+	if crashes == 0 {
+		t.Fatal("no crash exercised")
+	}
+	late := NewStore(DefaultConfig())
+	late.Borrow(f)
+	if got := late.SnapshotLive(); !reflect.DeepEqual(got, want) {
+		t.Error("the frozen image changed under its borrowers")
+	}
+}
+
+// TestLentPagesLeaveAtCrash: lent pages are live contents only, so a
+// crash drops them like any unpersisted write; lines persisted over a
+// lent page survive with the bytes persisted, not the image's.
+func TestLentPagesLeaveAtCrash(t *testing.T) {
+	f, want := lentSetup(t, 4)
+	s := NewStore(DefaultConfig())
+	s.Borrow(f)
+	persisted := map[Addr]Line{}
+	for i, a := range []Addr{NVMBase + 6*LineSize, NVMBase + 9*LineSize, NVMBase + 40*LineSize} {
+		var l Line
+		l[0] = byte(i + 1)
+		s.PersistLine(a, &l)
+		persisted[a] = l
+		if got := s.PeekLine(a); got != want[a] {
+			t.Fatalf("PersistLine changed the live image of a lent page at %#x", uint64(a))
+		}
+	}
+	s.Crash()
+	if got := s.SnapshotLive(); !reflect.DeepEqual(got, persisted) {
+		t.Errorf("after the crash the live image holds %d lines, want only the %d persisted", len(got), len(persisted))
+	}
+}
+
+// TestLentPagesConcurrentBorrowers: stores on several goroutines borrow
+// one image and read and write all of its lines at once. Each reads the
+// image plus its own writes; under the race detector this also proves
+// that no access stores to a lent page.
+func TestLentPagesConcurrentBorrowers(t *testing.T) {
+	f, want := lentSetup(t, 5)
+	var addrs []Addr
+	for a := range want {
+		addrs = append(addrs, a)
+	}
+	slices.Sort(addrs)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := NewStore(DefaultConfig())
+			s.Borrow(f)
+			for i, a := range addrs {
+				if w := want[a]; s.ReadU64(a) != binary.LittleEndian.Uint64(w[:8]) {
+					t.Errorf("borrower %d: line %#x does not read as lent", g, uint64(a))
+					return
+				}
+				if i%4 == g {
+					s.WriteU64(a, uint64(g))
+				}
+			}
+			for i, a := range addrs {
+				if w := want[a]; i%4 == g {
+					binary.LittleEndian.PutUint64(w[:], uint64(g))
+					if s.PeekLine(a) != w {
+						t.Errorf("borrower %d: lost its write to %#x", g, uint64(a))
+					}
+				} else if s.PeekLine(a) != w {
+					t.Errorf("borrower %d: line %#x changed under it", g, uint64(a))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestCrashAllocatesNothing: a crash shares the durable pages instead

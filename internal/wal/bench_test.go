@@ -76,3 +76,22 @@ func TestLogReplayAllocBudget(t *testing.T) {
 		t.Errorf("log replay allocates %v times, want <= %d", a, logReplayAllocCeiling)
 	}
 }
+
+// TestRecoverReusesItsWindow: a ring decodes its durable window into a
+// buffer of its own, so a second Recover of the ring allocates nothing;
+// a slot torn since the buffer last held a record there decodes as the
+// zero Record, not as that record.
+func TestRecoverReusesItsWindow(t *testing.T) {
+	l := replayLog()
+	l.Recover()
+	if a := testing.AllocsPerRun(20, func() { l.Recover() }); a != 0 {
+		t.Errorf("a second Recover allocates %v times, want 0", a)
+	}
+	if w := l.Window(); w.Torn != 0 || w.Recs[3].Type != RecWrite {
+		t.Fatalf("intact window decodes %d torn slots, slot 3 type %d", w.Torn, w.Recs[3].Type)
+	}
+	corruptDurable(l.store, l.slotAddr(l.tail+3)+24)
+	if w := l.Window(); w.Torn != 1 || w.Recs[3] != (Record{}) {
+		t.Errorf("torn slot 3 decodes as %+v with %d torn slots, want the zero Record and 1", w.Recs[3], w.Torn)
+	}
+}

@@ -218,6 +218,10 @@ type Log struct {
 	// commit can hold a low-water mark below either LSN.
 	unmarked map[uint64]uint64
 
+	// window is Window's decode buffer, reused by every call: a
+	// recovery decodes each ring's window without allocating.
+	window []Record
+
 	// hook, when set, fires at the ring's named injection points (see
 	// the Point* constants); the crash framework uses it to kill the
 	// simulation between any two protocol steps.
@@ -558,15 +562,22 @@ type Window struct {
 }
 
 // Window decodes the ring's durable window from the durable image and
-// leaves the ring's registers and group index alone (see Recover).
+// leaves the ring's registers and group index alone (see Recover). Recs
+// is the ring's own buffer, reused by its next Window or Recover: a
+// caller that keeps records past that copies them.
 func (l *Log) Window() Window {
 	head, tail := l.RecoverWindow()
-	w := Window{Tail: tail, Recs: make([]Record, head-tail)}
+	n := head - tail
+	if uint64(cap(l.window)) < n {
+		l.window = make([]Record, n)
+	}
+	w := Window{Tail: tail, Recs: l.window[:n]}
 	var buf [RecordSize]byte
 	for i := range w.Recs {
 		// The slot's bytes come straight out of the durable lines.
 		l.store.DurableInto(l.slotAddr(tail+uint64(i)), buf[:])
 		if !decodeInto(&buf, &w.Recs[i]) {
+			w.Recs[i] = Record{}
 			w.Torn++
 		}
 	}
@@ -578,6 +589,8 @@ func (l *Log) Window() Window {
 // and rebuilds the group index by feeding each validated record through
 // indexAppend, as Append does. A record whose append crashed before its
 // control-block update is thus forgotten; the next append overwrites it.
+// The returned window is valid until the ring's next Window or Recover
+// (see Window).
 func (l *Log) Recover() Window {
 	w := l.Window()
 	l.tail, l.head = w.Tail, w.Tail+uint64(len(w.Recs))
@@ -591,10 +604,17 @@ func (l *Log) Recover() Window {
 	return w
 }
 
-// Records returns every validated record of the durable window, in ring
-// order (torn slots are skipped). Like Window it leaves the ring alone.
+// Records returns a copy of every validated record of the durable
+// window, in ring order (torn slots are skipped). Like Window it leaves
+// the ring alone.
 func (l *Log) Records() []Record {
-	return slices.DeleteFunc(l.Window().Recs, func(r Record) bool { return r.Type == 0 })
+	var out []Record
+	for _, r := range l.Window().Recs {
+		if r.Type != 0 {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // CheckpointAt decodes the checkpoint group whose begin record sits at

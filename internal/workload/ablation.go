@@ -21,10 +21,10 @@ import (
 func ablationPlan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	type row struct{ name, variant, note string }
 	var rows []row
-	var specs []harness.Spec[Result]
+	var g grid
 	add := func(name, variant, note string, s SystemSpec, b Bench, cfg Config) {
 		rows = append(rows, row{name, variant, note})
-		specs = append(specs, spec("ablate", s, b, opt.seeded(cfg)))
+		g.add("ablate", s, b, opt.seeded(cfg))
 	}
 
 	// 1. Conflict resolution policy under contention: a hot-key PMDK
@@ -74,5 +74,5 @@ func ablationPlan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 		}
 		return tbl
 	}
-	return specs, fold
+	return g.specs, fold
 }

@@ -170,6 +170,7 @@ func dataArenas(cfg Config) []*mem.Allocator {
 type dsKV interface {
 	Put(m txds.Mem, k uint64, v []byte)
 	Get(m txds.Mem, k uint64) ([]byte, bool)
+	Head() mem.Addr
 }
 
 // hashBuckets sizes a hash table so chains stay at one or two nodes —
@@ -196,6 +197,23 @@ func makeDS(b Bench, setup txds.Mem, al *mem.Allocator, keySpace int) dsKV {
 		return txds.NewRBTree(setup, al)
 	case BenchSkipList:
 		return txds.NewSkipList(setup, al)
+	default:
+		panic(fmt.Sprintf("workload: %s is not a PMDK structure", b))
+	}
+}
+
+// attachDS rebinds the PMDK structure of kind b whose header is at head
+// to allocator al.
+func attachDS(b Bench, head mem.Addr, al *mem.Allocator) dsKV {
+	switch b {
+	case BenchHashMap:
+		return txds.AttachHashMap(head, al)
+	case BenchBTree:
+		return txds.AttachBTree(head, al)
+	case BenchRBTree:
+		return txds.AttachRBTree(head, al)
+	case BenchSkipList:
+		return txds.AttachSkipList(head, al)
 	default:
 		panic(fmt.Sprintf("workload: %s is not a PMDK structure", b))
 	}
@@ -292,21 +310,28 @@ func (c Config) drawPairs(rng *rand.Rand, n int) []kv.KV {
 }
 
 // prepopulate hands put keys 1..Prepopulate in order, each with its
-// deterministic prepopulation value.
+// deterministic prepopulation value. The value's bytes are valid only
+// during the call: put copies them into simulated memory.
 func (c Config) prepopulate(put func(k uint64, v []byte)) {
+	buf := make([]byte, c.prepopValue())
 	for k := uint64(1); k <= uint64(c.Prepopulate); k++ {
-		put(k, valueFor(c.prepopValue(), k))
+		put(k, fillValue(buf, k))
 	}
 }
 
-// valueFor builds a deterministic value payload.
-func valueFor(size int, k uint64) []byte {
-	v := make([]byte, size)
+// fillValue writes key k's deterministic value payload over all of v
+// and returns v. Every put copies the value into simulated memory, so
+// one buffer per thread serves all of its puts, retries included.
+func fillValue(v []byte, k uint64) []byte {
 	for i := range v {
 		v[i] = byte(k + uint64(i))
 	}
 	return v
 }
+
+// valueFor builds a fresh deterministic value payload, for values the
+// caller keeps.
+func valueFor(size int, k uint64) []byte { return fillValue(make([]byte, size), k) }
 
 // memAppLineCost is a memory app's streaming cost per line (bandwidth
 // model).
@@ -348,12 +373,13 @@ func (c Config) prepopValue() int {
 // pointer splice is transactional, so hashmap transactions stay small.
 // The tree structures keep data inline (PMDK's btree/rbtree examples
 // store items in nodes), so the whole value is transactional state.
-func putBatch(c *core.Ctx, ds dsKV, keys []uint64, valueSize int) {
+// Each value is built in val, the thread's value buffer.
+func putBatch(c *core.Ctx, ds dsKV, keys []uint64, val []byte) {
 	if h, ok := ds.(*txds.HashMap); ok {
 		refs := make([]mem.Addr, len(keys))
 		nt := c.NT()
 		for i, k := range keys {
-			refs[i] = txds.BuildValue(nt, h.Allocator(), valueFor(valueSize, k))
+			refs[i] = txds.BuildValue(nt, h.Allocator(), fillValue(val, k))
 		}
 		c.Run(func(tx *core.Tx) {
 			for i, k := range keys {
@@ -364,7 +390,7 @@ func putBatch(c *core.Ctx, ds dsKV, keys []uint64, valueSize int) {
 	}
 	c.Run(func(tx *core.Tx) {
 		for _, k := range keys {
-			ds.Put(tx, k, valueFor(valueSize, k))
+			ds.Put(tx, k, fillValue(val, k))
 		}
 	})
 }
@@ -379,25 +405,36 @@ const BenchMixed Bench = "Mixed"
 // cfg.ThreadsPerInstance threads per copy doing batched puts of
 // cfg.FootprintKB per transaction, plus memory-intensive apps. For
 // BenchMixed, instance i hosts PMDK structure i mod 4.
-func runPMDK(spec SystemSpec, b Bench, cfg Config) Result {
+func runPMDK(spec SystemSpec, b Bench, cfg Config, h *heap) Result {
 	d := machineFor(spec, cfg)
-	st := d.m.Store()
-	arenas := dataArenas(cfg)
 	prefix := string(b)
 	if b == BenchMixed {
 		prefix = "mix"
 	}
+	instBench := func(i int) Bench {
+		if b == BenchMixed {
+			return PMDKBenches()[i%4]
+		}
+		return b
+	}
 
 	// Per-instance structures, prepopulated outside the measured run.
-	dss := make([]dsKV, cfg.Instances)
-	for i := range dss {
-		ib := b
-		if b == BenchMixed {
-			ib = PMDKBenches()[i%4]
+	dss := borrow(h, d.m.Store(), func(st *mem.Store) ([]*mem.Allocator, func([]*mem.Allocator) []dsKV) {
+		arenas := dataArenas(cfg)
+		heads := make([]mem.Addr, cfg.Instances)
+		for i := range heads {
+			ds := makeDS(instBench(i), st, arenas[i], cfg.KeySpace)
+			cfg.prepopulate(func(k uint64, v []byte) { ds.Put(st, k, v) })
+			heads[i] = ds.Head()
 		}
-		dss[i] = makeDS(ib, st, arenas[i], cfg.KeySpace)
-		cfg.prepopulate(func(k uint64, v []byte) { dss[i].Put(st, k, v) })
-	}
+		return arenas, func(arenas []*mem.Allocator) []dsKV {
+			dss := make([]dsKV, len(heads))
+			for i, head := range heads {
+				dss[i] = attachDS(instBench(i), head, arenas[i])
+			}
+			return dss
+		}
+	})
 
 	ops := cfg.opsPerBatch()
 	for inst := 0; inst < cfg.Instances; inst++ {
@@ -405,12 +442,13 @@ func runPMDK(spec SystemSpec, b Bench, cfg Config) Result {
 			inst, t := inst, t
 			d.spawn(fmt.Sprintf("%s%d.%d", prefix, inst, t), inst, func(_ *sim.Thread, c *core.Ctx) {
 				rng := d.rng(inst, t)
+				val := make([]byte, cfg.ValueSize)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
 					keys := make([]uint64, ops)
 					for i := range keys {
 						keys[i] = cfg.drawKey(rng)
 					}
-					putBatch(c, dss[inst], keys, cfg.ValueSize)
+					putBatch(c, dss[inst], keys, val)
 				}
 			})
 		}
@@ -421,18 +459,25 @@ func runPMDK(spec SystemSpec, b Bench, cfg Config) Result {
 // runEcho runs consolidated Echo instances: one master + N-1 clients per
 // instance; clients batch updates through rings, the master applies each
 // drained batch in one durable transaction.
-func runEcho(spec SystemSpec, cfg Config) Result {
+func runEcho(spec SystemSpec, cfg Config, h *heap) Result {
 	d := machineFor(spec, cfg)
-	st := d.m.Store()
-	dArenas, nArenas := arenasFor(cfg)
-
 	ops := cfg.opsPerBatch()
 	clients := cfg.ThreadsPerInstance - 1
-	stores := make([]*kv.Echo, cfg.Instances)
-	for i := range stores {
-		stores[i] = kv.NewEcho(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), clients, 4*ops, cfg.ValueSize)
-		cfg.prepopulate(func(k uint64, v []byte) { stores[i].Table.Put(st, k, v) })
-	}
+	stores := borrow(h, d.m.Store(), func(st *mem.Store) ([]*mem.Allocator, func([]*mem.Allocator) []*kv.Echo) {
+		dArenas, nArenas := arenasFor(cfg)
+		built := make([]*kv.Echo, cfg.Instances)
+		for i := range built {
+			built[i] = kv.NewEcho(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), clients, 4*ops, cfg.ValueSize)
+			cfg.prepopulate(func(k uint64, v []byte) { built[i].Table.Put(st, k, v) })
+		}
+		return nArenas, func(nArenas []*mem.Allocator) []*kv.Echo {
+			stores := make([]*kv.Echo, len(built))
+			for i, e := range built {
+				stores[i] = attachEcho(e, nArenas[i])
+			}
+			return stores
+		}
+	})
 
 	for inst := 0; inst < cfg.Instances; inst++ {
 		inst := inst
@@ -442,10 +487,11 @@ func runEcho(spec SystemSpec, cfg Config) Result {
 			d.spawn(fmt.Sprintf("echo%d.c%d", inst, cl), inst, func(th *sim.Thread, c *core.Ctx) {
 				rng := d.rng(inst, cl)
 				nt := c.NT()
+				val := make([]byte, cfg.ValueSize)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
 					for i := 0; i < ops; i++ {
 						k := cfg.drawKey(rng)
-						p := kv.KV{Key: k, Val: valueFor(cfg.ValueSize, k)}
+						p := kv.KV{Key: k, Val: fillValue(val, k)}
 						for !stores[inst].Rings[cl].TryPush(nt, p) {
 							th.Advance(5 * sim.Microsecond)
 							th.Sync()
@@ -474,6 +520,13 @@ func runEcho(spec SystemSpec, cfg Config) Result {
 	return d.finish(spec, BenchEcho, cfg.Instances)
 }
 
+// attachEcho rebinds a prepopulated Echo store's table to nal, the NVM
+// arena its values come from. The client rings keep their slots and
+// allocate nothing, so their handles are shared as they are.
+func attachEcho(e *kv.Echo, nal *mem.Allocator) *kv.Echo {
+	return &kv.Echo{Table: txds.AttachHashMap(e.Table.Head(), nal), Rings: e.Rings}
+}
+
 func ringsEmpty(e *kv.Echo, c *core.Ctx) bool {
 	nt := c.NT()
 	for _, r := range e.Rings {
@@ -489,18 +542,21 @@ func ringsEmpty(e *kv.Echo, c *core.Ctx) bool {
 // LongROEvery-th operation replaced by a long-running read-only get
 // batch of LongROBytes. All threads belong to one application, so to
 // one conflict domain.
-func runEchoLongRO(spec SystemSpec, cfg Config) Result {
+func runEchoLongRO(spec SystemSpec, cfg Config, h *heap) Result {
 	d := machineFor(spec, cfg)
-	st := d.m.Store()
-	dal, nal := mem.NewAllocator(mem.DRAM), mem.NewAllocator(mem.NVM)
-	store := kv.NewEcho(st, dal, nal, 1<<15, 1, 8, cfg.ValueSize)
-	cfg.prepopulate(func(k uint64, v []byte) { store.Table.Put(st, k, v) })
+	store := borrow(h, d.m.Store(), func(st *mem.Store) ([]*mem.Allocator, func([]*mem.Allocator) *kv.Echo) {
+		dal, nal := mem.NewAllocator(mem.DRAM), mem.NewAllocator(mem.NVM)
+		built := kv.NewEcho(st, dal, nal, 1<<15, 1, 8, cfg.ValueSize)
+		cfg.prepopulate(func(k uint64, v []byte) { built.Table.Put(st, k, v) })
+		return []*mem.Allocator{nal}, func(als []*mem.Allocator) *kv.Echo { return attachEcho(built, als[0]) }
+	})
 	roKeys := cfg.LongROBytes / cfg.ValueSize
 
 	for t := 0; t < cfg.Instances*cfg.ThreadsPerInstance; t++ {
 		t := t
 		d.spawn(fmt.Sprintf("echoLR.%d", t), 0, func(_ *sim.Thread, c *core.Ctx) {
 			rng := d.rng(0, t)
+			val := make([]byte, cfg.ValueSize)
 			for op := 0; op < cfg.BatchesPerThread; op++ {
 				if cfg.LongROEvery > 0 && op%cfg.LongROEvery == cfg.LongROEvery-1 {
 					// A contiguous slice of the keyspace at a random
@@ -515,7 +571,7 @@ func runEchoLongRO(spec SystemSpec, cfg Config) Result {
 					continue
 				}
 				k := cfg.drawKey(rng)
-				v := valueFor(cfg.ValueSize, k)
+				v := fillValue(val, k)
 				c.Run(func(tx *core.Tx) {
 					store.Table.Put(tx, k, v)
 				})
@@ -528,17 +584,32 @@ func runEchoLongRO(spec SystemSpec, cfg Config) Result {
 // runHybridIndex is the Figure 9a workload: consolidated Hybrid-Index
 // stores, threads inserting batches that touch the DRAM B-Tree and the
 // NVM HashMap in one transaction.
-func runHybridIndex(spec SystemSpec, cfg Config) Result {
+func runHybridIndex(spec SystemSpec, cfg Config, h *heap) Result {
 	d := machineFor(spec, cfg)
-	st := d.m.Store()
-	dArenas, nArenas := arenasFor(cfg)
-	stores := make([]*kv.HybridIndex, cfg.Instances)
-	for i := range stores {
-		stores[i] = kv.NewHybridIndex(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), cfg.ThreadsPerInstance)
-		for _, p := range stores[i].Parts {
-			cfg.prepopulate(func(k uint64, v []byte) { p.Put(st, k, v) })
+	stores := borrow(h, d.m.Store(), func(st *mem.Store) ([]*mem.Allocator, func([]*mem.Allocator) []*kv.HybridIndex) {
+		dArenas, nArenas := arenasFor(cfg)
+		built := make([]*kv.HybridIndex, cfg.Instances)
+		for i := range built {
+			built[i] = kv.NewHybridIndex(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), cfg.ThreadsPerInstance)
+			for _, p := range built[i].Parts {
+				cfg.prepopulate(func(k uint64, v []byte) { p.Put(st, k, v) })
+			}
 		}
-	}
+		return append(dArenas, nArenas...), func(arenas []*mem.Allocator) []*kv.HybridIndex {
+			stores := make([]*kv.HybridIndex, len(built))
+			for i, hi := range built {
+				dal, nal := arenas[i], arenas[len(built)+i]
+				stores[i] = &kv.HybridIndex{}
+				for _, p := range hi.Parts {
+					stores[i].Parts = append(stores[i].Parts, kv.HybridPart{
+						Index: txds.AttachBTree(p.Index.Head(), dal),
+						Table: txds.AttachHashMap(p.Table.Head(), nal),
+					})
+				}
+			}
+			return stores
+		}
+	})
 	ops := cfg.opsPerBatch()
 	for inst := 0; inst < cfg.Instances; inst++ {
 		for t := 0; t < cfg.ThreadsPerInstance; t++ {
@@ -557,26 +628,42 @@ func runHybridIndex(spec SystemSpec, cfg Config) Result {
 // runDual is the Figure 9b workload: consolidated Dual stores, half the
 // threads serving foreground puts on the DRAM map, half draining the
 // cross-referencing log into the NVM map.
-func runDual(spec SystemSpec, cfg Config) Result {
+func runDual(spec SystemSpec, cfg Config, h *heap) Result {
 	d := machineFor(spec, cfg)
-	st := d.m.Store()
-	dArenas, nArenas := arenasFor(cfg)
 	ops := cfg.opsPerBatch()
 	fg := cfg.ThreadsPerInstance / 2
 	if fg == 0 {
 		fg = 1
 	}
 	bg := cfg.ThreadsPerInstance - fg
-	stores := make([]*kv.Dual, cfg.Instances)
-	for i := range stores {
-		stores[i] = kv.NewDual(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), fg, 8*ops, cfg.ValueSize)
-		for _, p := range stores[i].Parts {
-			cfg.prepopulate(func(k uint64, v []byte) {
-				p.Front.Put(st, k, v)
-				p.Back.Put(st, k, v)
-			})
+	stores := borrow(h, d.m.Store(), func(st *mem.Store) ([]*mem.Allocator, func([]*mem.Allocator) []*kv.Dual) {
+		dArenas, nArenas := arenasFor(cfg)
+		built := make([]*kv.Dual, cfg.Instances)
+		for i := range built {
+			built[i] = kv.NewDual(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), fg, 8*ops, cfg.ValueSize)
+			for _, p := range built[i].Parts {
+				cfg.prepopulate(func(k uint64, v []byte) {
+					p.Front.Put(st, k, v)
+					p.Back.Put(st, k, v)
+				})
+			}
 		}
-	}
+		return append(dArenas, nArenas...), func(arenas []*mem.Allocator) []*kv.Dual {
+			stores := make([]*kv.Dual, len(built))
+			for i, du := range built {
+				dal, nal := arenas[i], arenas[len(built)+i]
+				stores[i] = &kv.Dual{}
+				for _, p := range du.Parts {
+					stores[i].Parts = append(stores[i].Parts, kv.DualPart{
+						Front: txds.AttachHashMap(p.Front.Head(), dal),
+						Back:  txds.AttachHashMap(p.Back.Head(), nal),
+						XLog:  p.XLog,
+					})
+				}
+			}
+			return stores
+		}
+	})
 	for inst := 0; inst < cfg.Instances; inst++ {
 		inst := inst
 		fgLeft := fg
@@ -609,20 +696,26 @@ func runDual(spec SystemSpec, cfg Config) Result {
 	return d.finish(spec, BenchDual, cfg.Instances)
 }
 
-// Run dispatches a benchmark family.
+// Run runs one benchmark family on a heap of its own (one borrower).
 func Run(spec SystemSpec, b Bench, cfg Config) Result {
+	return run(spec, b, cfg, &heap{left: 1})
+}
+
+// run dispatches a benchmark family, its prepopulated structures
+// borrowed from h.
+func run(spec SystemSpec, b Bench, cfg Config, h *heap) Result {
 	switch b {
 	case BenchHashMap, BenchBTree, BenchRBTree, BenchSkipList, BenchMixed:
-		return runPMDK(spec, b, cfg)
+		return runPMDK(spec, b, cfg, h)
 	case BenchEcho:
 		if cfg.LongROEvery > 0 {
-			return runEchoLongRO(spec, cfg)
+			return runEchoLongRO(spec, cfg, h)
 		}
-		return runEcho(spec, cfg)
+		return runEcho(spec, cfg, h)
 	case BenchHybridIndex:
-		return runHybridIndex(spec, cfg)
+		return runHybridIndex(spec, cfg, h)
 	case BenchDual:
-		return runDual(spec, cfg)
+		return runDual(spec, cfg, h)
 	default:
 		panic(fmt.Sprintf("workload: unknown benchmark %q", b))
 	}

@@ -71,10 +71,10 @@ func fig2Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	systems := []SystemSpec{LLCBounded(), Ideal()}
 	benches := append(PMDKBenches(), BenchEcho)
 
-	var specs []harness.Spec[Result]
+	var g grid
 	for _, b := range benches {
 		for _, s := range systems {
-			specs = append(specs, spec("fig2", s, b, cfg))
+			g.add("fig2", s, b, cfg)
 		}
 	}
 	fold := func(rs []Result) *stats.Table {
@@ -86,7 +86,7 @@ func fig2Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 		}
 		return tbl
 	}
-	return specs, fold
+	return g.specs, fold
 }
 
 // fig6Plan reproduces Figure 6: throughput of the PMDK benchmarks and Echo
@@ -99,10 +99,10 @@ func fig6Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	systems := Fig6Systems()
 	benches := append(PMDKBenches(), BenchEcho)
 
-	var specs []harness.Spec[Result]
+	var g grid
 	for _, b := range benches {
 		for _, s := range systems {
-			specs = append(specs, spec("fig6", s, b, cfg))
+			g.add("fig6", s, b, cfg)
 		}
 	}
 	fold := func(rs []Result) *stats.Table {
@@ -127,7 +127,7 @@ func fig6Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 		}
 		return tbl
 	}
-	return specs, fold
+	return g.specs, fold
 }
 
 // fig7Plan reproduces Figure 7: abort rates of UHTM (decomposed into true
@@ -139,13 +139,13 @@ func fig7Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	footprints := []int{100, 200, 300, 400, 500}
 	systems := Fig7Systems()
 
-	var specs []harness.Spec[Result]
+	var g grid
 	for _, fp := range footprints {
 		c := pmdkConfig(fp)
 		c.BatchesPerThread = scaleN(c.BatchesPerThread, opt.Scale)
 		c = opt.seeded(c)
 		for _, s := range systems {
-			specs = append(specs, spec("fig7", s, BenchMixed, c))
+			g.add("fig7", s, BenchMixed, c)
 		}
 	}
 	fold := func(rs []Result) *stats.Table {
@@ -165,7 +165,7 @@ func fig7Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 		}
 		return tbl
 	}
-	return specs, fold
+	return g.specs, fold
 }
 
 // fig8Plan reproduces Figure 8: Echo throughput with 0.5 %–2 % long-running
@@ -207,7 +207,7 @@ func fig8Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	}
 	systems := []SystemSpec{LLCBounded(), UHTM(signature.Bits4K, true), Ideal()}
 
-	var specs []harness.Spec[Result]
+	var g grid
 	for _, fr := range fracs {
 		c := cfg
 		c.LongROEvery = fr.every
@@ -217,7 +217,7 @@ func fig8Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 			c.BatchesPerThread = fr.every
 		}
 		for _, s := range systems {
-			specs = append(specs, spec("fig8", s, BenchEcho, c))
+			g.add("fig8", s, BenchEcho, c)
 		}
 	}
 	fold := func(rs []Result) *stats.Table {
@@ -236,7 +236,7 @@ func fig8Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 		}
 		return tbl
 	}
-	return specs, fold
+	return g.specs, fold
 }
 
 // fig9Plan enumerates one hybrid store across footprints and systems.
@@ -247,12 +247,12 @@ func fig9Plan(exp string, b Bench, footprints []int, opt RunOptions) ([]harness.
 	cfg = opt.seeded(cfg)
 	systems := Fig9Systems()
 
-	var specs []harness.Spec[Result]
+	var g grid
 	for _, fp := range footprints {
 		c := cfg
 		c.FootprintKB = fp
 		for _, s := range systems {
-			specs = append(specs, spec(exp, s, b, c))
+			g.add(exp, s, b, c)
 		}
 	}
 	fold := func(rs []Result) *stats.Table {
@@ -272,7 +272,7 @@ func fig9Plan(exp string, b Bench, footprints []int, opt RunOptions) ([]harness.
 		}
 		return tbl
 	}
-	return specs, fold
+	return g.specs, fold
 }
 
 // fig9aPlan reproduces Figure 9a: the Hybrid-Index key-value store (DRAM
@@ -298,7 +298,7 @@ func fig10Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	sigs := []int{signature.Bits512, signature.Bits1K, signature.Bits4K}
 	logKinds := []core.DRAMLogKind{core.DRAMUndo, core.DRAMRedo}
 
-	var specs []harness.Spec[Result]
+	var g grid
 	for _, fp := range footprints {
 		c := pmdkConfig(fp)
 		c.Persistent = false // volatile transactions: all data in DRAM
@@ -309,7 +309,7 @@ func fig10Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 				s := UHTM(bits, true)
 				s.Opts.DRAMLog = logKind
 				s.Name = fmt.Sprintf("%s_%v", s.Name, logKind)
-				specs = append(specs, spec("fig10", s, BenchMixed, c))
+				g.add("fig10", s, BenchMixed, c)
 			}
 		}
 	}
@@ -332,7 +332,7 @@ func fig10Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 		}
 		return tbl
 	}
-	return specs, fold
+	return g.specs, fold
 }
 
 // TableIII returns the simulation configuration table.

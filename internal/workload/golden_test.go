@@ -123,11 +123,11 @@ func TestSchedulerGoldenFig7(t *testing.T) {
 	cfg.Seed = 7
 	cfg.Trace = true
 	for _, par := range []int{1, 8} {
-		var specs []harness.Spec[Result]
+		var g grid
 		for _, s := range Fig7Systems() {
-			specs = append(specs, spec("fig7", s, BenchMixed, cfg))
+			g.add("fig7", s, BenchMixed, cfg)
 		}
-		rs := harness.Execute(specs, par)
+		rs := harness.Execute(g.specs, par)
 		tbl := &stats.Table{Header: []string{"footprintKB", "system", "abort-rate", "overflowedTx"}}
 		for _, r := range rs {
 			tbl.AddRow(fmt.Sprintf("%d", r.FootprintKB), r.System,
@@ -203,11 +203,11 @@ func TestDriverGoldens(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, par := range []int{1, 8} {
-				var specs []harness.Spec[Result]
+				var g grid
 				for _, s := range tc.systems {
-					specs = append(specs, spec(tc.name, s, tc.bench, tc.cfg))
+					g.add(tc.name, s, tc.bench, tc.cfg)
 				}
-				rs := harness.Execute(specs, par)
+				rs := harness.Execute(g.specs, par)
 				tbl := &stats.Table{Header: []string{"system", "commits", "tx/s", "abort-rate", "overflowedTx"}}
 				for _, r := range rs {
 					tbl.AddRow(r.System, fmt.Sprintf("%d", r.Stats.Commits), f2(r.Throughput()),

@@ -15,13 +15,13 @@ import (
 func tinyGrid(seed int64) []harness.Spec[Result] {
 	cfg := tinyConfig()
 	cfg.Seed = seed
-	var specs []harness.Spec[Result]
+	var g grid
 	for _, b := range []Bench{BenchHashMap, BenchBTree, BenchEcho} {
 		for _, s := range []SystemSpec{LLCBounded(), UHTM(signature.Bits1K, true), Ideal()} {
-			specs = append(specs, spec("tiny", s, b, cfg))
+			g.add("tiny", s, b, cfg)
 		}
 	}
-	return specs
+	return g.specs
 }
 
 // stripWall zeroes the only non-deterministic Result field (host wall

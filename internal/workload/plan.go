@@ -101,25 +101,6 @@ func RunExperiment(name string, opt RunOptions) (*stats.Table, []Result, error) 
 	return nil, nil, fmt.Errorf("workload: unknown experiment %q", name)
 }
 
-// spec builds one harness spec: a fresh engine per Run, identity
-// metadata mirrored into the result.
-func spec(exp string, s SystemSpec, b Bench, cfg Config) harness.Spec[Result] {
-	return harness.Spec[Result]{
-		Experiment:  exp,
-		System:      s.Name,
-		Bench:       string(b),
-		FootprintKB: cfg.FootprintKB,
-		Seed:        cfg.Seed,
-		Run: func() Result {
-			start := time.Now()
-			r := Run(s, b, cfg)
-			r.Experiment = exp
-			r.Wall = time.Since(start)
-			return r
-		},
-	}
-}
-
 // resultJSON is the wire form of Result: one self-describing record per
 // run, with derived throughput included so downstream tooling needs no
 // simulator knowledge. wall_ms is host time and is the only

@@ -149,11 +149,11 @@ func TestFig7GoldenParDeterminism(t *testing.T) {
 	cfg.Seed = 7
 	cfg.Trace = true
 	take := func(par int) snapshot {
-		var specs []harness.Spec[Result]
+		var g grid
 		for _, s := range Fig7Systems() {
-			specs = append(specs, spec("fig7", s, BenchMixed, cfg))
+			g.add("fig7", s, BenchMixed, cfg)
 		}
-		rs := harness.Execute(specs, par)
+		rs := harness.Execute(g.specs, par)
 
 		tbl := &stats.Table{Header: []string{"footprintKB", "system", "abort-rate", "overflowedTx"}}
 		var recs bytes.Buffer
