@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -162,46 +163,113 @@ var callerExempt = map[string]bool{
 	"Len": true, "Less": true, "Swap": true, "Read": true, "Write": true,
 }
 
+// callerSeams are the exported functions and methods that only tests
+// call, kept on purpose; each value says why. A key is "pkg.Func" or
+// "pkg.Type.Method", pkg being the directory under internal/. Every key
+// must name a declaration, so a seam that goes cannot leave its entry
+// behind.
+var callerSeams = map[string]string{
+	"core.Ctx.ContextSwitchOut": "the paper's §IV-E context switch; no experiment drives it, core.TestContextSwitchVirtualizedAbort does",
+	"core.Ctx.ContextSwitchIn":  "the paper's §IV-E context switch, paired with ContextSwitchOut",
+	"sim.Thread.Suspend":        "§IV-E: takes a switched-out thread off the run queue; only ContextSwitchOut calls it",
+	"sim.Thread.Resume":         "§IV-E: puts a switched-out thread back; only ContextSwitchIn calls it",
+	"sim.Thread.Suspended":      "§IV-E: the context-switch tests in core wait for a switched-out thread through it",
+	"server.Commands":           "serving_doc_test.go pins SERVING.md's command table to the dispatcher's registry",
+	"txds.BTree.Allocator":      "server's rebuild test checks that updates to a rebuilt index allocate no node",
+}
+
 // TestExportedFuncsHaveCallers fails for an exported function or method
-// declared in a non-test file under internal/ whose name appears as an
-// identifier nowhere in the module or perfbench/ outside its own
-// declaration. Tests count as callers. The check goes by name, so a
-// method is kept alive by a use of any same-named identifier; what it
-// catches is an entry point that nothing at all refers to any more.
-// Test, benchmark and fuzz functions and the standard interface
-// methods in callerExempt are exempt.
+// declared in a non-test file under internal/ that no production code
+// names; see uncalledExports.
 func TestExportedFuncsHaveCallers(t *testing.T) {
+	uncalled, stale, err := uncalledExports(".", callerSeams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range uncalled {
+		t.Errorf("%s is referenced by no production code (delete it, move it to export_test.go, or name it in callerSeams)", u)
+	}
+	for _, k := range stale {
+		t.Errorf("callerSeams names %s, which is not declared under internal/", k)
+	}
+}
+
+// TestUncalledExportsFixture runs the check on testdata/callers: a
+// function called only from a _test.go file is flagged, one called
+// from another package's non-test file is not, a seam is not, and a
+// seam entry naming nothing is reported.
+func TestUncalledExportsFixture(t *testing.T) {
+	seams := map[string]string{"fix.Seam": "kept for the fixture", "fix.Gone": "names nothing"}
+	uncalled, stale, err := uncalledExports(filepath.Join("testdata", "callers"), seams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(uncalled) != 1 || !strings.HasSuffix(uncalled[0], ": fix.OnlyTested") {
+		t.Errorf("uncalled = %q, want just fix.OnlyTested", uncalled)
+	}
+	if len(stale) != 1 || stale[0] != "fix.Gone" {
+		t.Errorf("stale seams = %q, want [fix.Gone]", stale)
+	}
+}
+
+// uncalledExports parses every non-test Go file under root (the
+// module, with examples/ and perfbench/; testdata and dot directories
+// skipped) and returns, as "file:line: key", each exported function or method
+// declared in a non-test file under root/internal/ whose name appears
+// as an identifier in no non-test file outside its own declaration.
+// Only production code counts as a caller. The check goes by name, so
+// a method is kept alive by a use of any same-named identifier; what it
+// catches is an entry point that production code does not refer to at
+// all. Test, benchmark and fuzz functions, the standard interface
+// methods in callerExempt and the keys of seams are exempt; stale lists
+// the keys of seams that name no declaration.
+func uncalledExports(root string, seams map[string]string) (uncalled, stale []string, err error) {
 	// One FileSet gives every file its own position range, so a use
 	// lies outside a declaration exactly when its position does.
 	fset := token.NewFileSet()
-	var decls []*ast.FuncDecl
+	type decl struct {
+		fn  *ast.FuncDecl
+		key string
+	}
+	var decls []decl
+	declared := map[string]bool{}
 	uses := map[string][]token.Pos{}
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+	internal := filepath.Join(root, "internal") + string(filepath.Separator)
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 				return filepath.SkipDir
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		if strings.HasPrefix(path, "internal"+string(filepath.Separator)) && !strings.HasSuffix(path, "_test.go") {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || !fn.Name.IsExported() || strings.HasPrefix(fn.Name.Name, "Test") ||
-					strings.HasPrefix(fn.Name.Name, "Benchmark") || strings.HasPrefix(fn.Name.Name, "Fuzz") ||
-					(fn.Recv != nil && callerExempt[fn.Name.Name]) {
+		if strings.HasPrefix(path, internal) {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
 					continue
 				}
-				decls = append(decls, fn)
+				name := fn.Name.Name
+				key := filepath.Base(filepath.Dir(path)) + "."
+				if fn.Recv != nil {
+					key += recvTypeName(fn) + "."
+				}
+				key += name
+				declared[key] = true
+				if strings.HasPrefix(name, "Test") || strings.HasPrefix(name, "Benchmark") || strings.HasPrefix(name, "Fuzz") ||
+					(fn.Recv != nil && callerExempt[name]) || seams[key] != "" {
+					continue
+				}
+				decls = append(decls, decl{fn, key})
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -213,27 +281,49 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	if len(decls) == 0 {
-		t.Fatal("no exported functions found under internal/ — run from the repo root")
+	if len(declared) == 0 {
+		return nil, nil, fmt.Errorf("no exported functions found under %s — run from the repo root", internal)
 	}
-	for _, fn := range decls {
+	for _, d := range decls {
 		called := false
-		for _, pos := range uses[fn.Name.Name] {
-			if pos < fn.Pos() || pos >= fn.End() {
+		for _, pos := range uses[d.fn.Name.Name] {
+			if pos < d.fn.Pos() || pos >= d.fn.End() {
 				called = true
 				break
 			}
 		}
 		if !called {
-			what := "function"
-			if fn.Recv != nil {
-				what = "method"
-			}
-			t.Errorf("%s: exported %s %s is referenced nowhere outside its declaration", fset.Position(fn.Pos()), what, fn.Name.Name)
+			uncalled = append(uncalled, fmt.Sprintf("%s: %s", fset.Position(d.fn.Pos()), d.key))
 		}
 	}
+	for k := range seams {
+		if !declared[k] {
+			stale = append(stale, k)
+		}
+	}
+	slices.Sort(stale)
+	return uncalled, stale, nil
+}
+
+// recvTypeName returns the name of a method's receiver type, without
+// pointer or type parameters.
+func recvTypeName(fn *ast.FuncDecl) string {
+	t := fn.Recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	if id, ok := t.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // referenceDocs are the top-level documents that describe the code as

@@ -271,12 +271,6 @@ func (c *Cache) Contains(a mem.Addr) bool {
 	return w >= 0
 }
 
-// Dirty reports whether the line containing a is present and dirty.
-func (c *Cache) Dirty(a mem.Addr) bool {
-	base, w := c.find(a)
-	return w >= 0 && c.tags[base+w]&tagDirty != 0
-}
-
 // Touch refreshes the LRU position of a present line — exactly what
 // Insert does on a hit — and reports whether the line was present. On a
 // miss it changes nothing, and an Insert of the same line that follows
@@ -344,13 +338,6 @@ func (c *Cache) MarkDirty(a mem.Addr) bool {
 		return true
 	}
 	return false
-}
-
-// CleanLine clears the dirty bit (after a write-back) of a present line.
-func (c *Cache) CleanLine(a mem.Addr) {
-	if base, w := c.find(a); w >= 0 {
-		c.tags[base+w] &^= tagDirty
-	}
 }
 
 // Invalidate drops the line containing a without invoking onEvict (the

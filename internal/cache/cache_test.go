@@ -122,17 +122,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestCleanLine(t *testing.T) {
-	c, _ := tiny()
-	a := addrInSet(0, 5)
-	c.Insert(a)
-	c.MarkDirty(a)
-	c.CleanLine(a)
-	if c.Dirty(a) {
-		t.Error("line dirty after CleanLine")
-	}
-}
-
 func TestMarkDirtyAbsent(t *testing.T) {
 	c, _ := tiny()
 	if c.MarkDirty(addrInSet(0, 0)) {

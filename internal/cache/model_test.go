@@ -184,18 +184,13 @@ func (r *diffRig) step(n int, op cacheOp) {
 		if gp != wp || gd != wd {
 			t.Fatalf("op %d: Invalidate(%#x) = (%v,%v), model (%v,%v)", n, uint64(a), gp, gd, wp, wd)
 		}
-	case 5:
+	case 5, 6:
 		i := m.find(a)
 		if got := c.MarkDirty(a); got != (i >= 0) {
 			t.Fatalf("op %d: MarkDirty(%#x) = %v, model %v", n, uint64(a), got, i >= 0)
 		}
 		if i >= 0 {
 			m.dirty[i] = true
-		}
-	case 6:
-		c.CleanLine(a)
-		if i := m.find(a); i >= 0 {
-			m.dirty[i] = false
 		}
 	case 7:
 		// Touch miss, an invalidation in the same set, then the fill:

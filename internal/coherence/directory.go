@@ -76,8 +76,6 @@ type Directory struct {
 	// terminator. free heads the freelist threaded through next.
 	nodes []shNode
 	free  int32
-	// live counts lines with transactional state (Entries).
-	live int
 	// byTx is the reverse index used to clear a transaction's footprint
 	// in O(its size) at commit/abort: an append-only line list whose
 	// entries are validated against the current per-line state when
@@ -247,9 +245,6 @@ func (d *Directory) AddRead(a mem.Addr, tx uint64) {
 	if d.sharerHas(p, o, tx) {
 		return
 	}
-	if !hasState(p, o) {
-		d.live++
-	}
 	p.shHead[o] = d.allocNode(tx, p.shHead[o])
 	d.index(tx, mem.LineOf(a))
 }
@@ -268,9 +263,6 @@ func (d *Directory) AddWrite(a mem.Addr, tx uint64) {
 		return
 	case own != 0:
 		panic(fmt.Sprintf("coherence: two transactional owners for line %#x: %d and %d", uint64(la), own, tx))
-	}
-	if !hasState(p, o) {
-		d.live++
 	}
 	p.owner[o] = tx
 	// Promotion from sharer to owner keeps the existing index entry;
@@ -325,7 +317,6 @@ func (d *Directory) SurrenderLine(a mem.Addr) (owner uint64, sharers []uint64) {
 	owner = p.owner[o]
 	p.owner[o] = 0
 	p.shHead[o] = 0
-	d.live--
 	if len(sh) > 0 {
 		slices.Sort(sh)
 		sharers = sh
@@ -348,11 +339,8 @@ func (d *Directory) ClearTx(tx uint64) (owned []mem.Addr) {
 		if p.owner[o] == tx {
 			p.owner[o] = 0
 			owned = append(owned, la)
-		} else if !d.removeSharer(p, o, tx) {
-			continue // stale entry: tx no longer on this line
-		}
-		if !hasState(p, o) {
-			d.live--
+		} else {
+			d.removeSharer(p, o, tx) // false on a stale entry: tx left the line
 		}
 	}
 	d.releaseList(tx)
@@ -360,24 +348,3 @@ func (d *Directory) ClearTx(tx uint64) (owned []mem.Addr) {
 	slices.Sort(owned)
 	return owned
 }
-
-// LinesOf returns every line tx currently appears on, ascending (a
-// freshly allocated slice — this is a test/debug helper, not a hot
-// path).
-func (d *Directory) LinesOf(tx uint64) []mem.Addr {
-	var out []mem.Addr
-	for _, la := range d.byTx[tx] {
-		p, o := d.peek(la)
-		if p == nil {
-			continue
-		}
-		if p.owner[o] == tx || d.sharerHas(p, o, tx) {
-			out = append(out, la)
-		}
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// Entries returns the number of lines with live transactional state.
-func (d *Directory) Entries() int { return d.live }

@@ -126,8 +126,8 @@ func TestSurrenderLine(t *testing.T) {
 	if cs := d.CheckWrite(lineA, 3); cs != nil {
 		t.Errorf("conflicts after surrender: %v", cs)
 	}
-	if d.Entries() != 0 {
-		t.Errorf("Entries = %d after surrender", d.Entries())
+	if d.entries() != 0 {
+		t.Errorf("Entries = %d after surrender", d.entries())
 	}
 	// And the reverse index is clean: clearing the txs returns nothing.
 	if owned := d.ClearTx(1); len(owned) != 0 {
@@ -144,8 +144,8 @@ func TestClearTxReturnsWriteSet(t *testing.T) {
 	if len(owned) != 2 || owned[0] != lineA || owned[1] != lineB {
 		t.Errorf("ClearTx = %v, want [lineA lineB]", owned)
 	}
-	if d.Entries() != 0 {
-		t.Errorf("entries remain: %d", d.Entries())
+	if d.entries() != 0 {
+		t.Errorf("entries remain: %d", d.entries())
 	}
 }
 
@@ -157,16 +157,6 @@ func TestClearTxLeavesOthers(t *testing.T) {
 	cs := d.CheckWrite(lineA, 3)
 	if len(cs) != 1 || cs[0].With != 2 {
 		t.Errorf("after ClearTx(1), conflicts = %v, want tx2 only", cs)
-	}
-}
-
-func TestLinesOf(t *testing.T) {
-	d := NewDirectory()
-	d.AddWrite(lineB, 7)
-	d.AddRead(lineA, 7)
-	lines := d.LinesOf(7)
-	if len(lines) != 2 || lines[0] != lineA || lines[1] != lineB {
-		t.Errorf("LinesOf = %v", lines)
 	}
 }
 
@@ -199,7 +189,7 @@ func TestQuickClearLeavesEmpty(t *testing.T) {
 		for tx := uint64(1); tx <= 7; tx++ {
 			d.ClearTx(tx)
 		}
-		return d.Entries() == 0
+		return d.entries() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

@@ -35,18 +35,6 @@ func (m *Machine) NewCtx(th *sim.Thread, domain int) *Ctx {
 	return &Ctx{m: m, th: th, core: core, domain: domain, nt: Accessor{m: m, th: th, core: core}}
 }
 
-// Thread returns the underlying simulated thread.
-func (c *Ctx) Thread() *sim.Thread { return c.th }
-
-// Core returns the context's core ID.
-func (c *Ctx) Core() int { return c.core }
-
-// Domain returns the conflict domain.
-func (c *Ctx) Domain() int { return c.domain }
-
-// Machine returns the machine the context runs on.
-func (c *Ctx) Machine() *Machine { return c.m }
-
 // Run executes body as one durable transaction, implementing Algorithm 1
 // of the paper: fast-path attempts with exponential backoff, an
 // immediate jump to the serialized slow path on a capacity abort (no

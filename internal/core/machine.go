@@ -520,12 +520,6 @@ func (m *Machine) CkptLog() *wal.Log { return m.ckptLog }
 // Store exposes the simulated memory (workload setup, checkers).
 func (m *Machine) Store() *mem.Store { return m.store }
 
-// Config returns the machine's memory configuration.
-func (m *Machine) Config() mem.Config { return m.cfg }
-
-// Options returns the machine's HTM options.
-func (m *Machine) Options() Options { return m.opts }
-
 // Stats returns the machine-wide counters.
 func (m *Machine) Stats() *stats.Stats { return m.stats }
 

@@ -110,7 +110,7 @@ func TestZeroLengthAccessTouchesNoLine(t *testing.T) {
 			tx.ReadBytes(a, 0)
 			tx.WriteBytes(a, nil)
 		})
-		if m.l1[c.Core()].Contains(mem.LineOf(a)) || m.llc.Contains(mem.LineOf(a)) {
+		if m.l1[c.core].Contains(mem.LineOf(a)) || m.llc.Contains(mem.LineOf(a)) {
 			t.Error("empty range brought its line on-chip")
 		}
 	})

@@ -212,7 +212,7 @@ func TestContextSwitchVirtualizedAbort(t *testing.T) {
 		})
 	})
 	eng.Spawn("scheduler", func(th *sim.Thread) {
-		th.WaitUntil(func() bool { return cA != nil && cA.Thread().Suspended() }, sim.Microsecond)
+		th.WaitUntil(func() bool { return cA != nil && cA.th.Suspended() }, sim.Microsecond)
 		th.Advance(20 * sim.Microsecond)
 		th.Sync()
 		cA.ContextSwitchIn(th.Clock())

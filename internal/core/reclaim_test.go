@@ -21,7 +21,7 @@ import (
 // TestReclaimProgressWhileMidCommit below.)
 func TestReclaimUnderSustainedCommitLoad(t *testing.T) {
 	eng, m := newTestMachine(DefaultOptions())
-	cfg := m.Config()
+	cfg := m.cfg
 	// Shrink the redo rings so they would fill within a few dozen
 	// commits per core without reclamation progress (the commit storm
 	// below appends writesPerTx+1 records per commit). The undo rings

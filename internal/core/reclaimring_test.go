@@ -18,18 +18,17 @@ type decodeFate struct {
 }
 
 // reclaimRingDecode is the reference reclaimRing must match bit for
-// bit: it decodes every live slot twice, first to build a per-TxID fate
-// table over the window, then to walk the window from the tail and stop
-// at the first record whose transaction must survive. dead holds the
-// transactions a power failure cut short, which recovery closes as
-// aborted.
+// bit: it decodes the ring's window (a persistent ring's durable window
+// is its live one) and walks it twice, first to build a per-TxID fate
+// table, then from the tail to stop at the first record whose
+// transaction must survive. dead holds the transactions a power failure
+// cut short, which recovery closes as aborted.
 func (m *Machine) reclaimRingDecode(ring *wal.Log, low uint64, dead map[uint64]bool) {
 	fates := make(map[uint64]decodeFate)
-	head := ring.Head()
-	for seq := ring.Tail(); seq < head; seq++ {
-		r, ok := ring.Read(seq)
-		if !ok {
-			continue
+	w := ring.Window()
+	for _, r := range w.Recs {
+		if r.Type == 0 {
+			continue // undecodable slot
 		}
 		f := fates[r.TxID]
 		switch r.Type {
@@ -44,11 +43,10 @@ func (m *Machine) reclaimRingDecode(ring *wal.Log, low uint64, dead map[uint64]b
 		f.aborted = f.aborted || dead[r.TxID]
 		fates[r.TxID] = f
 	}
-	stop := ring.Tail()
-	for seq := stop; seq < head; seq++ {
-		r, ok := ring.Read(seq)
-		if !ok {
-			break // undecodable live slot: keep everything from here on
+	stop := w.Tail
+	for i, r := range w.Recs {
+		if r.Type == 0 {
+			break // undecodable slot: keep everything from here on
 		}
 		f := fates[r.TxID]
 		disposable := false
@@ -63,7 +61,7 @@ func (m *Machine) reclaimRingDecode(ring *wal.Log, low uint64, dead map[uint64]b
 		if !disposable {
 			break
 		}
-		stop = seq + 1
+		stop = w.Tail + uint64(i) + 1
 	}
 	ring.Reclaim(stop)
 }

@@ -298,8 +298,8 @@ func TestRecoveryForgetsOrphanCommitMark(t *testing.T) {
 	eng.Recycle()
 	eng.Spawn("kept", func(th *sim.Thread) {
 		c := m.NewCtx(th, 0)
-		if c.Core() != 0 {
-			t.Errorf("post-crash transaction runs on core %d, want 0", c.Core())
+		if c.core != 0 {
+			t.Errorf("post-crash transaction runs on core %d, want 0", c.core)
 		}
 		c.Run(func(tx *Tx) { tx.WriteU64(kept, 1) })
 	})

@@ -205,23 +205,6 @@ type txAbort struct {
 // ID returns the transaction's globally unique identifier.
 func (tx *Tx) ID() uint64 { return tx.id }
 
-// Core returns the core the transaction runs on.
-func (tx *Tx) Core() int { return tx.core }
-
-// Domain returns the transaction's conflict domain.
-func (tx *Tx) Domain() int { return tx.domain }
-
-// Overflowed reports whether the transaction's footprint has left the
-// LLC (the TSS overflow bit).
-func (tx *Tx) Overflowed() bool { return tx.status.overflowed }
-
-// Attempt returns the zero-based retry count of this execution.
-func (tx *Tx) Attempt() int { return tx.attempt }
-
-// SlowPath reports whether this execution runs serialized under the
-// domain's fallback lock.
-func (tx *Tx) SlowPath() bool { return tx.slowPath }
-
 // unwind aborts the current attempt: it stores the abort descriptor in
 // the Tx's pre-allocated scratch and panics with a pointer to it, which
 // runBody's recover converts back into a result.
@@ -236,12 +219,6 @@ func (tx *Tx) checkAbortFlag() {
 	if tx.status.abortFlag {
 		tx.unwind(tx.status.abortCause, tx.status.abortEnemy, tx.status.abortEnemyCore)
 	}
-}
-
-// Abort explicitly aborts the current attempt (xabort-style). Run will
-// retry the body.
-func (tx *Tx) Abort() {
-	tx.unwind(stats.CauseExplicit, 0, -1)
 }
 
 // String identifies the transaction (id, core, domain) for logs.

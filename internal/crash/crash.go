@@ -107,16 +107,6 @@ func (in *Injector) Disarm() { in.disarmed = true }
 // Hits returns the visit count per point (counting mode).
 func (in *Injector) Hits() map[string]int { return in.hits }
 
-// Points returns the visited point names in sorted order.
-func (in *Injector) Points() []string {
-	out := make([]string, 0, len(in.hits))
-	for p := range in.hits {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // enumerate expands visit counts into the exhaustive injection list:
 // one entry per (point, visit) pair, points sorted, visits ascending.
 func enumerate(hits map[string]int) []Injection {

@@ -107,10 +107,12 @@ func (w Workload) geometry() mem.Config {
 	return cfg
 }
 
-// pick chooses a pool index for write i of transaction k on thread t —
-// a fixed mixing function, so retried attempts touch the same lines and
-// different threads overlap often enough to conflict.
-func pick(t, k, i, n int) int {
+// Pick chooses a pool index in [0, n) for write i of transaction k on
+// thread t — a fixed mixing function, so retried attempts touch the
+// same lines, different threads overlap often enough to conflict, and
+// a counting run predicts every replay's picks. The sharded cluster
+// draws its lines with it too.
+func Pick(t, k, i, n int) int {
 	return ((t*131+k*17+i*7+(t^k)*3)%n + n) % n
 }
 
@@ -194,16 +196,16 @@ func (w Workload) thread(st *runState, th *sim.Thread, t int) {
 			writes := make(map[mem.Addr]uint64, w.NVMWritesPerTx)
 			dram := func() {
 				for i := 0; i < w.DRAMWritesPerTx; i++ {
-					la := st.dramPool[pick(t, k, i, len(st.dramPool))]
+					la := st.dramPool[Pick(t, k, i, len(st.dramPool))]
 					tx.WriteU64(la, id<<16|uint64(0x8000+i))
 				}
 			}
 			nvm := func() {
 				for i := 0; i < w.ReadsPerTx; i++ {
-					tx.ReadU64(st.nvmPool[pick(t, k, i+23, len(st.nvmPool))])
+					tx.ReadU64(st.nvmPool[Pick(t, k, i+23, len(st.nvmPool))])
 				}
 				for i := 0; i < w.NVMWritesPerTx; i++ {
-					la := st.nvmPool[pick(t, k, i, len(st.nvmPool))]
+					la := st.nvmPool[Pick(t, k, i, len(st.nvmPool))]
 					v := id<<16 | uint64(i+1)
 					tx.WriteU64(la, v)
 					writes[la] = v
@@ -277,9 +279,6 @@ type Outcome struct {
 	Elapsed sim.Time        // virtual time of the crash
 	Replay  wal.ReplayStats // what recovery replayed
 }
-
-// OK reports whether every invariant held.
-func (o Outcome) OK() bool { return o.Verdict == "ok" }
 
 // RunInjection replays the target, kills it at the injection, runs
 // recovery, and verifies the recovery invariants. It never panics on an

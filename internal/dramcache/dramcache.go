@@ -144,9 +144,6 @@ func (c *Cache) Insert(a mem.Addr, tx uint64) {
 // Lookup reports whether a's line is buffered, refreshing LRU.
 func (c *Cache) Lookup(a mem.Addr) bool { return c.tags.Lookup(a) }
 
-// Contains reports presence without LRU effects.
-func (c *Cache) Contains(a mem.Addr) bool { return c.tags.Contains(a) }
-
 // CommitTx marks every buffered line of tx committed. It returns the
 // number of lines marked.
 func (c *Cache) CommitTx(tx uint64) int {

@@ -15,7 +15,7 @@ func TestInsertLookup(t *testing.T) {
 	c := tiny()
 	a := nvmLine(0)
 	c.Insert(a, 1)
-	if !c.Lookup(a) || !c.Contains(a) {
+	if !c.Lookup(a) || !c.tags.Contains(a) {
 		t.Error("inserted line not found")
 	}
 	if c.Len() != 1 {
@@ -34,7 +34,7 @@ func TestCommittedEvictionCountsAsDrain(t *testing.T) {
 	if c.Drains != 1 {
 		t.Fatalf("Drains = %d, want 1", c.Drains)
 	}
-	if c.Contains(a) {
+	if c.tags.Contains(a) {
 		t.Error("evicted line still present")
 	}
 }
@@ -58,7 +58,7 @@ func TestInvalidateTx(t *testing.T) {
 	if n := c.InvalidateTx(7); n != 2 {
 		t.Fatalf("InvalidateTx = %d, want 2", n)
 	}
-	if c.Contains(a) || c.Contains(b) || c.Len() != 0 {
+	if c.tags.Contains(a) || c.tags.Contains(b) || c.Len() != 0 {
 		t.Error("lines survive invalidation")
 	}
 	// Invalidation is not a drain.
@@ -87,10 +87,10 @@ func TestDrainAllKeepsUncommitted(t *testing.T) {
 	c.Insert(b, 2)
 	c.CommitTx(1)
 	c.DrainAll()
-	if c.Contains(a) {
+	if c.tags.Contains(a) {
 		t.Error("committed line not drained")
 	}
-	if !c.Contains(b) {
+	if !c.tags.Contains(b) {
 		t.Error("uncommitted line drained")
 	}
 	if c.Len() != 1 {
@@ -116,7 +116,7 @@ func TestNonTransactionalInsertCommitted(t *testing.T) {
 	a := nvmLine(1)
 	c.Insert(a, 0)
 	c.DrainAll()
-	if c.Contains(a) {
+	if c.tags.Contains(a) {
 		t.Error("non-transactional line should be drain-eligible immediately")
 	}
 }
@@ -137,7 +137,7 @@ func TestStaleWayEntriesSkipped(t *testing.T) {
 	if n := c.InvalidateTx(6); n != 1 {
 		t.Errorf("InvalidateTx(6) = %d, want 1 (line 4; line 2 was evicted)", n)
 	}
-	if !c.Contains(nvmLine(0)) || c.Contains(nvmLine(4)) {
+	if !c.tags.Contains(nvmLine(0)) || c.tags.Contains(nvmLine(4)) {
 		t.Error("wrong lines left after commit of 5 and abort of 6")
 	}
 }

@@ -14,8 +14,7 @@ import "uhtm/internal/sim"
 // it wraps: callers serialize Do/Restart themselves (the server funnels
 // all batches through one engine-loop goroutine).
 type Session struct {
-	eng     *sim.Engine
-	batches uint64
+	eng *sim.Engine
 }
 
 // NewSession wraps a long-lived engine. The engine may already have
@@ -24,9 +23,6 @@ type Session struct {
 func NewSession(eng *sim.Engine) *Session {
 	return &Session{eng: eng}
 }
-
-// Engine returns the wrapped engine.
-func (s *Session) Engine() *sim.Engine { return s.eng }
 
 // Do runs one batch of simulated work to completion: finished thread
 // slots are recycled, one fresh thread per body is spawned (named
@@ -45,7 +41,6 @@ func (s *Session) Do(name string, bodies ...func(*sim.Thread)) (end sim.Time, ha
 		panic("harness: Session.Do on a halted engine — Restart first")
 	}
 	s.eng.Recycle()
-	s.batches++
 	now := s.eng.Now()
 	for i, body := range bodies {
 		th := s.eng.SpawnIndexed(name, i, body)
@@ -62,9 +57,6 @@ func (s *Session) Do(name string, bodies ...func(*sim.Thread)) (end sim.Time, ha
 	}
 	return end, false
 }
-
-// Batches returns how many Do batches the session has run.
-func (s *Session) Batches() uint64 { return s.batches }
 
 // Restart reboots a halted engine (sim.Engine.Restart) so the session
 // can accept batches again. The caller is responsible for recovering

@@ -33,9 +33,6 @@ func TestSessionBatches(t *testing.T) {
 			t.Fatalf("batch %d: %d thread slots, want <= 2", b, n)
 		}
 	}
-	if s.Batches() != 50 {
-		t.Fatalf("Batches() = %d, want 50", s.Batches())
-	}
 }
 
 // TestSessionBatchStartsAtNow checks new work arrives at the engine's
@@ -98,7 +95,7 @@ func TestSessionDoLoneBodyAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { s.Do("req", body) }); allocs > 65 {
 		t.Errorf("one-body Do allocates %v times, want <= 65 (1 recorded)", allocs)
 	}
-	if n := len(s.Engine().Threads()); n != 1 {
+	if n := len(s.eng.Threads()); n != 1 {
 		t.Errorf("%d thread slots after one-body batches, want 1", n)
 	}
 }

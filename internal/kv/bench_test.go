@@ -37,7 +37,7 @@ func BenchmarkRebuildIndex(b *testing.B) {
 		p.RebuildIndex(st, mem.NewAllocator(mem.DRAM))
 	}
 	b.StopTimer()
-	if got := p.Index.Len(st); got != 1<<14 {
+	if got := p.Index.Scan(st, 0, func(uint64, mem.Addr) bool { return true }); got != 1<<14 {
 		b.Fatalf("rebuilt index holds %d keys, want %d", got, 1<<14)
 	}
 }

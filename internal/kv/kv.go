@@ -212,14 +212,6 @@ func (h *HybridIndex) PutBatch(c *core.Ctx, part int, batch []KV) {
 	})
 }
 
-// Get returns the value for key from partition part in one transaction.
-func (h *HybridIndex) Get(c *core.Ctx, part int, key uint64) (val []byte, found bool) {
-	c.Run(func(tx *core.Tx) {
-		val, found = h.Parts[part].Table.Get(tx, key)
-	})
-	return val, found
-}
-
 // Scan walks up to n keys starting at from via partition part's DRAM
 // index, fetching values from the NVM table, in one read-only
 // transaction.
@@ -297,12 +289,6 @@ func NewEcho(setup txds.Mem, dal, nal *mem.Allocator, buckets, nClients, ringSlo
 		e.Rings = append(e.Rings, NewOpRing(setup, dal, ringSlots, maxVal))
 	}
 	return e
-}
-
-// ClientSend enqueues a batch on client id's ring (out of transaction),
-// returning how many entries did not fit.
-func (e *Echo) ClientSend(c *core.Ctx, id int, batch []KV) (dropped int) {
-	return publish(c, e.Rings[id], batch)
 }
 
 // MasterStep drains up to max updates from one client ring and applies

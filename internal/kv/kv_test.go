@@ -198,7 +198,7 @@ func TestEchoMasterClients(t *testing.T) {
 					k := uint64(id*1000 + b*4 + j + 1)
 					batch = append(batch, KV{Key: k, Val: []byte("e")})
 				}
-				for e.ClientSend(c, id, batch) > 0 {
+				for publish(c, e.Rings[id], batch) > 0 {
 					th.Advance(sim.Microsecond)
 					th.Sync()
 				}

@@ -92,7 +92,7 @@ func TestHybridIndexCrashLosesOnlyDRAMIndex(t *testing.T) {
 	// Rebuild the volatile index from the recovered table — the
 	// AutoPersist/Go-pmem style bootstrap.
 	h.Parts[0].RebuildIndex(s, dal)
-	if got := h.Parts[0].Index.Len(s); got != 20 {
+	if got := h.Parts[0].Index.Scan(s, 0, func(uint64, mem.Addr) bool { return true }); got != 20 {
 		t.Errorf("rebuilt index has %d keys", got)
 	}
 }

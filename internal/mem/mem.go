@@ -289,9 +289,8 @@ type Store struct {
 	tracer   *trace.Recorder
 	traceNow func() int64
 
-	// Access counters, by kind, for bandwidth-style reporting.
-	DRAMReads, DRAMWrites uint64
-	NVMReads, NVMWrites   uint64
+	// Write counters, by kind, for bandwidth-style reporting.
+	DRAMWrites, NVMWrites uint64
 }
 
 // PointPersistLine is the injection point fired before every durable
@@ -319,25 +318,6 @@ func NewStore(cfg Config) *Store {
 		live:    newImage(),
 		durable: newImage(),
 	}
-}
-
-// Config returns the configuration the store was built with.
-func (s *Store) Config() Config { return s.cfg }
-
-// ReadLatency returns the raw-medium read latency for an address.
-func (s *Store) ReadLatency(a Addr) sim.Time {
-	if KindOf(a) == DRAM {
-		return s.cfg.DRAMLatency
-	}
-	return s.cfg.NVMReadLatency
-}
-
-// WriteLatency returns the raw-medium write latency for an address.
-func (s *Store) WriteLatency(a Addr) sim.Time {
-	if KindOf(a) == DRAM {
-		return s.cfg.DRAMLatency
-	}
-	return s.cfg.NVMWriteLatency
 }
 
 // isShared reports whether page pi of the live image is shared with
@@ -396,17 +376,6 @@ func (s *Store) own(im *image, pi uint64) *linePage {
 	p := new(linePage)
 	im.pages[pi] = p
 	return p
-}
-
-// ReadLine copies the live contents of the line containing a into dst
-// and bumps the read counter for the medium.
-func (s *Store) ReadLine(a Addr, dst *Line) {
-	*dst = *s.at(&s.live, LineIndex(a))
-	if KindOf(a) == DRAM {
-		s.DRAMReads++
-	} else {
-		s.NVMReads++
-	}
 }
 
 // WriteLine stores src as the live contents of the line containing a.
@@ -560,11 +529,6 @@ func (s *Store) WriteThrough(a Addr, b []byte) {
 	}
 }
 
-// DurableLine returns the durable NVM contents of the line containing a.
-func (s *Store) DurableLine(a Addr) Line {
-	return s.durable.read(LineIndex(a))
-}
-
 // PersistLiveNVM snapshots every live NVM line into the durable image —
 // initialization durability, the state a formatted persistent heap has
 // before any transactions run. Call it after non-transactional setup
@@ -669,18 +633,17 @@ func (s *Store) SnapshotDurable() map[Addr]Line {
 // Allocator is a bump allocator over one region of the address space.
 // The hardware log areas are excluded from its range.
 type Allocator struct {
-	kind  Kind
-	start Addr
-	next  Addr
-	end   Addr
+	kind Kind
+	next Addr
+	end  Addr
 }
 
 // NewAllocator returns an allocator for the usable portion of a region.
 func NewAllocator(kind Kind) *Allocator {
 	if kind == DRAM {
-		return &Allocator{kind: kind, start: DRAMBase, next: DRAMBase, end: DRAMLogBase}
+		return &Allocator{kind: kind, next: DRAMBase, end: DRAMLogBase}
 	}
-	return &Allocator{kind: kind, start: NVMBase, next: NVMBase, end: NVMLogBase}
+	return &Allocator{kind: kind, next: NVMBase, end: NVMLogBase}
 }
 
 // NewArena returns an allocator over an explicit sub-range [base, end)
@@ -691,7 +654,7 @@ func NewArena(kind Kind, base, end Addr) *Allocator {
 	if base < full.next || end > full.end || base >= end {
 		panic(fmt.Sprintf("mem: arena [%#x,%#x) outside usable %v region", uint64(base), uint64(end), kind))
 	}
-	return &Allocator{kind: kind, start: base, next: base, end: end}
+	return &Allocator{kind: kind, next: base, end: end}
 }
 
 // SplitRegion carves n equal, line-aligned, disjoint arenas out of
@@ -712,9 +675,6 @@ func SplitRegion(kind Kind, n int, reserve Addr) []*Allocator {
 	return out
 }
 
-// Kind returns the region this allocator serves.
-func (al *Allocator) Kind() Kind { return al.kind }
-
 // Alloc returns the address of a fresh n-byte object aligned to align
 // (which must be a power of two). It panics when the region is
 // exhausted — simulated workloads are sized to fit.
@@ -734,6 +694,3 @@ func (al *Allocator) Alloc(n int, align Addr) Addr {
 func (al *Allocator) AllocLines(n int) Addr {
 	return al.Alloc(n*LineSize, LineSize)
 }
-
-// Used reports the number of bytes handed out so far.
-func (al *Allocator) Used() Addr { return al.next - al.start }

@@ -187,21 +187,9 @@ func (s *Server) prepopulate() {
 	}
 }
 
-// Machine exposes shard 0's machine (tests, recovery checks; with one
-// shard, the machine). Callers must not touch it while the server is
-// listening — the engine loop owns it.
-func (s *Server) Machine() *core.Machine { return s.shards[0].Machine() }
-
-// KV exposes shard 0's durable store (tests). Same ownership caveat as
-// Machine.
-func (s *Server) KV() *Store { return s.stores[0] }
-
-// Engine exposes shard 0's engine (tests: halt injection before
-// Listen). Same ownership caveat as Machine.
-func (s *Server) Engine() *sim.Engine { return s.shards[0].Engine() }
-
 // Cluster exposes the shard cluster (tests: per-shard baselines, hook
-// installation before Listen). Same ownership caveat as Machine.
+// installation before Listen). Callers must not touch it while the
+// server is listening — the engine loop owns it.
 func (s *Server) Cluster() *shard.Cluster { return s.cluster }
 
 // Listen binds the configured address and starts serving. It returns

@@ -310,7 +310,7 @@ func TestServerPathMatchesOneShotPath(t *testing.T) {
 	}
 	c.Close()
 	s.Close() // graceful: drains and checkpoints
-	imgServer := crash.Baseline(s.Machine())
+	imgServer := crash.Baseline(s.shards[0].Machine())
 
 	// Path B: the one-shot harness path — fresh engine, one Run, same
 	// ops as individual transactions on one thread.
@@ -348,7 +348,7 @@ func TestServerPathMatchesOneShotPath(t *testing.T) {
 // committed-prefix oracle plus read-your-acked-writes.
 func TestCrashCommandRecovery(t *testing.T) {
 	s := startServer(t, Config{Cores: 2, Buckets: 64, Prepopulate: 8})
-	baseline := crash.Baseline(s.Machine())
+	baseline := crash.Baseline(s.shards[0].Machine())
 	c := dialT(t, s)
 
 	acked := map[uint64]string{}
@@ -365,7 +365,7 @@ func TestCrashCommandRecovery(t *testing.T) {
 	}
 	// The machine crashed and recovered; the reply ordering guarantees
 	// the recovery finished before we inspect.
-	if detail := crash.VerifyRecovered(s.Machine(), 2, baseline); detail != "" {
+	if detail := crash.VerifyRecovered(s.shards[0].Machine(), 2, baseline); detail != "" {
 		t.Fatalf("committed-prefix oracle: %s", detail)
 	}
 	// Acked writes survived (durability of acknowledged commits).
@@ -419,10 +419,10 @@ func TestCrashCommandRecovery(t *testing.T) {
 // boundary.
 func TestHaltMidBatchRecovery(t *testing.T) {
 	s := New(Config{Cores: 2, Buckets: 64, Geometry: testGeometry(), Options: testOptions()})
-	baseline := crash.Baseline(s.Machine())
+	baseline := crash.Baseline(s.shards[0].Machine())
 	// Halt deep inside the traffic below (virtual time accumulates per
 	// transaction, so a few dozen PUTs pass 1µs of simulated time).
-	s.Engine().HaltAt(1 * sim.Microsecond)
+	s.shards[0].Engine().HaltAt(1 * sim.Microsecond)
 	if err := s.Listen(); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
@@ -446,7 +446,7 @@ func TestHaltMidBatchRecovery(t *testing.T) {
 	if !sawPowerLoss {
 		t.Fatal("the injected halt never surfaced as a lost-power error")
 	}
-	if detail := crash.VerifyRecovered(s.Machine(), 2, baseline); detail != "" {
+	if detail := crash.VerifyRecovered(s.shards[0].Machine(), 2, baseline); detail != "" {
 		t.Fatalf("committed-prefix oracle after mid-batch halt: %s", detail)
 	}
 	// Service resumed.
@@ -470,14 +470,14 @@ func TestGracefulShutdownCheckpoints(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	m := s.Machine()
+	m := s.shards[0].Machine()
 	m.Crash()
 	replay := m.Recover()
 	if replay.AppliedLines != 0 {
 		t.Fatalf("recovery after graceful shutdown replayed %d lines, want 0 (checkpoint must cover all commits)", replay.AppliedLines)
 	}
 	// The data really is in the durable image.
-	got, ok := s.KV().Table().Get(m.Store(), 20)
+	got, ok := s.stores[0].part.Table.Get(m.Store(), 20)
 	if !ok || string(got) != "shutdown-test" {
 		t.Fatalf("durable table after shutdown: %q, %v", got, ok)
 	}

@@ -93,12 +93,6 @@ func NewStore(m *core.Machine, buckets int) *Store {
 	return &Store{m: m, part: part}
 }
 
-// Machine returns the machine the store lives on.
-func (s *Store) Machine() *core.Machine { return s.m }
-
-// Table returns the NVM hash map (tests and recovery checks).
-func (s *Store) Table() *txds.HashMap { return s.part.Table }
-
 // Prepopulate inserts keys 1..n with deterministic valSize-byte values,
 // outside any transaction, and persists them — initial state for load
 // generation, mirroring the workload drivers' prepopulation.

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"uhtm/internal/core"
+	"uhtm/internal/crash"
 	"uhtm/internal/harness"
 	"uhtm/internal/mem"
 	"uhtm/internal/sim"
@@ -221,16 +222,9 @@ func (c *Cluster) resolveGID(txID uint64) bool {
 // Shards returns the cluster's shards in index order.
 func (c *Cluster) Shards() []*Shard { return c.shards }
 
-// Halted reports whether an injected crash stopped the cluster.
-func (c *Cluster) Halted() bool { return c.halted }
-
 // CrossCommits returns the number of cross-shard transactions the
 // coordinator decided to commit.
 func (c *Cluster) CrossCommits() uint64 { return c.crossCommits }
-
-// CrossAborts returns the number of cross-shard transactions aborted by
-// wave conflict admission.
-func (c *Cluster) CrossAborts() uint64 { return c.crossAborts }
 
 // SetHook installs (or, with nil, removes) the crash-injection hook on
 // shard k: the machine, its store and rings, the shard-level 2PC points,
@@ -255,13 +249,6 @@ type Result struct {
 	CrossAborts  uint64      // admission-aborted cross-shard transactions
 	Elapsed      sim.Time    // max shard virtual time
 	Halted       bool        // an injected crash stopped the run
-}
-
-// pick is the deterministic mixing function for pool-index choices —
-// the same line picks on every run, so enumeration predicts every
-// replay (mirrors internal/crash's pick).
-func pick(t, k, i, n int) int {
-	return ((t*131+k*17+i*7+(t^k)*3)%n + n) % n
 }
 
 // Fanout runs f once per listed shard on the harness worker pool and
@@ -312,11 +299,11 @@ func (c *Cluster) localBatch(sh *Shard, round int, name string) bool {
 			for k := 0; k < cfg.TxPerCore; k++ {
 				ctx.Run(func(tx *core.Tx) {
 					for i := 0; i < cfg.ReadsPerTx; i++ {
-						li := base + pick(sh.id*31+t, round*13+k, i+23, seg)
+						li := base + crash.Pick(sh.id*31+t, round*13+k, i+23, seg)
 						tx.ReadU64(sh.pool[li])
 					}
 					for i := 0; i < cfg.WritesPerTx; i++ {
-						li := base + pick(sh.id*31+t, round*13+k, i, seg)
+						li := base + crash.Pick(sh.id*31+t, round*13+k, i, seg)
 						tx.WriteU64(sh.pool[li], tx.ID()<<16|uint64(i+1))
 					}
 				})

@@ -175,7 +175,7 @@ func TestCrashSweepTwoPCPoints(t *testing.T) {
 			continue
 		}
 		out := crash.RunInjection(target, inj)
-		if !out.OK() {
+		if out.Verdict != "ok" {
 			t.Errorf("%s visit %d: %s", out.Point, out.Visit, out.Verdict)
 		}
 		scanned += out.Replay.ScannedRecs
@@ -209,7 +209,7 @@ func TestCrashSweepSampledMachinePoints(t *testing.T) {
 		}
 	}
 	for _, inj := range crash.Sample(rest, 32, target.Seed) {
-		if out := crash.RunInjection(target, inj); !out.OK() {
+		if out := crash.RunInjection(target, inj); out.Verdict != "ok" {
 			t.Errorf("%s visit %d: %s", out.Point, out.Visit, out.Verdict)
 		}
 	}

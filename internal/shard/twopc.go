@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"uhtm/internal/crash"
 	"uhtm/internal/mem"
 	"uhtm/internal/sim"
 	"uhtm/internal/wal"
@@ -118,7 +119,7 @@ func (c *Cluster) buildWave(r int) []*crossTx {
 	taken := make(map[int]map[mem.Addr]bool, cfg.Shards)
 	parts := min(2, cfg.Shards) // participant shards per cross transaction
 	for j := 0; j < cfg.CrossPerRound; j++ {
-		base := pick(r*7+3, j, 0, cfg.Shards)
+		base := crash.Pick(r*7+3, j, 0, cfg.Shards)
 		shards := make([]int, 0, parts)
 		for i := 0; i < parts; i++ {
 			shards = append(shards, (base+i)%cfg.Shards)
@@ -141,7 +142,7 @@ func (c *Cluster) buildWave(r int) []*crossTx {
 			sh := c.shards[s]
 			seen := make(map[mem.Addr]bool, cfg.WritesPerTx)
 			for w := 0; w < cfg.WritesPerTx; w++ {
-				li := pick(r*17+5, j*29+1, i*cfg.WritesPerTx+w, cfg.LinesPerShard)
+				li := crash.Pick(r*17+5, j*29+1, i*cfg.WritesPerTx+w, cfg.LinesPerShard)
 				la := sh.pool[li]
 				if seen[la] {
 					continue // duplicate pick within the same tx: one write

@@ -14,7 +14,7 @@ func loneSteps(seen *[]Time) func(*Thread) {
 	return func(th *Thread) {
 		for i := 1; i <= 10; i++ {
 			th.Sync()
-			*seen = append(*seen, th.Clock(), th.Engine().Now())
+			*seen = append(*seen, th.Clock(), th.eng.Now())
 			th.Advance(Time(i) * Nanosecond)
 		}
 	}
@@ -94,8 +94,8 @@ func TestLoneHaltRestarts(t *testing.T) {
 		e := NewEngine(1)
 		h.setup(e)
 		end := e.Run()
-		if !e.Halted() || !e.Threads()[0].Done() {
-			t.Fatalf("%s: halted=%v done=%v", h.name, e.Halted(), e.Threads()[0].Done())
+		if !e.Halted() || !e.Threads()[0].done {
+			t.Fatalf("%s: halted=%v done=%v", h.name, e.Halted(), e.Threads()[0].done)
 		}
 		e.Restart()
 		if n := e.Recycle(); n != 1 {

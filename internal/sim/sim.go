@@ -36,8 +36,8 @@
 // before another catches up. The slow path hands the token directly to
 // the next thread over that thread's own park channel; the goroutine
 // running Engine.Run only wakes for termination, halt, deadlock or a
-// propagated panic. Engine.Syncs and Engine.Dispatches count both
-// paths, so the fast-path elision rate is observable and benchmarked.
+// propagated panic. Engine.Dispatches counts the slow path, so the
+// fast-path elision rate is observable and benchmarked.
 //
 // # Engines are self-contained
 //
@@ -76,9 +76,6 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
-
-// Nanoseconds reports t as a float count of nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
 // Seconds reports t as a float count of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
@@ -137,9 +134,6 @@ func (t *Thread) Name() string {
 // Clock returns the thread's current virtual time.
 func (t *Thread) Clock() Time { return t.clock }
 
-// Engine returns the engine the thread belongs to.
-func (t *Thread) Engine() *Engine { return t.eng }
-
 // Advance charges d of computation or latency to the thread's clock
 // without yielding control. It must only be called by the thread on
 // itself (cross-thread clock charges go through Bump, which re-keys the
@@ -165,7 +159,6 @@ func (t *Thread) before(u *Thread) bool {
 // Sync keeps the execution token and returns without a handoff.
 func (t *Thread) Sync() {
 	e := t.eng
-	e.syncs++
 	if !t.suspended && !e.halted && (e.haltAt < 0 || t.clock < e.haltAt) {
 		if m := e.runq.min(); m == nil || t.before(m) {
 			e.now = t.clock
@@ -259,9 +252,6 @@ func (t *Thread) Resume(at Time) {
 // Suspended reports whether the thread is currently descheduled.
 func (t *Thread) Suspended() bool { return t.suspended }
 
-// Done reports whether the thread's body has returned.
-func (t *Thread) Done() bool { return t.done }
-
 type haltSignal struct{}
 
 // wake is the reason a thread woke the goroutine running Engine.Run.
@@ -292,7 +282,6 @@ type Engine struct {
 	// wraps them with the grid cell's identity) instead of killing the
 	// process from a bare goroutine.
 	panicVal any
-	syncs    uint64 // total Sync calls (fast path + handoffs)
 	handoffs uint64 // slow-path dispatches: park/unpark goroutine switches
 	// free holds thread IDs reclaimed by Recycle, ascending; Spawn
 	// reuses them before growing the thread table, so a long-lived
@@ -319,13 +308,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // engine's notion of current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Syncs returns the total number of Sync calls across the simulation.
-func (e *Engine) Syncs() uint64 { return e.syncs }
-
 // Dispatches returns the number of slow-path scheduler handoffs — Sync
 // calls (plus thread starts and finishes) that transferred the
-// execution token between goroutines. Syncs minus Dispatches is the
-// fast-path elision count; the ratio is a machine-independent measure
+// execution token between goroutines. Every other Sync is a fast-path
+// elision; dispatches per unit of work is a machine-independent measure
 // of scheduler overhead.
 func (e *Engine) Dispatches() uint64 { return e.handoffs }
 

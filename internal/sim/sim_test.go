@@ -24,9 +24,6 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestTimeConversions(t *testing.T) {
-	if got := (1500 * Picosecond).Nanoseconds(); got != 1.5 {
-		t.Errorf("Nanoseconds = %v, want 1.5", got)
-	}
 	if got := (2 * Second).Seconds(); got != 2.0 {
 		t.Errorf("Seconds = %v, want 2", got)
 	}
@@ -187,7 +184,7 @@ func TestHaltUnwindsAllThreads(t *testing.T) {
 	e.HaltAt(50 * Nanosecond)
 	e.Run()
 	for _, th := range e.Threads() {
-		if !th.Done() {
+		if !th.done {
 			t.Errorf("thread %d not unwound after halt", th.ID())
 		}
 	}
@@ -246,7 +243,7 @@ func TestQuickFinalTime(t *testing.T) {
 			return false
 		}
 		for _, th := range e.Threads() {
-			if !th.Done() {
+			if !th.done {
 				return false
 			}
 		}

@@ -121,14 +121,6 @@ func (s *Stats) CauseShare(c AbortCause) float64 {
 	return float64(s.AbortsBy[c]) / float64(a)
 }
 
-// Throughput returns committed transactions per simulated second.
-func (s *Stats) Throughput() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Commits) / s.Elapsed.Seconds()
-}
-
 // Add merges o into s (Elapsed takes the max: parallel threads).
 func (s *Stats) Add(o *Stats) {
 	s.Commits += o.Commits

@@ -31,15 +31,8 @@ func TestAbortAccounting(t *testing.T) {
 
 func TestEmptyStats(t *testing.T) {
 	var s Stats
-	if s.AbortRate() != 0 || s.Throughput() != 0 || s.CauseShare(CauseLock) != 0 {
+	if s.AbortRate() != 0 || s.CauseShare(CauseLock) != 0 {
 		t.Error("zero stats produced non-zero rates")
-	}
-}
-
-func TestThroughput(t *testing.T) {
-	s := Stats{Commits: 500, Elapsed: 250 * sim.Millisecond}
-	if got := s.Throughput(); got != 2000 {
-		t.Errorf("Throughput = %v", got)
 	}
 }
 

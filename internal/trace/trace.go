@@ -152,9 +152,6 @@ func (r *Recorder) Emit(ts int64, core int, k Kind, txid, addr, arg, arg2 uint64
 	})
 }
 
-// Enabled reports whether events are being recorded.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int {
 	if r == nil {

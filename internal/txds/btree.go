@@ -145,25 +145,6 @@ func nkeys(m Mem, n mem.Addr) int       { return int(m.ReadU64(n + btNKeys)) }
 func setNKeys(m Mem, n mem.Addr, k int) { m.WriteU64(n+btNKeys, uint64(k)) }
 func isLeaf(m Mem, n mem.Addr) bool     { return m.ReadU64(n+btLeaf) == 1 }
 
-// Get returns the value for key k, or (nil, false).
-func (t *BTree) Get(m Mem, k uint64) ([]byte, bool) {
-	n := mem.Addr(m.ReadU64(t.head))
-	for {
-		cnt := nkeys(m, n)
-		i := 0
-		for i < cnt && k > key(m, n, i) {
-			i++
-		}
-		if i < cnt && k == key(m, n, i) {
-			return readValue(m, mem.Addr(val(m, n, i))), true
-		}
-		if isLeaf(m, n) {
-			return nil, false
-		}
-		n = kid(m, n, i)
-	}
-}
-
 // Put inserts or updates k with value v.
 func (t *BTree) Put(m Mem, k uint64, v []byte) {
 	root := mem.Addr(m.ReadU64(t.head))
@@ -287,11 +268,4 @@ func (t *BTree) scan(m Mem, n mem.Addr, from uint64, fn func(uint64, mem.Addr) b
 		}
 	}
 	return true
-}
-
-// Len counts entries (test/checker use).
-func (t *BTree) Len(m Mem) int {
-	n := 0
-	t.Scan(m, 0, func(uint64, mem.Addr) bool { n++; return true })
-	return n
 }

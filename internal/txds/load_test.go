@@ -135,12 +135,12 @@ func checkLoad(t *testing.T, st *mem.Store, rng *rand.Rand, ref *BTree, sorted [
 	}
 	// Updating a loaded key reuses its empty blob and splits no node,
 	// so the allocator hands out nothing.
-	used := al.Used()
+	before := *al
 	for _, k := range probe {
 		b.Put(st, k, nil)
 	}
-	if got := al.Used(); got != used {
-		t.Fatalf("n=%d: updating loaded keys allocated %d bytes (a split)", n, got-used)
+	if *al != before {
+		t.Fatalf("n=%d: updating loaded keys allocated (a split)", n)
 	}
 
 	all := slices.Clone(sorted)

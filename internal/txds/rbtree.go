@@ -53,23 +53,6 @@ func rbColorOf(m Mem, n uint64) uint64 {
 	return rbF(m, n, rbColor)
 }
 
-// Get returns the value for key k, or (nil, false).
-func (t *RBTree) Get(m Mem, k uint64) ([]byte, bool) {
-	n := t.root(m)
-	for n != nilPtr {
-		nk := rbF(m, n, rbKey)
-		switch {
-		case k == nk:
-			return readValue(m, mem.Addr(rbF(m, n, rbVal))), true
-		case k < nk:
-			n = rbF(m, n, rbLeft)
-		default:
-			n = rbF(m, n, rbRight)
-		}
-	}
-	return nil, false
-}
-
 // Put inserts or updates k with value v.
 func (t *RBTree) Put(m Mem, k uint64, v []byte) {
 	// Standard BST insert.
@@ -201,75 +184,4 @@ func (t *RBTree) fixInsert(m Mem, z uint64) {
 	if rbColorOf(m, root) != black {
 		rbSet(m, root, rbColor, black)
 	}
-}
-
-// Scan visits keys ≥ from ascending until fn returns false; it returns
-// the number visited.
-func (t *RBTree) Scan(m Mem, from uint64, fn func(k uint64, valAddr mem.Addr) bool) int {
-	visited := 0
-	t.scan(m, t.root(m), from, fn, &visited)
-	return visited
-}
-
-func (t *RBTree) scan(m Mem, n uint64, from uint64, fn func(uint64, mem.Addr) bool, visited *int) bool {
-	if n == nilPtr {
-		return true
-	}
-	k := rbF(m, n, rbKey)
-	if k >= from {
-		if !t.scan(m, rbF(m, n, rbLeft), from, fn, visited) {
-			return false
-		}
-		*visited++
-		if !fn(k, mem.Addr(rbF(m, n, rbVal))) {
-			return false
-		}
-	}
-	return t.scan(m, rbF(m, n, rbRight), from, fn, visited)
-}
-
-// Len counts entries (test/checker use).
-func (t *RBTree) Len(m Mem) int {
-	return t.Scan(m, 0, func(uint64, mem.Addr) bool { return true })
-}
-
-// CheckInvariants verifies the red-black properties against m (test
-// use): root is black, no red node has a red child, and every
-// root-to-nil path has the same black height. It returns the black
-// height or panics with a description.
-func (t *RBTree) CheckInvariants(m Mem) int {
-	root := t.root(m)
-	if root != nilPtr && rbColorOf(m, root) != black {
-		panic("rbtree: red root")
-	}
-	return t.checkNode(m, root, 0, ^uint64(0))
-}
-
-func (t *RBTree) checkNode(m Mem, n uint64, lo, hi uint64) int {
-	if n == nilPtr {
-		return 1
-	}
-	k := rbF(m, n, rbKey)
-	if k < lo || k > hi {
-		panic("rbtree: BST order violated")
-	}
-	if rbColorOf(m, n) == red {
-		if rbColorOf(m, rbF(m, n, rbLeft)) == red || rbColorOf(m, rbF(m, n, rbRight)) == red {
-			panic("rbtree: red node with red child")
-		}
-	}
-	var hiL, loR uint64
-	if k > 0 {
-		hiL = k - 1
-	}
-	loR = k + 1
-	lh := t.checkNode(m, rbF(m, n, rbLeft), lo, hiL)
-	rh := t.checkNode(m, rbF(m, n, rbRight), loR, hi)
-	if lh != rh {
-		panic("rbtree: black-height mismatch")
-	}
-	if rbColorOf(m, n) == black {
-		return lh + 1
-	}
-	return lh
 }

@@ -62,24 +62,6 @@ func levelFor(k uint64) int {
 	return lvl
 }
 
-// Get returns the value for key k, or (nil, false).
-func (s *SkipList) Get(m Mem, k uint64) ([]byte, bool) {
-	n := s.headNode(m)
-	for lvl := slMaxLevel - 1; lvl >= 0; lvl-- {
-		for {
-			next := m.ReadU64(mem.Addr(n) + slNext + mem.Addr(lvl)*8)
-			if next == nilPtr || m.ReadU64(mem.Addr(next)+slKey) > k {
-				break
-			}
-			n = next
-		}
-	}
-	if n != s.headNode(m) && m.ReadU64(mem.Addr(n)+slKey) == k {
-		return readValue(m, mem.Addr(m.ReadU64(mem.Addr(n)+slVal))), true
-	}
-	return nil, false
-}
-
 // Put inserts or updates k with value v.
 func (s *SkipList) Put(m Mem, k uint64, v []byte) {
 	var update [slMaxLevel]uint64
@@ -113,63 +95,4 @@ func (s *SkipList) Put(m Mem, k uint64, v []byte) {
 		m.WriteU64(mem.Addr(node)+slNext+mem.Addr(i)*8, m.ReadU64(mem.Addr(prev)+slNext+mem.Addr(i)*8))
 		m.WriteU64(mem.Addr(prev)+slNext+mem.Addr(i)*8, node)
 	}
-}
-
-// Delete removes key k; it reports whether the key was present.
-func (s *SkipList) Delete(m Mem, k uint64) bool {
-	var update [slMaxLevel]uint64
-	n := s.headNode(m)
-	for lvl := slMaxLevel - 1; lvl >= 0; lvl-- {
-		for {
-			next := m.ReadU64(mem.Addr(n) + slNext + mem.Addr(lvl)*8)
-			if next == nilPtr || m.ReadU64(mem.Addr(next)+slKey) >= k {
-				break
-			}
-			n = next
-		}
-		update[lvl] = n
-	}
-	target := m.ReadU64(mem.Addr(n) + slNext)
-	if target == nilPtr || m.ReadU64(mem.Addr(target)+slKey) != k {
-		return false
-	}
-	lvl := int(m.ReadU64(mem.Addr(target) + slLevel))
-	for i := 0; i < lvl; i++ {
-		prev := update[i]
-		if m.ReadU64(mem.Addr(prev)+slNext+mem.Addr(i)*8) == target {
-			m.WriteU64(mem.Addr(prev)+slNext+mem.Addr(i)*8,
-				m.ReadU64(mem.Addr(target)+slNext+mem.Addr(i)*8))
-		}
-	}
-	return true
-}
-
-// Scan visits keys ≥ from ascending (bottom-level walk) until fn returns
-// false; it returns the number visited.
-func (s *SkipList) Scan(m Mem, from uint64, fn func(k uint64, valAddr mem.Addr) bool) int {
-	n := s.headNode(m)
-	for lvl := slMaxLevel - 1; lvl >= 0; lvl-- {
-		for {
-			next := m.ReadU64(mem.Addr(n) + slNext + mem.Addr(lvl)*8)
-			if next == nilPtr || m.ReadU64(mem.Addr(next)+slKey) >= from {
-				break
-			}
-			n = next
-		}
-	}
-	visited := 0
-	for p := m.ReadU64(mem.Addr(n) + slNext); p != nilPtr; p = m.ReadU64(mem.Addr(p) + slNext) {
-		visited++
-		if !fn(m.ReadU64(mem.Addr(p)+slKey), mem.Addr(m.ReadU64(mem.Addr(p)+slVal))) {
-			break
-		}
-	}
-	return visited
-}
-
-// Len counts entries (test/checker use).
-func (s *SkipList) Len(m Mem) int {
-	n := 0
-	s.Scan(m, 0, func(uint64, mem.Addr) bool { n++; return true })
-	return n
 }

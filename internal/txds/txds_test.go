@@ -120,29 +120,6 @@ func TestHashMapDelete(t *testing.T) {
 	}
 }
 
-func TestSkipListDelete(t *testing.T) {
-	st, al := env()
-	s := NewSkipList(st, al)
-	for k := uint64(1); k <= 200; k++ {
-		s.Put(st, k, v("x"))
-	}
-	for k := uint64(1); k <= 200; k += 3 {
-		if !s.Delete(st, k) {
-			t.Fatalf("Delete(%d) = false", k)
-		}
-	}
-	if s.Delete(st, 4) { // 4 %3==1 → wait, 4 was not deleted (1,4,7...? k+=3 from 1: 1,4,7 — 4 WAS deleted)
-		t.Error("double delete succeeded")
-	}
-	for k := uint64(1); k <= 200; k++ {
-		_, ok := s.Get(st, k)
-		wantOK := (k-1)%3 != 0
-		if ok != wantOK {
-			t.Fatalf("key %d present=%v want %v", k, ok, wantOK)
-		}
-	}
-}
-
 func TestOrderedScan(t *testing.T) {
 	st, al := env()
 	scanners := map[string]interface {

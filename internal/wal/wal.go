@@ -148,19 +148,12 @@ func encode(r Record, buf *[RecordSize]byte) {
 	le.PutUint64(buf[payloadSize:], checksum(buf))
 }
 
-// decode parses a RecordSize-byte buffer; ok is false when the magic is
-// absent (unwritten space) or the checksum does not match the payload
-// (a torn or truncated write — some but not all of the record's cache
-// lines reached durability, or the slot holds a stale mix of two ring
-// generations).
-func decode(buf *[RecordSize]byte) (r Record, ok bool) {
-	ok = decodeInto(buf, &r)
-	return r, ok
-}
-
-// decodeInto is decode writing the record through r, which it leaves
-// untouched when the slot fails validation: recovery decodes a whole
-// window into place without copying each record out.
+// decodeInto parses a RecordSize-byte buffer into r. It reports false,
+// leaving r untouched, when the magic is absent (unwritten space) or the
+// checksum does not match the payload (a torn or truncated write — some
+// but not all of the record's cache lines reached durability, or the
+// slot holds a stale mix of two ring generations). Recovery decodes a
+// whole window into place without copying each record out.
 func decodeInto(buf *[RecordSize]byte, r *Record) bool {
 	le := binary.LittleEndian
 	if le.Uint32(buf[0:]) != recMagic || le.Uint64(buf[payloadSize:]) != checksum(buf) {
@@ -504,16 +497,6 @@ func (l *Log) Groups() int { return len(l.groups) - l.first }
 // Group returns the i-th group of the window, oldest first.
 func (l *Log) Group(i int) Group { return l.groups[l.first+i] }
 
-// Read returns the record at sequence number seq from the live image.
-func (l *Log) Read(seq uint64) (Record, bool) {
-	if seq < l.tail || seq >= l.head {
-		return Record{}, false
-	}
-	var buf [RecordSize]byte
-	l.store.ReadInto(l.slotAddr(seq), buf[:])
-	return decode(&buf)
-}
-
 // CkptActive is one active-transaction-table entry of a fuzzy
 // checkpoint (see Checkpoint).
 type CkptActive struct {
@@ -742,15 +725,6 @@ func (r *Rings) SetTracer(rec *trace.Recorder, now func() int64) {
 
 // Count returns the number of rings.
 func (r *Rings) Count() int { return len(r.logs) }
-
-// Appends totals record appends across rings.
-func (r *Rings) Appends() uint64 {
-	var n uint64
-	for _, l := range r.logs {
-		n += l.Appends
-	}
-	return n
-}
 
 // Recover performs crash recovery across all cores' rings: each ring is
 // recovered once (Log.Recover) and replayed. It returns the replay

@@ -9,6 +9,13 @@ import (
 
 func newStore() *mem.Store { return mem.NewStore(mem.DefaultConfig()) }
 
+// durableLine returns the durable NVM contents of the line containing a.
+func durableLine(s *mem.Store, a mem.Addr) mem.Line {
+	var l mem.Line
+	s.DurableInto(mem.LineOf(a), l[:])
+	return l
+}
+
 func lineWith(b byte) mem.Line {
 	var l mem.Line
 	for i := range l {
@@ -140,7 +147,7 @@ func TestReplayAppliesOnlyCommitted(t *testing.T) {
 		t.Error("uncommitted line leaked into recovered state")
 	}
 	// Recovery must itself be durable (replay persists).
-	if got := s.DurableLine(a1); got != want {
+	if got := durableLine(s, a1); got != want {
 		t.Error("recovered line not persisted")
 	}
 }
@@ -166,7 +173,7 @@ func TestReplayDiscardsAborted(t *testing.T) {
 // write where one of a record's cache lines holds stale data.
 func corruptDurable(s *mem.Store, a mem.Addr) {
 	la := mem.LineOf(a)
-	line := s.DurableLine(la)
+	line := durableLine(s, la)
 	line[mem.LineOffset(a)] ^= 0xFF
 	s.PersistLine(la, &line)
 }
@@ -194,10 +201,10 @@ func TestReplaySkipsCorruptRecord(t *testing.T) {
 	if st.CommittedTx != 1 || st.AppliedLines != 1 {
 		t.Errorf("replay stats = %+v", st)
 	}
-	if got := s.DurableLine(a1); got != lineWith(0x11) {
+	if got := durableLine(s, a1); got != lineWith(0x11) {
 		t.Error("intact committed record not recovered")
 	}
-	if got := s.DurableLine(a2); got != (mem.Line{}) {
+	if got := durableLine(s, a2); got != (mem.Line{}) {
 		t.Error("torn record's line image leaked into recovered state")
 	}
 }
@@ -231,7 +238,7 @@ func TestReplaySkipsTruncatedTrailingRecord(t *testing.T) {
 	if st.CommittedTx != 1 || st.AppliedLines != 1 || st.DiscardedRecs != 0 {
 		t.Errorf("replay stats = %+v", st)
 	}
-	if got := s.DurableLine(a2); got != (mem.Line{}) {
+	if got := durableLine(s, a2); got != (mem.Line{}) {
 		t.Error("truncated record's line image leaked into recovered state")
 	}
 }
@@ -255,7 +262,7 @@ func TestReplayAllCountsTorn(t *testing.T) {
 	if st.CommittedTx != 0 || st.DiscardedTx != 1 {
 		t.Errorf("replay stats = %+v", st)
 	}
-	if got := s.DurableLine(a); got != (mem.Line{}) {
+	if got := durableLine(s, a); got != (mem.Line{}) {
 		t.Error("write with torn commit mark was applied")
 	}
 }
@@ -298,8 +305,12 @@ func TestRings(t *testing.T) {
 		// be skipped as a stale truncation leftover.
 		rs.ForCore(i).Append(Record{Type: RecCommit, TxID: uint64(i), LSN: uint64(i + 1)})
 	}
-	if rs.Appends() != 32 {
-		t.Errorf("Appends = %d", rs.Appends())
+	var appends uint64
+	for i := 0; i < rs.Count(); i++ {
+		appends += rs.ForCore(i).Appends
+	}
+	if appends != 32 {
+		t.Errorf("Appends = %d", appends)
 	}
 	s.Crash()
 	st, _ := rs.Recover(0)

@@ -169,7 +169,6 @@ func dataArenas(cfg Config) []*mem.Allocator {
 // dsKV is the common surface of the four PMDK structures.
 type dsKV interface {
 	Put(m txds.Mem, k uint64, v []byte)
-	Get(m txds.Mem, k uint64) ([]byte, bool)
 	Head() mem.Addr
 }
 
@@ -299,39 +298,48 @@ func (c Config) drawKey(rng *rand.Rand) uint64 {
 	return uint64(rng.Intn(c.KeySpace)) + 1
 }
 
-// drawPairs draws n keys, each paired with its deterministic value.
-func (c Config) drawPairs(rng *rand.Rand, n int) []kv.KV {
+// drawPairs draws n keys, each paired with its value cut from vals.
+func (c Config) drawPairs(rng *rand.Rand, n int, vals valuePattern) []kv.KV {
 	pairs := make([]kv.KV, n)
 	for i := range pairs {
 		k := c.drawKey(rng)
-		pairs[i] = kv.KV{Key: k, Val: valueFor(c.ValueSize, k)}
+		pairs[i] = kv.KV{Key: k, Val: vals.value(k)}
 	}
 	return pairs
 }
 
 // prepopulate hands put keys 1..Prepopulate in order, each with its
-// deterministic prepopulation value. The value's bytes are valid only
-// during the call: put copies them into simulated memory.
+// deterministic prepopulation value.
 func (c Config) prepopulate(put func(k uint64, v []byte)) {
-	buf := make([]byte, c.prepopValue())
+	vals := newValuePattern(c.prepopValue())
 	for k := uint64(1); k <= uint64(c.Prepopulate); k++ {
-		put(k, fillValue(buf, k))
+		put(k, vals.value(k))
 	}
 }
 
-// fillValue writes key k's deterministic value payload over all of v
-// and returns v. Every put copies the value into simulated memory, so
-// one buffer per thread serves all of its puts, retries included.
-func fillValue(v []byte, k uint64) []byte {
-	for i := range v {
-		v[i] = byte(k + uint64(i))
+// valuePattern is what every deterministic value of one size is cut
+// from. Key k's value holds byte(k+i) at offset i, which repeats every
+// 256 keys, so it is the slice p[k%256 : k%256+size] of one pattern
+// p[j] = byte(j). The values are shared and read-only: every put copies
+// its value into simulated memory, and nothing writes or keeps one.
+type valuePattern []byte
+
+// newValuePattern builds the pattern for size-byte values.
+func newValuePattern(size int) valuePattern {
+	p := make(valuePattern, size+255)
+	for j := range p {
+		p[j] = byte(j)
 	}
-	return v
+	return p
 }
 
-// valueFor builds a fresh deterministic value payload, for values the
-// caller keeps.
-func valueFor(size int, k uint64) []byte { return fillValue(make([]byte, size), k) }
+// value returns key k's value, capped at its length so an append
+// cannot write into the pattern.
+func (p valuePattern) value(k uint64) []byte {
+	off := int(k % 256)
+	end := off + len(p) - 255
+	return p[off:end:end]
+}
 
 // memAppLineCost is a memory app's streaming cost per line (bandwidth
 // model).
@@ -373,13 +381,13 @@ func (c Config) prepopValue() int {
 // pointer splice is transactional, so hashmap transactions stay small.
 // The tree structures keep data inline (PMDK's btree/rbtree examples
 // store items in nodes), so the whole value is transactional state.
-// Each value is built in val, the thread's value buffer.
-func putBatch(c *core.Ctx, ds dsKV, keys []uint64, val []byte) {
+// Each value is cut from vals.
+func putBatch(c *core.Ctx, ds dsKV, keys []uint64, vals valuePattern) {
 	if h, ok := ds.(*txds.HashMap); ok {
 		refs := make([]mem.Addr, len(keys))
 		nt := c.NT()
 		for i, k := range keys {
-			refs[i] = txds.BuildValue(nt, h.Allocator(), fillValue(val, k))
+			refs[i] = txds.BuildValue(nt, h.Allocator(), vals.value(k))
 		}
 		c.Run(func(tx *core.Tx) {
 			for i, k := range keys {
@@ -390,7 +398,7 @@ func putBatch(c *core.Ctx, ds dsKV, keys []uint64, val []byte) {
 	}
 	c.Run(func(tx *core.Tx) {
 		for _, k := range keys {
-			ds.Put(tx, k, fillValue(val, k))
+			ds.Put(tx, k, vals.value(k))
 		}
 	})
 }
@@ -405,7 +413,7 @@ const BenchMixed Bench = "Mixed"
 // cfg.ThreadsPerInstance threads per copy doing batched puts of
 // cfg.FootprintKB per transaction, plus memory-intensive apps. For
 // BenchMixed, instance i hosts PMDK structure i mod 4.
-func runPMDK(spec SystemSpec, b Bench, cfg Config, h *heap) Result {
+func runPMDK(spec SystemSpec, b Bench, cfg Config, h *heap, vals valuePattern) Result {
 	d := machineFor(spec, cfg)
 	prefix := string(b)
 	if b == BenchMixed {
@@ -442,13 +450,12 @@ func runPMDK(spec SystemSpec, b Bench, cfg Config, h *heap) Result {
 			inst, t := inst, t
 			d.spawn(fmt.Sprintf("%s%d.%d", prefix, inst, t), inst, func(_ *sim.Thread, c *core.Ctx) {
 				rng := d.rng(inst, t)
-				val := make([]byte, cfg.ValueSize)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
 					keys := make([]uint64, ops)
 					for i := range keys {
 						keys[i] = cfg.drawKey(rng)
 					}
-					putBatch(c, dss[inst], keys, val)
+					putBatch(c, dss[inst], keys, vals)
 				}
 			})
 		}
@@ -459,7 +466,7 @@ func runPMDK(spec SystemSpec, b Bench, cfg Config, h *heap) Result {
 // runEcho runs consolidated Echo instances: one master + N-1 clients per
 // instance; clients batch updates through rings, the master applies each
 // drained batch in one durable transaction.
-func runEcho(spec SystemSpec, cfg Config, h *heap) Result {
+func runEcho(spec SystemSpec, cfg Config, h *heap, vals valuePattern) Result {
 	d := machineFor(spec, cfg)
 	ops := cfg.opsPerBatch()
 	clients := cfg.ThreadsPerInstance - 1
@@ -487,11 +494,10 @@ func runEcho(spec SystemSpec, cfg Config, h *heap) Result {
 			d.spawn(fmt.Sprintf("echo%d.c%d", inst, cl), inst, func(th *sim.Thread, c *core.Ctx) {
 				rng := d.rng(inst, cl)
 				nt := c.NT()
-				val := make([]byte, cfg.ValueSize)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
 					for i := 0; i < ops; i++ {
 						k := cfg.drawKey(rng)
-						p := kv.KV{Key: k, Val: fillValue(val, k)}
+						p := kv.KV{Key: k, Val: vals.value(k)}
 						for !stores[inst].Rings[cl].TryPush(nt, p) {
 							th.Advance(5 * sim.Microsecond)
 							th.Sync()
@@ -542,7 +548,7 @@ func ringsEmpty(e *kv.Echo, c *core.Ctx) bool {
 // LongROEvery-th operation replaced by a long-running read-only get
 // batch of LongROBytes. All threads belong to one application, so to
 // one conflict domain.
-func runEchoLongRO(spec SystemSpec, cfg Config, h *heap) Result {
+func runEchoLongRO(spec SystemSpec, cfg Config, h *heap, vals valuePattern) Result {
 	d := machineFor(spec, cfg)
 	store := borrow(h, d.m.Store(), func(st *mem.Store) ([]*mem.Allocator, func([]*mem.Allocator) *kv.Echo) {
 		dal, nal := mem.NewAllocator(mem.DRAM), mem.NewAllocator(mem.NVM)
@@ -556,7 +562,6 @@ func runEchoLongRO(spec SystemSpec, cfg Config, h *heap) Result {
 		t := t
 		d.spawn(fmt.Sprintf("echoLR.%d", t), 0, func(_ *sim.Thread, c *core.Ctx) {
 			rng := d.rng(0, t)
-			val := make([]byte, cfg.ValueSize)
 			for op := 0; op < cfg.BatchesPerThread; op++ {
 				if cfg.LongROEvery > 0 && op%cfg.LongROEvery == cfg.LongROEvery-1 {
 					// A contiguous slice of the keyspace at a random
@@ -571,7 +576,7 @@ func runEchoLongRO(spec SystemSpec, cfg Config, h *heap) Result {
 					continue
 				}
 				k := cfg.drawKey(rng)
-				v := fillValue(val, k)
+				v := vals.value(k)
 				c.Run(func(tx *core.Tx) {
 					store.Table.Put(tx, k, v)
 				})
@@ -584,7 +589,7 @@ func runEchoLongRO(spec SystemSpec, cfg Config, h *heap) Result {
 // runHybridIndex is the Figure 9a workload: consolidated Hybrid-Index
 // stores, threads inserting batches that touch the DRAM B-Tree and the
 // NVM HashMap in one transaction.
-func runHybridIndex(spec SystemSpec, cfg Config, h *heap) Result {
+func runHybridIndex(spec SystemSpec, cfg Config, h *heap, vals valuePattern) Result {
 	d := machineFor(spec, cfg)
 	stores := borrow(h, d.m.Store(), func(st *mem.Store) ([]*mem.Allocator, func([]*mem.Allocator) []*kv.HybridIndex) {
 		dArenas, nArenas := arenasFor(cfg)
@@ -617,7 +622,7 @@ func runHybridIndex(spec SystemSpec, cfg Config, h *heap) Result {
 			d.spawn(fmt.Sprintf("hikv%d.%d", inst, t), inst, func(_ *sim.Thread, c *core.Ctx) {
 				rng := d.rng(inst, t)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					stores[inst].PutBatch(c, t, cfg.drawPairs(rng, ops))
+					stores[inst].PutBatch(c, t, cfg.drawPairs(rng, ops, vals))
 				}
 			})
 		}
@@ -628,7 +633,7 @@ func runHybridIndex(spec SystemSpec, cfg Config, h *heap) Result {
 // runDual is the Figure 9b workload: consolidated Dual stores, half the
 // threads serving foreground puts on the DRAM map, half draining the
 // cross-referencing log into the NVM map.
-func runDual(spec SystemSpec, cfg Config, h *heap) Result {
+func runDual(spec SystemSpec, cfg Config, h *heap, vals valuePattern) Result {
 	d := machineFor(spec, cfg)
 	ops := cfg.opsPerBatch()
 	fg := cfg.ThreadsPerInstance / 2
@@ -672,7 +677,7 @@ func runDual(spec SystemSpec, cfg Config, h *heap) Result {
 			d.spawn(fmt.Sprintf("dual%d.f%d", inst, t), inst, func(_ *sim.Thread, c *core.Ctx) {
 				rng := d.rng(inst, t)
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					stores[inst].FrontPut(c, t, cfg.drawPairs(rng, ops))
+					stores[inst].FrontPut(c, t, cfg.drawPairs(rng, ops, vals))
 				}
 				fgLeft--
 			})
@@ -702,20 +707,21 @@ func Run(spec SystemSpec, b Bench, cfg Config) Result {
 }
 
 // run dispatches a benchmark family, its prepopulated structures
-// borrowed from h.
+// borrowed from h and the values it writes cut from one pattern.
 func run(spec SystemSpec, b Bench, cfg Config, h *heap) Result {
+	vals := newValuePattern(cfg.ValueSize)
 	switch b {
 	case BenchHashMap, BenchBTree, BenchRBTree, BenchSkipList, BenchMixed:
-		return runPMDK(spec, b, cfg, h)
+		return runPMDK(spec, b, cfg, h, vals)
 	case BenchEcho:
 		if cfg.LongROEvery > 0 {
-			return runEchoLongRO(spec, cfg, h)
+			return runEchoLongRO(spec, cfg, h, vals)
 		}
-		return runEcho(spec, cfg, h)
+		return runEcho(spec, cfg, h, vals)
 	case BenchHybridIndex:
-		return runHybridIndex(spec, cfg, h)
+		return runHybridIndex(spec, cfg, h, vals)
 	case BenchDual:
-		return runDual(spec, cfg, h)
+		return runDual(spec, cfg, h, vals)
 	default:
 		panic(fmt.Sprintf("workload: unknown benchmark %q", b))
 	}
