@@ -20,9 +20,13 @@ import (
 type Eviction struct {
 	Addr  mem.Addr // line address
 	Dirty bool
+	// Stream reports a line that InsertStream filled and that no
+	// Lookup, Insert or MarkDirty has touched since.
+	Stream bool
 }
 
-// EvictFunc is called for each line displaced by an Insert.
+// EvictFunc is called for each line displaced by an Insert or
+// InsertStream.
 type EvictFunc func(Eviction)
 
 // maxWays is the largest supported associativity: a set's LRU stack
@@ -36,16 +40,17 @@ const maxWays = 16
 const hostLine = 64
 
 // Tag words. A tag is the line's dense index (mem.LineIndex, computed
-// without branches by mem.UncheckedLineIndex) shifted above two flag
+// without branches by mem.UncheckedLineIndex) shifted above three flag
 // bits: bit 0 marks the way valid (tag 0 means invalid, which also
-// disambiguates DRAM line 0) and bit 1 is the write-back dirty bit.
-// Insert rejects an address outside both memory regions, whose index
-// would alias another line's.
+// disambiguates DRAM line 0), bit 1 is the write-back dirty bit and
+// bit 2 marks a stream line (InsertStream). Insert rejects an address
+// outside both memory regions, whose index would alias another line's.
 const (
-	tagValid = 1
-	tagDirty = 2
-	tagFlags = tagValid | tagDirty
-	tagShift = 2
+	tagValid  = 1
+	tagDirty  = 2
+	tagStream = 4
+	tagFlags  = tagValid | tagDirty | tagStream
+	tagShift  = 3
 )
 
 // Every line index fits a tag word (the conversion overflows, a compile
@@ -154,29 +159,41 @@ func (c *Cache) setOf(la mem.Addr) int {
 	return int(la/mem.LineSize) & (c.numSets - 1)
 }
 
+// scan returns the flat index of a's set's first way, the way holding
+// a's line or -1, and the set's lowest-index free way or -1, from one
+// pass over the set's tags.
+func (c *Cache) scan(a mem.Addr) (base, way, free int) {
+	base = c.setOf(a) << c.wayShift
+	way, free = scanSet(c.tags[base:base+c.ways], tagOf(a)|tagValid)
+	return base, way, free
+}
+
+// scanLoop is scanSet one way at a time: the way whose tag equals tag
+// with the dirty and stream bits ignored, or -1, and the lowest-index
+// zero (free) way, or -1.
+func scanLoop(set []uint32, tag uint32) (hit, free int) {
+	hit, free = -1, -1
+	for i, t := range set {
+		if t&^(tagDirty|tagStream) == tag {
+			hit = i
+		}
+		if t == 0 && free < 0 {
+			free = i
+		}
+	}
+	return hit, free
+}
+
 // find returns the flat index of a's set's first way and the way
 // holding a's line, or -1.
 func (c *Cache) find(a mem.Addr) (base, way int) {
-	tag := tagOf(a) | tagValid
-	base = c.setOf(a) << c.wayShift
-	for i, t := range c.tags[base : base+c.ways] {
-		if t&^tagDirty == tag {
-			return base, i
-		}
-	}
-	return base, -1
+	base, way, _ = c.scan(a)
+	return base, way
 }
 
 // noteMiss records a miss of line la in the set at base, with the set's
 // first free way, for an Insert of the same line that follows.
-func (c *Cache) noteMiss(la mem.Addr, base int) {
-	free := -1
-	for i, t := range c.tags[base : base+c.ways] {
-		if t == 0 {
-			free = i
-			break
-		}
-	}
+func (c *Cache) noteMiss(la mem.Addr, base, free int) {
 	c.missLine, c.missBase, c.missFree, c.missGen = la, base, free, c.gen
 }
 
@@ -210,6 +227,19 @@ func (c *Cache) moveToFront(base, way int) {
 // at base.
 func (c *Cache) lru(base int) int {
 	return int((c.stacks[base>>c.wayShift]^stackIdent)>>(4*uint(c.ways-1))) & 0xF
+}
+
+// rotate makes the LRU way of the set whose ways start at base its most
+// recently used, as moveToFront would: the way leaves the stack's
+// bottom nibble for its front and every other way moves back one, so
+// the stack's low ways nibbles rotate up by one.
+func (c *Cache) rotate(base int) {
+	p := &c.stacks[base>>c.wayShift]
+	s := *p ^ stackIdent
+	top := 4 * uint(c.ways-1)
+	mask := ^uint64(0) >> (60 - top) // the set's nibbles
+	low := s & mask
+	*p = (s&^mask | (low<<4|low>>top)&mask) ^ stackIdent
 }
 
 // FindWay returns the flat way index (set*ways + way) holding a's line,
@@ -246,10 +276,12 @@ func (c *Cache) Prefetch(a mem.Addr) {
 func (c *Cache) SetLookupHook(f func(addr mem.Addr, hit bool)) { c.onLookup = f }
 
 // Lookup reports whether the line containing a is present, refreshing
-// its LRU position on a hit and updating hit/miss counters.
+// its LRU position and clearing its stream mark on a hit, and updating
+// hit/miss counters.
 func (c *Cache) Lookup(a mem.Addr) bool {
-	base, w := c.find(a)
+	base, w, free := c.scan(a)
 	if w >= 0 {
+		c.tags[base+w] &^= tagStream
 		c.promote(base, w)
 		c.Hits++
 		if c.onLookup != nil {
@@ -257,7 +289,7 @@ func (c *Cache) Lookup(a mem.Addr) bool {
 		}
 		return true
 	}
-	c.noteMiss(mem.LineOf(a), base)
+	c.noteMiss(mem.LineOf(a), base, free)
 	c.Misses++
 	if c.onLookup != nil {
 		c.onLookup(mem.LineOf(a), false)
@@ -272,17 +304,18 @@ func (c *Cache) Contains(a mem.Addr) bool {
 }
 
 // Touch refreshes the LRU position of a present line — exactly what
-// Insert does on a hit — and reports whether the line was present. On a
-// miss it changes nothing, and an Insert of the same line that follows
-// with no fill or invalidation in between reuses the miss's set scan.
-// Both read only the set's host line of tags and its stack word, which
-// a Prefetch of the line issued a few operations earlier has usually
-// brought in. The LLC pollution stream uses the three to resolve
+// InsertStream does on a hit, so a stream mark stays — and reports
+// whether the line was present. On a miss it changes nothing, and an
+// Insert or InsertStream of the same line that follows with no fill or
+// invalidation in between reuses the miss's set scan. Both read only
+// the set's host line of tags and its stack word, which a Prefetch of
+// the line issued a few operations earlier has usually brought in. The
+// LLC pollution stream uses Prefetch, Touch and InsertStream to resolve
 // presence, act before filling, then fill, in one way scan per miss.
 func (c *Cache) Touch(a mem.Addr) bool {
-	base, w := c.find(a)
+	base, w, free := c.scan(a)
 	if w < 0 {
-		c.noteMiss(mem.LineOf(a), base)
+		c.noteMiss(mem.LineOf(a), base, free)
 		return false
 	}
 	c.promote(base, w)
@@ -296,45 +329,62 @@ func (c *Cache) Touch(a mem.Addr) bool {
 // returns the flat way index now holding the line (see FindWay). It
 // panics on an address outside the DRAM and NVM regions, whose tag
 // would alias another line's.
-func (c *Cache) Insert(a mem.Addr) int {
+func (c *Cache) Insert(a mem.Addr) int { return c.insert(a, 0) }
+
+// InsertStream is Insert for a line streamed in by a non-transactional
+// bulk reader that no core will use (the LLC pollution stream): a fill
+// marks the line a stream line until a Lookup, Insert or MarkDirty of
+// it, and its Eviction reports Stream. A hit, like Touch, refreshes LRU
+// and leaves the mark as it is.
+func (c *Cache) InsertStream(a mem.Addr) int { return c.insert(a, tagStream) }
+
+// insert is Insert, with stream (0 or tagStream) the flag a fill sets;
+// a hit without it clears the line's stream mark.
+func (c *Cache) insert(a mem.Addr, stream uint32) int {
 	la := mem.LineOf(a)
 	base, w := c.missBase, c.missFree
 	if c.missGen != c.gen || c.missLine != la {
-		if base, w = c.find(la); w >= 0 {
-			c.promote(base, w)
-			return base + w
+		var hit int
+		if base, hit, w = c.scan(la); hit >= 0 {
+			if stream == 0 {
+				c.tags[base+hit] &^= tagStream
+			}
+			c.promote(base, hit)
+			return base + hit
 		}
-		c.noteMiss(la, base)
-		w = c.missFree
 	}
 	idx := mem.UncheckedLineIndex(la)
 	if idx >= mem.LineCount || mem.AddrOfLineIndex(idx) != la {
 		panic(fmt.Sprintf("cache %s: address %#x outside DRAM and NVM regions", c.name, uint64(a)))
 	}
+	tag := uint32(idx)<<tagShift | tagValid | stream
 	if w < 0 {
 		w = c.lru(base)
 		victim := c.tags[base+w]
 		if c.onEvict != nil {
-			c.onEvict(Eviction{Addr: lineOf(victim), Dirty: victim&tagDirty != 0})
+			c.onEvict(Eviction{Addr: lineOf(victim), Dirty: victim&tagDirty != 0, Stream: victim&tagStream != 0})
 		}
 		if c.presence != nil {
 			c.presence.dec(lineOf(victim))
 		}
+		c.tags[base+w] = tag
+		c.rotate(base)
+	} else {
+		c.tags[base+w] = tag
+		c.promote(base, w)
 	}
 	if c.presence != nil {
 		c.presence.inc(la)
 	}
-	c.tags[base+w] = uint32(idx)<<tagShift | tagValid
-	c.promote(base, w)
 	c.gen++
 	return base + w
 }
 
-// MarkDirty sets the dirty bit of a present line; it reports whether the
-// line was present.
+// MarkDirty sets the dirty bit of a present line, and clears its
+// stream mark; it reports whether the line was present.
 func (c *Cache) MarkDirty(a mem.Addr) bool {
 	if base, w := c.find(a); w >= 0 {
-		c.tags[base+w] |= tagDirty
+		c.tags[base+w] = c.tags[base+w]&^tagStream | tagDirty
 		return true
 	}
 	return false

@@ -11,11 +11,14 @@ import (
 // bit for bit: ways as parallel flat arrays indexed set*ways+way, a
 // per-way LRU timestamp, and one pass per operation. Its fill rule is
 // the one the simulator's results were produced with: the lowest-index
-// invalid way, else the way with the oldest stamp.
+// invalid way, else the way with the oldest stamp. A way's stream flag
+// is set by an insertStream fill and cleared by a lookup or insert hit
+// and by a dirty mark.
 type stampLRU struct {
 	tags    []uint64 // line | 1 when valid, 0 when invalid
 	used    []uint64
 	dirty   []bool
+	stream  []bool
 	numSets int
 	ways    int
 	tick    uint64
@@ -26,7 +29,7 @@ type stampLRU struct {
 
 func newStampLRU(sets, ways int) *stampLRU {
 	n := sets * ways
-	return &stampLRU{tags: make([]uint64, n), used: make([]uint64, n), dirty: make([]bool, n), numSets: sets, ways: ways}
+	return &stampLRU{tags: make([]uint64, n), used: make([]uint64, n), dirty: make([]bool, n), stream: make([]bool, n), numSets: sets, ways: ways}
 }
 
 func (m *stampLRU) find(a mem.Addr) int {
@@ -45,6 +48,7 @@ func (m *stampLRU) stamp(i int) { m.tick++; m.used[i] = m.tick }
 func (m *stampLRU) lookup(a mem.Addr) bool {
 	if i := m.find(a); i >= 0 {
 		m.stamp(i)
+		m.stream[i] = false
 		m.hits++
 		return true
 	}
@@ -60,10 +64,18 @@ func (m *stampLRU) touch(a mem.Addr) bool {
 	return false
 }
 
-func (m *stampLRU) insert(a mem.Addr) int {
+func (m *stampLRU) insert(a mem.Addr) int { return m.fill(a, false) }
+
+func (m *stampLRU) insertStream(a mem.Addr) int { return m.fill(a, true) }
+
+// fill is insert, or insertStream when stream is set.
+func (m *stampLRU) fill(a mem.Addr, stream bool) int {
 	la := mem.LineOf(a)
 	if i := m.find(la); i >= 0 {
 		m.stamp(i)
+		if !stream {
+			m.stream[i] = false
+		}
 		return i
 	}
 	b := (int(la/mem.LineSize) & (m.numSets - 1)) * m.ways
@@ -81,10 +93,11 @@ func (m *stampLRU) insert(a mem.Addr) int {
 				victim = i
 			}
 		}
-		m.evicted = append(m.evicted, Eviction{Addr: mem.Addr(m.tags[victim] &^ 1), Dirty: m.dirty[victim]})
+		m.evicted = append(m.evicted, Eviction{Addr: mem.Addr(m.tags[victim] &^ 1), Dirty: m.dirty[victim], Stream: m.stream[victim]})
 	}
 	m.tags[victim] = uint64(la) | 1
 	m.dirty[victim] = false
+	m.stream[victim] = stream
 	m.stamp(victim)
 	return victim
 }
@@ -92,7 +105,7 @@ func (m *stampLRU) insert(a mem.Addr) int {
 func (m *stampLRU) invalidate(a mem.Addr) (present, dirty bool) {
 	if i := m.find(a); i >= 0 {
 		present, dirty = true, m.dirty[i]
-		m.tags[i], m.used[i], m.dirty[i] = 0, 0, false
+		m.tags[i], m.used[i], m.dirty[i], m.stream[i] = 0, 0, false, false
 	}
 	return
 }
@@ -101,6 +114,7 @@ func (m *stampLRU) reset() {
 	clear(m.tags)
 	clear(m.used)
 	clear(m.dirty)
+	clear(m.stream)
 	m.tick, m.hits, m.misses = 0, 0, 0
 }
 
@@ -111,7 +125,7 @@ type cacheOp struct {
 	other int  // second line, for the Touch-miss → mutate → Insert steps
 }
 
-const numCacheOps = 10
+const numCacheOps = 11
 
 // diffRig drives a Cache and its stampLRU model side by side.
 type diffRig struct {
@@ -190,7 +204,7 @@ func (r *diffRig) step(n int, op cacheOp) {
 			t.Fatalf("op %d: MarkDirty(%#x) = %v, model %v", n, uint64(a), got, i >= 0)
 		}
 		if i >= 0 {
-			m.dirty[i] = true
+			m.dirty[i], m.stream[i] = true, false
 		}
 	case 7:
 		// Touch miss, an invalidation in the same set, then the fill:
@@ -225,6 +239,18 @@ func (r *diffRig) step(n int, op cacheOp) {
 			c.Insert(a)
 			m.insert(a)
 		}
+	case 10:
+		// The pollution stream's step: Touch, then InsertStream on a
+		// miss, and now and then on a hit.
+		hit := c.Touch(a)
+		if hit != m.touch(a) {
+			t.Fatalf("op %d: Touch(%#x) disagrees", n, uint64(a))
+		}
+		if !hit || op.other%2 == 0 {
+			if got, want := c.InsertStream(a), m.insertStream(a); got != want {
+				t.Fatalf("op %d: InsertStream(%#x) filled way %d, model %d", n, uint64(a), got, want)
+			}
+		}
 	}
 	r.check(n, a)
 	r.check(n, b)
@@ -252,6 +278,9 @@ func (r *diffRig) check(n int, a mem.Addr) {
 	if got := c.Dirty(a); got != (i >= 0 && m.dirty[i]) {
 		t.Fatalf("op %d: Dirty(%#x) = %v, model %v", n, uint64(a), got, !got)
 	}
+	if got := c.Stream(a); got != (i >= 0 && m.stream[i]) {
+		t.Fatalf("op %d: Stream(%#x) = %v, model %v", n, uint64(a), got, !got)
+	}
 	if w := c.FindWay(a); w != i {
 		t.Fatalf("op %d: FindWay(%#x) = %d, model %d", n, uint64(a), w, i)
 	} else if w >= 0 {
@@ -268,6 +297,9 @@ func (r *diffRig) finish() {
 		la, ok := c.WayLine(i)
 		if ok != (m.tags[i] != 0) || (ok && uint64(la)|1 != m.tags[i]) {
 			r.t.Fatalf("way %d holds (%#x,%v), model tag %#x", i, uint64(la), ok, m.tags[i])
+		}
+		if t := c.tags[i]; (t&tagDirty != 0) != m.dirty[i] || (t&tagStream != 0) != m.stream[i] {
+			r.t.Fatalf("way %d flags %#x, model dirty=%v stream=%v", i, t&tagFlags, m.dirty[i], m.stream[i])
 		}
 	}
 	n := 0
@@ -323,6 +355,10 @@ func FuzzCacheMatchesModel(f *testing.F) {
 	// 1-set, 2-way: DRAM line 0, the last DRAM line, then NVM lines that
 	// evict them.
 	f.Add([]byte{4, 0, 0, 0, 0, 3, 0, 0, 4, 0, 0, 7, 0, 5, 0, 3})
+	// 1-set, 2-way: three stream fills (the third evicts a stream line),
+	// a Lookup that clears one line's mark, then a stream fill that
+	// evicts the other.
+	f.Add([]byte{4, 10, 0, 0, 10, 3, 0, 10, 4, 0, 3, 3, 0, 10, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -334,6 +370,46 @@ func FuzzCacheMatchesModel(f *testing.F) {
 		}
 		r.finish()
 	})
+}
+
+// TestScanSetMatchesLoop checks the host's set scan (the SSE2 stub on
+// amd64) against scanLoop on every differential geometry of 4 or more
+// ways: sets with holes, dirty and stream flags, and lines from both
+// ends of both regions, probed with each resident line and with absent
+// ones.
+func TestScanSetMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, g := range diffGeometries {
+		if g.ways < 4 {
+			continue
+		}
+		r := newDiffRig(t, g.sets, g.ways)
+		c := r.c
+		for trial := 0; trial < 2000; trial++ {
+			for s := 0; s < g.sets; s++ {
+				set := c.tags[s*g.ways : (s+1)*g.ways]
+				// A line sits in at most one way of its set.
+				perm := rng.Perm(r.lines)
+				for i := range set {
+					set[i] = 0 // a hole
+					if rng.Intn(4) != 0 {
+						set[i] = tagOf(r.addr(perm[i])) | tagValid | uint32(rng.Intn(4))*tagDirty
+					}
+				}
+				probes := []uint32{tagOf(r.addr(perm[g.ways])) | tagValid}
+				for _, tag := range set {
+					probes = append(probes, tag&^(tagDirty|tagStream)|tagValid)
+				}
+				for _, tag := range probes {
+					gh, gf := scanSet(set, tag)
+					wh, wf := scanLoop(set, tag)
+					if gh != wh || gf != wf {
+						t.Fatalf("sets=%d ways=%d: scanSet(%#x, %#x) = (%d,%d), scanLoop (%d,%d)", g.sets, g.ways, set, tag, gh, gf, wh, wf)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestTagPackRoundTrip checks that a tag is the dense line index above

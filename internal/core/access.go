@@ -501,12 +501,23 @@ func (m *Machine) invalidateL1s(la mem.Addr) {
 
 // drainEvictions processes queued LLC victims: inclusive invalidation of
 // L1 copies, write-back of dirty data, and the transaction-overflow
-// machinery of Section IV-B.
+// machinery of Section IV-B. A stream victim (see PolluteLLC) has no L1
+// copy, no directory state and no dirty data, so it only emits its
+// trace event.
 func (m *Machine) drainEvictions(requester *Tx) {
 	for m.evictHead < len(m.pendingEvicts) {
 		e := m.pendingEvicts[m.evictHead]
 		m.evictHead++
 		la := e.Addr
+		if e.Stream {
+			if m.opts.Paranoid {
+				m.checkStreamVictim(la)
+			}
+			if m.tr != nil {
+				m.emit(trace.EvLLCEvict, -1, 0, la, 0, 0)
+			}
+			continue
+		}
 		m.invalidateL1s(la) // inclusive LLC: drop L1 copies
 		owner, sharers := m.dir.SurrenderLine(la)
 		if m.tr != nil {
@@ -539,6 +550,19 @@ func (m *Machine) drainEvictions(requester *Tx) {
 	// Fully drained: rewind the queue so its capacity is reused.
 	m.pendingEvicts = m.pendingEvicts[:0]
 	m.evictHead = 0
+}
+
+// checkStreamVictim panics if stream victim la has an L1 copy or
+// directory state: the drain skipped the work either would need.
+func (m *Machine) checkStreamVictim(la mem.Addr) {
+	for core, l1 := range m.l1 {
+		if l1.Contains(la) {
+			panic(fmt.Sprintf("core: stream victim %#x is in core %d's L1", uint64(la), core))
+		}
+	}
+	if owner, sharers := m.dir.TxInfo(la); owner != 0 || len(sharers) > 0 {
+		panic(fmt.Sprintf("core: stream victim %#x has directory state (owner %d, sharers %v)", uint64(la), owner, sharers))
+	}
 }
 
 // overflowRead moves a transactional read of la from directory tracking

@@ -87,16 +87,23 @@ func BenchmarkReclaimLogs(b *testing.B) {
 
 // BenchmarkPolluteLLC measures one 4096-line LLC pollution batch (the
 // memory-intensive co-runner of Figures 6 and 10) on a default-geometry
-// machine: Touch, the signature probe of a live transaction in the
-// polluter's domain, Insert and the final eviction drain together. A
-// second live transaction in another domain is out of the isolated
-// probe scope. The LLC is filled before timing starts.
+// machine kept in the state a grid cell runs in: Touch, the signature
+// probe of a live transaction in the polluter's domain, InsertStream
+// and the eviction drain together. A second live transaction in another
+// domain is out of the isolated probe scope. Batches alternate between
+// two windows, as two memory apps' would, and fill the LLC before
+// timing starts. Reader transactions on the other cores then fill their
+// L1s with tracked lines, which sit in the LLC beside the stream lines
+// and in the directory. Every 16 batches, untimed, the readers commit
+// and read their lines again, so the drain keeps meeting populated L1s,
+// presence filter and directory.
 func BenchmarkPolluteLLC(b *testing.B) {
 	eng := sim.NewEngine(1)
 	opts := DefaultOptions()
 	opts.Paranoid = false
 	m := NewMachine(eng, mem.DefaultConfig(), opts)
 	al := mem.NewAllocator(mem.DRAM)
+	const poll = 100 * sim.Microsecond
 	done := false
 	for domain := 0; domain < 2; domain++ {
 		d, data := domain, al.AllocLines(8)
@@ -108,24 +115,66 @@ func BenchmarkPolluteLLC(b *testing.B) {
 				for i := 0; i < 8; i++ {
 					tx.WriteU64(data+mem.Addr(i)*mem.LineSize, 1)
 				}
-				th.WaitUntil(func() bool { return done || tx.status.abortFlag }, sim.Microsecond)
+				th.WaitUntil(func() bool { return done || tx.status.abortFlag }, poll)
 				tx.checkAbortFlag()
 			})
 		})
 	}
+	// round counts the polluter's refresh requests; ready[i] is the
+	// round whose lines reader i last finished reading.
+	round, ready := 0, make([]int, m.cfg.Cores-3)
+	l1Lines := m.cfg.L1Size / mem.LineSize
+	for i := range ready {
+		// Each round reads the other set of lines: lines still in the L1
+		// would hit there and age in the LLC.
+		sets := [2]mem.Addr{al.AllocLines(l1Lines), al.AllocLines(l1Lines)}
+		eng.Spawn(fmt.Sprintf("reader%d", i), func(th *sim.Thread) {
+			c := m.NewCtx(th, 2)
+			th.WaitUntil(func() bool { return round > 0 }, poll)
+			for !done {
+				c.Run(func(tx *Tx) {
+					r := round
+					for l := 0; l < l1Lines; l++ {
+						tx.ReadU64(sets[r%2] + mem.Addr(l)*mem.LineSize)
+					}
+					ready[i] = r
+					th.WaitUntil(func() bool { return done || round != r || tx.status.abortFlag }, poll)
+					tx.checkAbortFlag()
+				})
+			}
+		})
+	}
 	const window = 32 << 20
-	base := mem.DRAMLogBase - window
+	bases := [2]mem.Addr{mem.DRAMLogBase - window, mem.DRAMLogBase - 2*window}
 	eng.Spawn("polluter", func(th *sim.Thread) {
 		c := m.NewCtx(th, 0)
-		rng := rand.New(rand.NewSource(1))
+		rngs := [2]*rand.Rand{rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))}
+		batch := func(i int) { c.PolluteLLC(bases[i%2], window, 4096, 1500*sim.Picosecond, rngs[i%2]) }
+		refresh := func() {
+			round++
+			th.WaitUntil(func() bool {
+				for _, r := range ready {
+					if r != round {
+						return false
+					}
+				}
+				return true
+			}, sim.Microsecond)
+		}
 		th.Advance(sim.Microsecond) // let both transactions begin
 		for i := 0; i < 2*m.cfg.LLCSize/mem.LineSize/4096; i++ {
-			c.PolluteLLC(base, window, 4096, 1500*sim.Picosecond, rng)
+			batch(i)
 		}
+		refresh()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.PolluteLLC(base, window, 4096, 1500*sim.Picosecond, rng)
+			if i > 0 && i%16 == 0 {
+				b.StopTimer()
+				refresh()
+				b.StartTimer()
+			}
+			batch(i)
 		}
 		b.StopTimer()
 		done = true

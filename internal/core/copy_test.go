@@ -54,14 +54,11 @@ func refWriteBytes(s *mem.Store, a mem.Addr, b []byte) {
 // ReadInto and WriteBytes at every offset across a line boundary
 // and a page boundary, at the first and last line of DRAM and of NVM,
 // against the per-byte reference loops on a twin machine. Both machines
-// must hold the same bytes in the same materialized lines, and no access
-// counter may move.
+// must hold the same bytes in the same materialized lines.
 func TestLineAccessorsMatchPerByteLoops(t *testing.T) {
 	_, m := newTestMachine(DefaultOptions())
 	_, ref := newTestMachine(DefaultOptions())
 	s, rs := m.store, ref.store
-	counters := func() [2]uint64 { return [2]uint64{s.DRAMWrites, s.NVMWrites} }
-	before := counters()
 	rng := rand.New(rand.NewSource(1))
 	const L = mem.LineSize
 	pageBytes := mem.Addr(mem.PageLines * L)
@@ -118,8 +115,5 @@ func TestLineAccessorsMatchPerByteLoops(t *testing.T) {
 				check("ReadU64", a, 8)
 			}
 		}
-	}
-	if after := counters(); after != before {
-		t.Fatalf("access counters moved: DRAM/NVM reads/writes %v -> %v", before, after)
 	}
 }

@@ -27,6 +27,11 @@ const polluteLookahead = 8
 // window must be private to this application (its own arena), so
 // directory conflicts cannot arise and are not checked.
 //
+// Each missed line is filled as a stream line (cache.InsertStream): it
+// was absent from the inclusive LLC, so no L1 and no directory entry
+// holds it, and until a core touches it its eviction needs none of
+// drainEvictions' work.
+//
 // The batch's addresses are drawn up front, which makes the same rng
 // calls in the same order as drawing them one by one (nothing else in
 // the batch uses rng). That lets the loop prefetch the LLC set of the
@@ -72,7 +77,7 @@ func (c *Ctx) PolluteLLC(base mem.Addr, window, n int, perLine sim.Time, rng *ra
 				scope = m.probeScope(c.domain)
 			}
 		}
-		m.llc.Insert(la)
+		m.llc.InsertStream(la)
 	}
 	c.th.Advance(sim.Time(n) * perLine)
 	m.drainEvictions(nil)

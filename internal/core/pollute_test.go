@@ -186,3 +186,67 @@ func TestPolluteLLCMatchesPerLineReference(t *testing.T) {
 		t.Error("no case aborted a victim mid-batch")
 	}
 }
+
+// TestStreamVictimsCarryNoTrackedState runs pollution batches beside
+// live transactions that read and write lines of their own, on a
+// Paranoid machine, whose eviction drain panics if a stream victim has
+// an L1 copy or directory state. The batches evict the transactions'
+// tracked lines too, so the drain sees both kinds of victim.
+func TestStreamVictimsCarryNoTrackedState(t *testing.T) {
+	for _, detect := range []Detection{DetectStaged, DetectLLCBounded} {
+		t.Run(fmt.Sprint(detect), func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			opts := DefaultOptions()
+			opts.Detect = detect
+			if !opts.Paranoid {
+				t.Fatal("DefaultOptions is not Paranoid")
+			}
+			m := NewMachine(eng, testConfig(), opts)
+			al := mem.NewAllocator(mem.DRAM)
+			done := false
+			for i := 0; i < 3; i++ {
+				data, domain := al.AllocLines(32), i%2
+				eng.Spawn(fmt.Sprintf("tx%d", i), func(th *sim.Thread) {
+					c := m.NewCtx(th, domain)
+					for k := 0; !done; k++ {
+						c.Run(func(tx *Tx) {
+							// Mostly reads: a read leaves its line clean
+							// in the LLC and in this core's L1.
+							for l := 0; l < 24; l++ {
+								a := data + mem.Addr((k+l)%32)*mem.LineSize
+								if l%6 == 0 {
+									tx.WriteU64(a, uint64(k))
+								} else {
+									tx.ReadU64(a)
+								}
+							}
+							th.Advance(2 * sim.Microsecond)
+						})
+					}
+				})
+			}
+			const window = 128 << 10 // twice the test LLC
+			wbase := al.AllocLines(window / mem.LineSize)
+			eng.Spawn("polluter", func(th *sim.Thread) {
+				c := m.NewCtx(th, 0)
+				rng := rand.New(rand.NewSource(5))
+				for b := 0; b < 40; b++ {
+					c.PolluteLLC(wbase, window, 256, 1500*sim.Picosecond, rng)
+					th.Advance(sim.Microsecond)
+				}
+				done = true
+			})
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatal(r)
+					}
+				}()
+				eng.Run()
+			}()
+			if m.Stats().Overflows == 0 {
+				t.Error("no transaction overflowed: the batches evicted no tracked line")
+			}
+		})
+	}
+}

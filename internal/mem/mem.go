@@ -288,9 +288,6 @@ type Store struct {
 	// update; traceNow supplies the engine world's virtual time.
 	tracer   *trace.Recorder
 	traceNow func() int64
-
-	// Write counters, by kind, for bandwidth-style reporting.
-	DRAMWrites, NVMWrites uint64
 }
 
 // PointPersistLine is the injection point fired before every durable
@@ -383,11 +380,6 @@ func (s *Store) own(im *image, pi uint64) *linePage {
 // via PersistLine or WriteThrough (log writes, DRAM-cache drains).
 func (s *Store) WriteLine(a Addr, src *Line) {
 	*s.mut(&s.live, LineIndex(a)) = *src
-	if KindOf(a) == DRAM {
-		s.DRAMWrites++
-	} else {
-		s.NVMWrites++
-	}
 }
 
 // PeekLine returns the live contents without charging an access; used by
@@ -510,7 +502,6 @@ func (s *Store) PersistLine(a Addr, src *Line) {
 func (s *Store) WriteThrough(a Addr, b []byte) {
 	for len(b) > 0 {
 		la, off := LineOf(a), LineOffset(a)
-		s.NVMWrites++
 		s.persisting(la)
 		idx := LineIndex(la)
 		pi := idx >> PageShift

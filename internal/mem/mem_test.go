@@ -117,9 +117,6 @@ func TestReadWriteLine(t *testing.T) {
 	if got := s.PeekLine(DRAMBase + 128); got != l {
 		t.Error("read-back mismatch")
 	}
-	if s.DRAMWrites != 1 {
-		t.Errorf("counters: %d writes", s.DRAMWrites)
-	}
 }
 
 func TestWordAccess(t *testing.T) {
@@ -259,22 +256,13 @@ func TestQuickAllocatorNoOverlap(t *testing.T) {
 // refStore is a deep-copy reference for Store: maps of line images, a
 // line materializing when first touched, and a Crash that copies every
 // durable line into a fresh live image. Store must be indistinguishable
-// from it through every accessor and counter.
+// from it through every accessor.
 type refStore struct {
-	live, durable         map[Addr]Line
-	dramWrites, nvmWrites uint64
+	live, durable map[Addr]Line
 }
 
 func newRefStore() *refStore {
 	return &refStore{live: map[Addr]Line{}, durable: map[Addr]Line{}}
-}
-
-func (r *refStore) countWrite(a Addr) {
-	if KindOf(a) == DRAM {
-		r.dramWrites++
-	} else {
-		r.nvmWrites++
-	}
 }
 
 // patch writes b into the live image from a on, line by line, and
@@ -315,9 +303,9 @@ func (r *refStore) crash() {
 // TestStoreMatchesDeepCopyReference drives Store and refStore through
 // one seeded sequence of every accessor, with repeated crashes, over a
 // few pages of DRAM, NVM and the NVM log area. After every step the
-// live and durable snapshots, every durable line and the four access
-// counters must agree: pages shared by a crash must behave exactly as
-// the deep copies they replace.
+// live and durable snapshots and every durable line must agree: pages
+// shared by a crash must behave exactly as the deep copies they
+// replace.
 func TestStoreMatchesDeepCopyReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if crashes := matchReference(t, rng, NewStore(DefaultConfig()), newRefStore(), nil); crashes < 50 {
@@ -365,7 +353,6 @@ func matchReference(t *testing.T, rng *rand.Rand, s *Store, ref *refStore, each 
 			a, l := addr(bases), line()
 			s.WriteLine(a, &l)
 			ref.live[a] = l
-			ref.countWrite(a)
 		case 2, 3:
 			what = "PersistLine"
 			a, l := addr(nvmBases), line()
@@ -377,7 +364,6 @@ func matchReference(t *testing.T, rng *rand.Rand, s *Store, ref *refStore, each 
 			s.WriteThrough(a, b)
 			for _, la := range ref.patch(a, b) {
 				ref.durable[la] = ref.live[la]
-				ref.countWrite(la)
 			}
 		case 6:
 			what = "PokeLine"
@@ -452,9 +438,6 @@ func matchReference(t *testing.T, rng *rand.Rand, s *Store, ref *refStore, each 
 					t.Fatalf("step %d (%s): durable line %#x differs", step, what, uint64(a))
 				}
 			}
-		}
-		if got, want := [2]uint64{s.DRAMWrites, s.NVMWrites}, [2]uint64{ref.dramWrites, ref.nvmWrites}; got != want {
-			t.Fatalf("step %d (%s): counters %v, want %v", step, what, got, want)
 		}
 		if each != nil {
 			each(step, what)
